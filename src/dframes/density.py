@@ -42,6 +42,8 @@ class Pseudocomplements:
         for p in range(df.plus.n):
             to_minus[p] = df.minus.join_all(np.where(df.con[p, :])[0])
             assert df.con[p, to_minus[p]], "join of consistent elements must stay consistent"
+        to_plus.flags.writeable = False
+        to_minus.flags.writeable = False
         self.to_plus = to_plus
         self.to_minus = to_minus
 

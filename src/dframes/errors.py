@@ -50,6 +50,10 @@ class NotASubDLocale(DFramesError):
         super().__init__(str(report.first_failure))
 
 
+class BrokenInvariant(DFramesError):
+    """A computed structure broke a law the theory guarantees; indicates a bug."""
+
+
 class SizeGuardExceeded(DFramesError):
     """An enumeration would exceed the configured size guard."""
 

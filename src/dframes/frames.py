@@ -27,6 +27,7 @@ class Frame:
             raise NotAFrame(f"not distributive; witness triple {witness}")
         self.lattice = lattice
         self.name = name if name is not None else f"F{lattice.n}"
+        self._sublocales: dict = {}
 
     # Delegation keeps call sites free of `.lattice` noise.
     @property
@@ -198,10 +199,23 @@ class Sublocale:
     closed under implication from arbitrary elements.
     """
 
-    def __init__(self, frame: Frame, members):
-        idxs = sorted({frame.idx(m) if isinstance(m, str) else int(m) for m in members})
+    def __new__(cls, frame: Frame, members):
+        """The one sublocale of `frame` with these members.
+
+        Sublocales are interned per frame, keyed by the sorted member tuple,
+        so each distinct member set is built once and its cached views
+        (as_frame, quotient, label, validity) are computed once.  The cache
+        is an idempotent memo: equality and hashing still go by carrier and
+        members, never by identity.
+        """
+        key = tuple(sorted({frame.idx(m) if isinstance(m, str) else int(m) for m in members}))
+        cached = frame._sublocales.get(key)
+        if cached is not None:
+            return cached
+        self = super().__new__(cls)
         self.frame = frame
-        self.members = tuple(idxs)
+        self.members = key
+        return frame._sublocales.setdefault(key, self)
 
     @cached_property
     def member_vector(self) -> np.ndarray:
@@ -248,8 +262,11 @@ class Sublocale:
         """The members as a frame: meets inherited, joins via the quotient."""
         sub = np.asarray(self.members)
         leq = self.frame.leq[np.ix_(sub, sub)]
-        frame = Frame(Lattice(self.frame.names(sub), leq), name=sublocale_label(self))
-        return frame
+        return Frame(Lattice(self.frame.names(sub), leq), name=self.label)
+
+    @cached_property
+    def label(self) -> str:
+        return sublocale_label(self)
 
     def position(self, parent_index: int) -> int:
         """Index of a member inside as_frame."""

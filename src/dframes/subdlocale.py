@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .dframe import DFrame, DFrameHom, check_dframe
-from .errors import CarrierMismatch, NotASubDLocale, SizeGuardExceeded
-from .frames import FrameHom, Sublocale, enumerate_sublocales, sublocale_label
+from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
+from .frames import FrameHom, Sublocale, enumerate_sublocales
 from .order import scott_closure
 
 
@@ -32,10 +32,12 @@ class SubDLocale:
         self.plus = plus
         self.con = con
         self.tot = tot
+        self.con.flags.writeable = False
+        self.tot.flags.writeable = False
 
     @cached_property
     def label(self) -> str:
-        return f"{sublocale_label(self.minus)}.{sublocale_label(self.plus)}"
+        return f"{self.minus.label}.{self.plus.label}"
 
     @cached_property
     def as_dframe(self) -> DFrame:
@@ -87,8 +89,9 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
 
     con is the Scott closure of the image of parent con under the quotient
     pair (the image of a lower set under a surjection is a lower set, so the
-    closure is the identity and is asserted); tot is the image of parent
-    tot, which always equals the restriction.
+    closure is the identity and is checked); tot is the image of parent
+    tot, which always equals the restriction.  A failed check raises
+    BrokenInvariant.
     """
     q_m, q_p = minus.quotient, plus.quotient
     pos_m = {m: k for k, m in enumerate(minus.members)}
@@ -98,13 +101,15 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     ps, ms = np.where(parent.con)
     con[[pos_p[int(q_p[p])] for p in ps], [pos_m[int(q_m[m])] for m in ms]] = True
     closed = scott_closure(plus.as_frame.lattice, minus.as_frame.lattice, con)
-    assert (closed == con).all(), "quotient image of con must be Scott closed"
+    if not (closed == con).all():
+        raise BrokenInvariant("quotient image of con must be Scott closed")
 
     tot = np.zeros((len(minus.members), len(plus.members)), dtype=bool)
     ms, ps = np.where(parent.tot)
     tot[[pos_m[int(q_m[m])] for m in ms], [pos_p[int(q_p[p])] for p in ps]] = True
     restriction = parent.tot[np.ix_(minus.members, plus.members)]
-    assert (tot == restriction).all(), "quotient image of tot must equal its restriction"
+    if not (tot == restriction).all():
+        raise BrokenInvariant("quotient image of tot must equal its restriction")
     return con, tot
 
 
@@ -141,11 +146,15 @@ def join_sub_d_locales(a: SubDLocale, b: SubDLocale) -> SubDLocale:
 
 
 class SubDLocaleLattice:
-    """The enumerated lattice of sub-d-locales of one parent."""
+    """The enumerated lattice of sub-d-locales of one parent.
+
+    Members are looked up by their (minus, plus) sublocale pair.
+    """
 
     def __init__(self, parent: DFrame, members: list[SubDLocale]):
         self.parent = parent
         self.members = tuple(members)
+        self._index = {(s.minus, s.plus): i for i, s in enumerate(members)}
         n = len(members)
         leq = np.zeros((n, n), dtype=bool)
         for i, s in enumerate(members):
@@ -163,10 +172,14 @@ class SubDLocaleLattice:
         return tuple(s.label for s in self.members)
 
     def index_of(self, s: SubDLocale) -> int:
-        for i, m in enumerate(self.members):
-            if m == s:
-                return i
-        raise KeyError(f"{s!r} is not a member")
+        return self.pair_index(s.minus, s.plus)
+
+    def pair_index(self, minus: Sublocale, plus: Sublocale) -> int:
+        """Index of the member with these components; KeyError if none."""
+        try:
+            return self._index[(minus, plus)]
+        except KeyError:
+            raise KeyError(f"({minus!r}, {plus!r}) is not a member") from None
 
     @cached_property
     def bottom(self) -> int:
@@ -180,7 +193,8 @@ class SubDLocaleLattice:
         """Least upper bound, located through the order matrix."""
         uppers = np.where(self.leq[i, :] & self.leq[j, :])[0]
         least = uppers[self.leq[np.ix_(uppers, uppers)].all(axis=1)]
-        assert len(least) == 1, "sub-d-locales must have unique joins"
+        if len(least) != 1:
+            raise BrokenInvariant("sub-d-locales must have unique joins")
         return int(least[0])
 
     def meet_index(self, i: int, j: int) -> int:
@@ -191,24 +205,38 @@ class SubDLocaleLattice:
         """
         lowers = np.where(self.leq[:, i] & self.leq[:, j])[0]
         greatest = lowers[self.leq[np.ix_(lowers, lowers)].all(axis=0)]
-        assert len(greatest) == 1, "sub-d-locales must have unique meets"
+        if len(greatest) != 1:
+            raise BrokenInvariant("sub-d-locales must have unique meets")
         return int(greatest[0])
+
+    def _componentwise_join(self, i: int, j: int) -> int:
+        """Index of the componentwise sublocale join of members i and j.
+
+        A pair outside the lattice goes through join_sub_d_locales, which
+        raises NotASubDLocale if the axioms fail and KeyError otherwise.
+        """
+        a, b = self.members[i], self.members[j]
+        idx = self._index.get((a.minus.join_with(b.minus), a.plus.join_with(b.plus)))
+        if idx is None:
+            idx = self.index_of(join_sub_d_locales(a, b))
+        return idx
 
     def join(self, i: int, j: int) -> int:
         """Join by the componentwise construction, cross-checked against the
         order-matrix least upper bound."""
-        idx = self.index_of(join_sub_d_locales(self.members[i], self.members[j]))
-        assert idx == self.join_index(i, j), "constructive join must be the lub"
+        idx = self._componentwise_join(i, j)
+        if idx != self.join_index(i, j):
+            raise BrokenInvariant("constructive join must be the lub")
         return idx
 
     def meet(self, i: int, j: int) -> int:
         """Greatest lower bound, realised as the join of all lower bounds."""
-        lower = [k for k in range(self.n) if self.leq[k, i] and self.leq[k, j]]
-        current = self.members[self.bottom]
-        for k in lower:
-            current = join_sub_d_locales(current, self.members[k])
-        idx = self.index_of(current)
-        assert idx == self.meet_index(i, j), "join of lower bounds must be the glb"
+        idx = self.bottom
+        for k in range(self.n):
+            if self.leq[k, i] and self.leq[k, j]:
+                idx = self._componentwise_join(idx, k)
+        if idx != self.meet_index(i, j):
+            raise BrokenInvariant("join of lower bounds must be the glb")
         return idx
 
     @cached_property

@@ -184,6 +184,17 @@ def test_booleanization_map_is_hom_onto_members():
             assert sub.members[bmap(C4.join[x, y])] == recomputed
 
 
+def test_sublocales_are_interned_per_frame():
+    members = ["c", "1"]
+    assert Sublocale(C3, members) is Sublocale(C3, members)
+    assert Sublocale(C3, members) is closed_sublocale(C3, "c")
+    twin = Frame.chain(3)
+    assert twin is not C3
+    assert Sublocale(twin, members) == Sublocale(C3, members)
+    assert hash(Sublocale(twin, members)) == hash(Sublocale(C3, members))
+    assert Sublocale(twin, members) is not Sublocale(C3, members)
+
+
 def test_sublocale_labels():
     assert sublocale_label(whole_sublocale(C3)) == "3"
     assert sublocale_label(one_sublocale(C3)) == "1"

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dframes.density import Pseudocomplements
 from dframes.dframe import check_dframe, is_extremal_epi, minimal_dframe, symmetric_dframe
 from dframes.errors import NotASubDLocale, SizeGuardExceeded
 from dframes.fixtures import three_three
@@ -13,14 +20,17 @@ from dframes.frames import (
     whole_sublocale,
 )
 from dframes.subdlocale import (
+    SubDLocaleLattice,
     build_sub_d_locale,
     enumerate_sub_d_locales,
     hasse_dot,
     join_sub_d_locales,
     try_sub_d_locale,
 )
+from dframes.sweeps import Sweep, sweep_dframe
 
 C3 = Frame.chain(3)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # The known Hasse diagram of the sub-d-locale lattice of the minimal d-frame
 # on two 3-chains: ten members, sixteen cover edges.
@@ -137,6 +147,7 @@ def test_join_is_least_upper_bound_exhaustively():
     for i in range(ds.n):
         for j in range(ds.n):
             k = ds.join(i, j)
+            assert k == ds.index_of(join_sub_d_locales(ds.members[i], ds.members[j]))
             assert ds.leq[i, k] and ds.leq[j, k]
             for u in range(ds.n):
                 if ds.leq[i, u] and ds.leq[j, u]:
@@ -146,6 +157,52 @@ def test_join_is_least_upper_bound_exhaustively():
             for u in range(ds.n):
                 if ds.leq[u, i] and ds.leq[u, j]:
                     assert ds.leq[u, m]
+
+
+def test_index_of_rejects_non_members():
+    ds = enumerate_sub_d_locales(three_three())
+    partial = SubDLocaleLattice(ds.parent, ds.members[:-1])
+    assert partial.index_of(ds.members[0]) == 0
+    with pytest.raises(KeyError):
+        partial.index_of(ds.members[-1])
+
+
+BOUNDS_VERDICT = "3.3: constructive joins and meets realise the bounds"
+
+
+def test_sweep_records_a_wrong_join_index_as_a_failed_verdict(monkeypatch):
+    monkeypatch.setattr(SubDLocaleLattice, "join_index", lambda self, i, j: self.bottom)
+    sweep = Sweep()
+    sweep_dframe(three_three(), sweep)
+    assert (BOUNDS_VERDICT, "") in sweep.failures()
+
+
+def test_bounds_check_survives_optimised_python():
+    script = textwrap.dedent(f"""
+        from dframes.fixtures import three_three
+        from dframes.subdlocale import SubDLocaleLattice
+        from dframes.sweeps import Sweep, sweep_dframe
+        SubDLocaleLattice.join_index = lambda self, i, j: self.bottom
+        sweep = Sweep()
+        sweep_dframe(three_three(), sweep)
+        assert False, "asserts must be stripped under -O"
+        print(({BOUNDS_VERDICT!r}, "") in sweep.failures())
+    """)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
+def test_handed_out_arrays_are_frozen():
+    tt = three_three()
+    sub = closed_sublocale(tt.minus, "c")
+    sub.member_vector, sub.quotient  # materialise the cached arrays
+    member = enumerate_sub_d_locales(tt).members[3]
+    for obj in (sub, member, Pseudocomplements(tt)):
+        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_constructive_join_standalone():
