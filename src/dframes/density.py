@@ -15,7 +15,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .dframe import DFrame, DFrameHom, is_regular
-from .errors import CharacterizationMismatch, EquivalenceMismatch
+from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale
 from .order import order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
@@ -29,7 +29,7 @@ class Pseudocomplements:
 
     to_plus[a] is the largest plus element consistent with a; to_minus[p]
     is the largest minus element consistent with p.  That the joins defining
-    them are themselves consistent is asserted on construction.
+    them are themselves consistent is checked on construction.
     """
 
     def __init__(self, df: DFrame):
@@ -37,11 +37,13 @@ class Pseudocomplements:
         to_plus = np.zeros(df.minus.n, dtype=np.int64)
         for a in range(df.minus.n):
             to_plus[a] = df.plus.join_all(np.where(df.con[:, a])[0])
-            assert df.con[to_plus[a], a], "join of consistent elements must stay consistent"
+            if not df.con[to_plus[a], a]:
+                raise BrokenInvariant("join of consistent elements must stay consistent")
         to_minus = np.zeros(df.plus.n, dtype=np.int64)
         for p in range(df.plus.n):
             to_minus[p] = df.minus.join_all(np.where(df.con[p, :])[0])
-            assert df.con[p, to_minus[p]], "join of consistent elements must stay consistent"
+            if not df.con[p, to_minus[p]]:
+                raise BrokenInvariant("join of consistent elements must stay consistent")
         to_plus.flags.writeable = False
         to_minus.flags.writeable = False
         self.to_plus = to_plus

@@ -13,9 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CarrierMismatch, InvalidDFrame, TrivialMismatch
+from .errors import BrokenInvariant, CarrierMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import is_down_closed_pairs, is_up_closed_pairs, scott_closure
+from .order import (down_closure_pairs, is_down_closed_pairs, is_up_closed_pairs,
+                    scott_closure, up_closure_pairs)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def _pairwise_check(name, rel, row_op, col_op, row_names, col_names, nullary):
     rows, cols = np.where(rel)
     if len(rows):
         # combined[i, j] = rel[row_op[r_i, r_j], col_op[c_i, c_j]]
-        combined = rel[row_op[np.ix_(rows, rows)], col_op[np.ix_(cols, cols)]]
+        combined = rel[row_op[rows[:, None], rows], col_op[cols[:, None], cols]]
         if not combined.all():
             i, j = next(zip(*np.where(~combined)))
             return AxiomCheck(name, False, (
@@ -356,7 +357,7 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     The image carries the sub-frames generated by the component images, the
     Scott closure of the con image and the tot image.  The closure is the
     identity here because images of lower sets under surjections stay lower
-    sets; the equality is asserted rather than assumed.
+    sets; the equality is checked rather than assumed.
     """
     # Subframes, not sublocales: image carriers keep the codomain's joins.
     img_minus = _subframe(hom.cod.minus, hom.minus.image_indices())
@@ -372,9 +373,10 @@ def image_factorization(hom: DFrameHom) -> Factorization:
         [pos_minus[int(i)] for i in hom.minus.mapping[ms]],
     ] = True
     closed = scott_closure(img_plus.lattice, img_minus.lattice, con_img)
-    assert (closed == con_img).all(), "con image was not already Scott closed"
-    assert is_down_closed_pairs(img_plus.lattice, img_minus.lattice, con_img), \
-        "con image of a surjection must be a lower set"
+    if not (closed == con_img).all():
+        raise BrokenInvariant("con image was not already Scott closed")
+    if not is_down_closed_pairs(img_plus.lattice, img_minus.lattice, con_img):
+        raise BrokenInvariant("con image of a surjection must be a lower set")
 
     tot_img = np.zeros((img_minus.n, img_plus.n), dtype=bool)
     ms, ps = np.where(hom.dom.tot)
@@ -443,42 +445,47 @@ def is_regular(df: DFrame) -> bool:
 # -- generator closure ---------------------------------------------------------
 #
 # Relation sets are convenient to author as generators; the loader closes
-# them under everything except con-tot, which no closure can repair.
+# them under everything except con-tot, which no closure can repair.  The
+# transpose of tot obeys con's laws with upper sets for lower sets, so both
+# share one extensive step on (plus x minus), iterated to its fixpoint.
+
+
+def _closure_step(minus: Frame, plus: Frame, rel: np.ndarray, order_closure) -> np.ndarray:
+    step = order_closure(plus.lattice, minus.lattice, rel)
+    ps, ms = np.where(step)
+    step[plus.join[ps[:, None], ps], minus.meet[ms[:, None], ms]] = True
+    step[plus.meet[ps[:, None], ps], minus.join[ms[:, None], ms]] = True
+    return step
+
+
+def con_closure_step(minus: Frame, plus: Frame, con: np.ndarray) -> np.ndarray:
+    """One round of the con closure: the lower set, then the binary laws."""
+    return _closure_step(minus, plus, con, down_closure_pairs)
+
+
+def tot_closure_step(minus: Frame, plus: Frame, tot: np.ndarray) -> np.ndarray:
+    """One round of the tot closure: the upper set, then the binary laws."""
+    return _closure_step(minus, plus, tot.T, up_closure_pairs).T
+
+
+def _close(minus: Frame, plus: Frame, rel, order_closure) -> np.ndarray:
+    rel = np.asarray(rel, dtype=bool).copy()
+    rel[plus.bottom, minus.top] = True
+    rel[plus.top, minus.bottom] = True
+    while True:
+        step = _closure_step(minus, plus, rel, order_closure)
+        if (step == rel).all():
+            return rel
+        rel = step
 
 
 def close_con_generators(minus: Frame, plus: Frame, con: np.ndarray) -> np.ndarray:
     """Close a set of con generators under the nullary pairs, lower sets and
     the two binary combination laws."""
-    from .order import down_closure_pairs
-
-    con = np.asarray(con, dtype=bool).copy()
-    con[plus.bottom, minus.top] = True
-    con[plus.top, minus.bottom] = True
-    while True:
-        step = down_closure_pairs(plus.lattice, minus.lattice, con)
-        ps, ms = np.where(step)
-        step = step.copy()
-        step[plus.join[np.ix_(ps, ps)], minus.meet[np.ix_(ms, ms)]] = True
-        step[plus.meet[np.ix_(ps, ps)], minus.join[np.ix_(ms, ms)]] = True
-        if (step == con).all():
-            return con
-        con = step
+    return _close(minus, plus, con, down_closure_pairs)
 
 
 def close_tot_generators(minus: Frame, plus: Frame, tot: np.ndarray) -> np.ndarray:
     """Close a set of tot generators under the nullary pairs, upper sets and
     the two binary combination laws."""
-    from .order import up_closure_pairs
-
-    tot = np.asarray(tot, dtype=bool).copy()
-    tot[minus.bottom, plus.top] = True
-    tot[minus.top, plus.bottom] = True
-    while True:
-        step = up_closure_pairs(minus.lattice, plus.lattice, tot)
-        ms, ps = np.where(step)
-        step = step.copy()
-        step[minus.join[np.ix_(ms, ms)], plus.meet[np.ix_(ps, ps)]] = True
-        step[minus.meet[np.ix_(ms, ms)], plus.join[np.ix_(ps, ps)]] = True
-        if (step == tot).all():
-            return tot
-        tot = step
+    return _close(minus, plus, np.asarray(tot).T, up_closure_pairs).T

@@ -33,17 +33,36 @@ def frame_to_block(frame: Frame) -> dict:
     return {"name": frame.name, "elements": list(frame.elements), "covers": covers}
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _pairs(value, what: str) -> list[tuple[str, str]]:
+    """A list of two-element lists, as pairs of element ids."""
+    out = []
+    for k, pair in enumerate(_list(value, what)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ParseError(f"{what}[{k}] is not a pair: {pair!r}")
+        out.append((str(pair[0]), str(pair[1])))
+    return out
+
+
 def frame_from_block(block: dict, default_name: str) -> Frame:
     if not isinstance(block, dict) or "elements" not in block:
         raise ParseError(f"frame block {default_name!r} needs an 'elements' list")
-    elements = [str(e) for e in block["elements"]]
-    if "covers" in block:
-        pairs = block["covers"]
-    elif "leq" in block:
-        pairs = block["leq"]
+    elements = [str(e) for e in _list(block["elements"], f"{default_name} elements")]
+    if len(set(elements)) != len(elements):
+        dup = next(e for e in elements if elements.count(e) > 1)
+        raise ParseError(f"frame block {default_name!r} repeats the element id {dup!r}")
+    for key in ("covers", "leq"):
+        if key in block:
+            pairs = _pairs(block[key], f"{default_name} {key}")
+            break
     else:
         raise ParseError(f"frame block {default_name!r} needs 'covers' or 'leq'")
-    lattice = Lattice.from_covers(elements, [(str(a), str(b)) for a, b in pairs])
+    lattice = Lattice.from_covers(elements, pairs)
     return Frame(lattice, name=str(block.get("name", default_name)))
 
 
@@ -72,19 +91,11 @@ def from_document(doc: dict, strict: bool = False) -> DFrame:
     plus = frame_from_block(doc["plus"], "plus")
 
     con = np.zeros((plus.n, minus.n), dtype=bool)
-    for k, pair in enumerate(doc.get("con", [])):
-        try:
-            p, m = pair
-        except (TypeError, ValueError):
-            raise ParseError(f"con[{k}] is not a pair: {pair!r}") from None
-        con[plus.idx(str(p)), minus.idx(str(m))] = True
+    for p, m in _pairs(doc.get("con", []), "con"):
+        con[plus.idx(p), minus.idx(m)] = True
     tot = np.zeros((minus.n, plus.n), dtype=bool)
-    for k, pair in enumerate(doc.get("tot", [])):
-        try:
-            m, p = pair
-        except (TypeError, ValueError):
-            raise ParseError(f"tot[{k}] is not a pair: {pair!r}") from None
-        tot[minus.idx(str(m)), plus.idx(str(p))] = True
+    for m, p in _pairs(doc.get("tot", []), "tot"):
+        tot[minus.idx(m), plus.idx(p)] = True
 
     if not strict:
         con = close_con_generators(minus, plus, con)

@@ -8,6 +8,7 @@ and miner reports replay byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -17,10 +18,12 @@ from .dframe import (
     check_dframe,
     close_con_generators,
     close_tot_generators,
+    con_closure_step,
     minimal_dframe,
     symmetric_dframe,
+    tot_closure_step,
 )
-from .errors import NotALattice, TrivialMismatch
+from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
 from .order import Lattice, are_order_isomorphic
 from .subdlocale import build_sub_d_locale
@@ -117,47 +120,41 @@ def random_dframe(rng, pool: list[Frame] | None = None, max_size: int = 4) -> DF
 # -- bounded-exhaustive relation enumeration -----------------------------------
 
 
-def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
-    """Every valid consistency relation between two frames.
-
-    Free cells (those not forced by the nullary pairs) are enumerated by
-    bitmask and filtered through the closure conditions.
-    """
-    forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
-    free = [(p, m) for p in range(plus.n) for m in range(minus.n) if not forced[p, m]]
-    if 2 ** len(free) > cap:
-        raise ValueError(f"2^{len(free)} candidate relations exceed the cap")
+def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step,
+                         cap: int) -> list[np.ndarray]:
+    """The forced cells plus each subset of the free ones (bit k of the mask
+    sets the k-th free cell in row-major order) that the step leaves fixed."""
+    rows, cols = np.where(~forced)
+    if 2 ** len(rows) > cap:
+        raise SizeGuardExceeded(f"2^{len(rows)} candidate relations exceed the cap of {cap}")
+    shifts = np.arange(len(rows))
     out = []
-    for mask in range(2 ** len(free)):
-        con = forced.copy()
-        for bit, (p, m) in enumerate(free):
-            if mask >> bit & 1:
-                con[p, m] = True
-        if (close_con_generators(minus, plus, con) == con).all():
-            out.append(con)
+    for mask in range(2 ** len(rows)):
+        rel = forced.copy()
+        rel[rows, cols] = (mask >> shifts) & 1
+        if (step(minus, plus, rel) == rel).all():
+            out.append(rel)
     return out
+
+
+def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
+    """Every valid consistency relation between two frames, in bitmask order
+    over the cells the nullary pairs leave free."""
+    forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
+    return _enumerate_relations(minus, plus, forced, con_closure_step, cap)
 
 
 def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
     forced = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
-    free = [(m, p) for m in range(minus.n) for p in range(plus.n) if not forced[m, p]]
-    if 2 ** len(free) > cap:
-        raise ValueError(f"2^{len(free)} candidate relations exceed the cap")
-    out = []
-    for mask in range(2 ** len(free)):
-        tot = forced.copy()
-        for bit, (m, p) in enumerate(free):
-            if mask >> bit & 1:
-                tot[m, p] = True
-        if (close_tot_generators(minus, plus, tot) == tot).all():
-            out.append(tot)
-    return out
+    return _enumerate_relations(minus, plus, forced, tot_closure_step, cap)
 
 
 def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """All valid d-frames on a fixed frame pair."""
-    for con in enumerate_con_relations(minus, plus, cap):
-        for tot in enumerate_tot_relations(minus, plus, cap):
+    """All valid d-frames on a fixed frame pair, con-major."""
+    cons = enumerate_con_relations(minus, plus, cap)
+    tots = enumerate_tot_relations(minus, plus, cap)
+    for con in cons:
+        for tot in tots:
             candidate = DFrame(minus, plus, con, tot)
             if check_dframe(candidate).ok:
                 yield candidate
@@ -206,12 +203,17 @@ def partnerless_sublocales(df: DFrame, max_frame: int = 12) -> list:
     """Component sublocales admitting no partner on the other side."""
     subs_minus = enumerate_sublocales(df.minus, max_frame=max_frame)
     subs_plus = enumerate_sublocales(df.plus, max_frame=max_frame)
+
+    @cache  # both loops below meet the same pairs; admit each once
+    def admits(sm, sp):
+        return build_sub_d_locale(df, sm, sp)[1].ok
+
     out = []
     for sm in subs_minus:
-        if not any(build_sub_d_locale(df, sm, sp)[1].ok for sp in subs_plus):
+        if not any(admits(sm, sp) for sp in subs_plus):
             out.append(("minus", sm))
     for sp in subs_plus:
-        if not any(build_sub_d_locale(df, sm, sp)[1].ok for sm in subs_minus):
+        if not any(admits(sm, sp) for sm in subs_minus):
             out.append(("plus", sp))
     return out
 

@@ -1,9 +1,16 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dframes import search
+from dframes.cli import main as cli_main
 from dframes.documents import loads
 from dframes.fixtures import three_three
+from dframes.frames import Frame
 
 
 def test_check_valid_document(run_cli, fixture_dir):
@@ -166,3 +173,73 @@ def test_props_is_byte_deterministic(run_cli):
 def test_usage_error_exit_code(run_cli, capsys):
     code, _, _ = run_cli(["no-such-command"])
     assert code == 2
+
+
+def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
+    # 6x6 chains leave 25 free con cells, past the 2^18 candidate cap
+    monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])
+    code, out, err = run_cli(["mine", "--max-frame", "6"])
+    assert code == 2 and out == ""
+    assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
+
+
+C2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"minus": {"elements": ["0", "1"], "covers": [["0", "1", "1"]]}, "plus": C2},
+     "minus covers[0] is not a pair"),
+    ({"minus": {"elements": 3, "covers": []}, "plus": C2}, "minus elements must be a list"),
+    ({"minus": C2, "plus": C2, "con": 7}, "con must be a list"),
+    ({"minus": {"elements": ["0", "1", "0"], "covers": [["0", "1"]]}, "plus": C2},
+     "repeats the element id '0'"),
+], ids=["cover-not-a-pair", "elements-not-a-list", "con-not-a-list", "duplicate-ids"])
+def test_check_malformed_document_exits_2(run_cli, tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+_ids = st.sampled_from(["0", "1", "a", "b", 0, 1])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | _ids,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_pairs = st.lists(st.lists(_ids, min_size=2, max_size=2), max_size=4)
+# Chains always carry a frame, so documents built on them reach validation.
+_chains = st.lists(st.sampled_from(["0", "a", "b", "1"]), unique=True, min_size=1,
+                   max_size=4).map(lambda e: {"elements": e,
+                                              "covers": [list(c) for c in zip(e, e[1:])]})
+
+
+def _mostly(good, bad):
+    """Draw `good` three times in four, so most documents get past the shape checks."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 0 else good)
+
+
+_blocks = _mostly(_chains, st.fixed_dictionaries(
+    {"elements": st.lists(_ids, max_size=4) | _json},
+    optional={"covers": _pairs | _json, "leq": _pairs, "name": _json},
+) | _json)
+_relations = _mostly(_pairs, st.lists(_json, max_size=3) | _json)
+_documents = _mostly(st.fixed_dictionaries(
+    {"minus": _blocks, "plus": _blocks},
+    optional={"con": _relations, "tot": _relations, "name": _json},
+), _json)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_documents)
+def test_check_exits_cleanly_on_any_json_document(doc):
+    """Only DFramesErrors may escape the loader, so `check` exits 0, 1 or 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for strict in ([], ["--strict"]):
+            code = cli_main(["check", str(path), *strict], stdout=io.StringIO(),
+                            stderr=io.StringIO())
+            assert code in (0, 1, 2)

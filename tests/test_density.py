@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from dframes.fixtures import (
     three_three,
     two_two,
 )
+from dframes.errors import BrokenInvariant
 from dframes.frames import Frame, Sublocale
 from dframes.search import standard_corpus
 from dframes.subdlocale import enumerate_sub_d_locales
@@ -337,3 +343,39 @@ def test_classification_chain_on_random_dframes(seed):
         assert props.double_negation
     if props.double_negation:
         assert props.dually_subfit and props.corrigible
+
+
+# Unvalidated: the plus elements consistent with the minus top are 0, a and b,
+# but their join 1 is not, so con is not join-closed.
+BROKEN_CON = textwrap.dedent("""
+    import numpy as np
+    from dframes.dframe import DFrame
+    from dframes.frames import Frame
+    c2, b4 = Frame.chain(2), Frame.boolean(2)
+    con = np.ones((b4.n, c2.n), dtype=bool)
+    con[b4.top, c2.top] = False
+    broken = DFrame(c2, b4, con, np.ones((c2.n, b4.n), dtype=bool))
+""")
+
+
+def test_pseudocomplements_reject_a_con_that_is_not_join_closed():
+    scope = {}
+    exec(BROKEN_CON, scope)
+    with pytest.raises(BrokenInvariant, match="must stay consistent"):
+        Pseudocomplements(scope["broken"])
+
+
+def test_pseudocomplement_check_survives_optimised_python():
+    script = BROKEN_CON + textwrap.dedent("""
+        from dframes.density import Pseudocomplements
+        from dframes.errors import BrokenInvariant
+        try:
+            Pseudocomplements(broken)
+        except BrokenInvariant:
+            print("raised")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"

@@ -1,6 +1,12 @@
 import random
+from itertools import product
+
+import numpy as np
+import pytest
 
 from dframes.density import is_corrigible
+from dframes.dframe import DFrame, check_dframe, close_con_generators, close_tot_generators
+from dframes.errors import SizeGuardExceeded
 from dframes.order import are_order_isomorphic
 from dframes.search import (
     all_distributive_lattices,
@@ -15,7 +21,8 @@ from dframes.search import (
     standard_corpus,
 )
 from dframes.fixtures import three_three
-from dframes.frames import Frame
+from dframes.frames import Frame, enumerate_sublocales
+from dframes.subdlocale import build_sub_d_locale
 
 
 def test_lattice_counts_up_to_five():
@@ -101,3 +108,98 @@ def test_incorrigible_witness_found_at_size_four():
     from dframes.dframe import minimal_dframe
 
     assert not is_corrigible(minimal_dframe(c2, b4))
+
+
+def _closed_relations_bruteforce(minus, plus, close, shape):
+    """Oracle: every mask over the free cells whose full closure is itself."""
+    forced = close(minus, plus, np.zeros(shape, dtype=bool))
+    free = [cell for cell in np.ndindex(shape) if not forced[cell]]
+    out = []
+    for mask in range(2 ** len(free)):
+        rel = forced.copy()
+        for bit, cell in enumerate(free):
+            if mask >> bit & 1:
+                rel[cell] = True
+        if (close(minus, plus, rel) == rel).all():
+            out.append(rel)
+    return out
+
+
+def _small_pairs(max_size, max_cells):
+    pool = frame_pool(max_size)
+    return [(m, p) for m, p in product(pool, pool) if m.n * p.n <= max_cells]
+
+
+def test_step_enumeration_matches_the_closure_oracle():
+    pairs = _small_pairs(5, 20)
+    total = 0
+    for minus, plus in pairs:
+        for fast, close, shape in (
+            (enumerate_con_relations, close_con_generators, (plus.n, minus.n)),
+            (enumerate_tot_relations, close_tot_generators, (minus.n, plus.n)),
+        ):
+            got = fast(minus, plus)
+            want = _closed_relations_bruteforce(minus, plus, close, shape)
+            assert len(got) == len(want), (minus.name, plus.name, fast.__name__)
+            assert all((g == w).all() for g, w in zip(got, want))
+            total += len(got)
+    assert (len(pairs), total) == (55, 1214)
+
+
+def test_enumerate_dframes_matches_the_double_loop():
+    for minus, plus in _small_pairs(4, 12):
+        want = [
+            (con, tot)
+            for con in enumerate_con_relations(minus, plus)
+            for tot in enumerate_tot_relations(minus, plus)
+            if check_dframe(DFrame(minus, plus, con, tot)).ok
+        ]
+        got = list(enumerate_dframes(minus, plus))
+        assert len(got) == len(want)
+        assert all((df.con == con).all() and (df.tot == tot).all()
+                   for df, (con, tot) in zip(got, want))
+
+
+def _partnerless_unmemoised(df):
+    subs_minus = enumerate_sublocales(df.minus)
+    subs_plus = enumerate_sublocales(df.plus)
+    out = []
+    for sm in subs_minus:
+        if not any(build_sub_d_locale(df, sm, sp)[1].ok for sp in subs_plus):
+            out.append(("minus", sm))
+    for sp in subs_plus:
+        if not any(build_sub_d_locale(df, sm, sp)[1].ok for sm in subs_minus):
+            out.append(("plus", sp))
+    return out
+
+
+def test_partnerless_matches_the_unmemoised_loops():
+    pool = frame_pool(3)
+    searched = 0
+    for minus, plus in product(pool, pool):
+        if minus.is_trivial != plus.is_trivial:
+            continue
+        for df in enumerate_dframes(minus, plus):
+            assert partnerless_sublocales(df) == _partnerless_unmemoised(df)
+            searched += 1
+    assert searched == mine(max_frame=3).searched
+
+
+def test_miner_at_size_four():
+    report = mine(max_frame=4)
+    assert report.searched == 136
+    assert len(report.incorrigible) == 73
+    assert len(report.double_negation_without_excluded_middle) == 11
+    assert report.partnerless == []
+
+
+def test_relation_cap_raises_a_size_guard():
+    c2, b4 = Frame.chain(2), Frame.boolean(2)
+    # 8 cells, 5 forced by the nullary pairs: 2^3 candidates
+    assert len(enumerate_con_relations(c2, b4, cap=8)) >= 1
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_con_relations(c2, b4, cap=7)
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_tot_relations(c2, b4, cap=7)
+    with pytest.raises(SizeGuardExceeded):
+        next(enumerate_dframes(c2, b4, cap=7))
