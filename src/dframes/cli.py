@@ -11,6 +11,8 @@ import argparse
 import random
 import sys
 
+import numpy as np
+
 from . import documents
 from .density import classify, dense_core, is_dense_sub_d_locale, is_dually_subfit
 from .dframe import dense_hom_witness, is_dense_hom
@@ -124,10 +126,7 @@ def cmd_dsub(args, out) -> int:
     report.section("members", [
         f"{i}: {label}" for i, label in enumerate(ds.labels)
     ])
-    report.section("order", [
-        "".join("1" if ds.leq[i, j] else "." for j in range(ds.n))
-        for i in range(ds.n)
-    ])
+    report.section("order", ["".join(row) for row in np.where(ds.leq, "1", ".").tolist()])
     witness = ds.distributivity_witness()
     report.section("distributive", [str(witness is None)] +
                    ([f"witness: {witness}"] if witness else []))

@@ -24,6 +24,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def bound_table(leq: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(table, ok): the glb (lower) or lub table of a finite order.
+
+    The common lower bounds B of i and j form a down-set, so every k in B
+    has |down(k)| <= |B|, with equality exactly when k is the greatest
+    element of B.  Row i therefore looks, among the lower bounds of i, for
+    the one below j whose down-set size equals |B|; ok[i, j] is False where
+    there is none (B has no greatest element, or is empty), and table[i, j]
+    is then meaningless.  Upper bounds and up-set sizes give the lub.  Each
+    row's slab is n x |down(i)| booleans, so memory stays O(n^2).
+    """
+    rel = np.asarray(leq, dtype=bool)
+    rel = np.ascontiguousarray(rel.T if lower else rel)  # x bounds k iff rel[k, x]
+    n = len(rel)
+    sizes = rel.sum(axis=1)
+    table = np.zeros((n, n), dtype=np.int64)
+    ok = np.zeros((n, n), dtype=bool)
+    rows = np.arange(n)
+    for i in range(n):
+        bounds = np.flatnonzero(rel[i])  # the candidates, bounds of i
+        common = rel[:, bounds]  # common[j, c]: candidate c also bounds j
+        hit = common & (sizes[bounds] == common.sum(axis=1)[:, None])
+        best = hit.argmax(axis=1)
+        table[i] = bounds[best]
+        ok[i] = hit[rows, best]
+    return table, ok
+
+
 class Poset:
     """A finite partial order: element ids plus a boolean leq matrix.
 
@@ -119,23 +147,11 @@ class Lattice(Poset):
         self.top = int(tops[0])
 
     def _bound_table(self, lower: bool) -> np.ndarray:
-        leq = self.leq
-        n = self.n
-        table = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if lower:
-                    cand = np.where(leq[:, i] & leq[:, j])[0]
-                    best = [k for k in cand if leq[cand, k].all()]
-                else:
-                    cand = np.where(leq[i, :] & leq[j, :])[0]
-                    best = [k for k in cand if leq[k, cand].all()]
-                if len(best) != 1:
-                    kind = "glb" if lower else "lub"
-                    raise NotALattice(
-                        f"no {kind} for {self.elements[i]!r} and {self.elements[j]!r}"
-                    )
-                table[i, j] = best[0]
+        table, ok = bound_table(self.leq, lower)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]  # the first bad pair in row-major order
+            kind = "glb" if lower else "lub"
+            raise NotALattice(f"no {kind} for {self.elements[i]!r} and {self.elements[j]!r}")
         return table
 
     # -- constructors ------------------------------------------------------

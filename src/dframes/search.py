@@ -120,13 +120,29 @@ def random_dframe(rng, pool: list[Frame] | None = None, max_size: int = 4) -> DF
 # -- bounded-exhaustive relation enumeration -----------------------------------
 
 
-def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step,
-                         cap: int) -> list[np.ndarray]:
+def _check_cap(forced: np.ndarray, cap: int) -> np.ndarray:
+    free = int((~forced).sum())
+    if 2 ** free > cap:
+        raise SizeGuardExceeded(f"2^{free} candidate relations exceed the cap of {cap}")
+    return forced
+
+
+def forced_relations(minus: Frame, plus: Frame, cap: int = 1 << 18):
+    """(con, tot): the cells every consistency and every totality relation
+    between two frames holds, i.e. the closed empty generator sets.
+
+    Raises SizeGuardExceeded, con first, when either leaves so many cells
+    free that enumerating their subsets would pass the cap.
+    """
+    con = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
+    tot = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
+    return _check_cap(con, cap), _check_cap(tot, cap)
+
+
+def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step) -> list[np.ndarray]:
     """The forced cells plus each subset of the free ones (bit k of the mask
     sets the k-th free cell in row-major order) that the step leaves fixed."""
     rows, cols = np.where(~forced)
-    if 2 ** len(rows) > cap:
-        raise SizeGuardExceeded(f"2^{len(rows)} candidate relations exceed the cap of {cap}")
     shifts = np.arange(len(rows))
     out = []
     for mask in range(2 ** len(rows)):
@@ -141,18 +157,22 @@ def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> li
     """Every valid consistency relation between two frames, in bitmask order
     over the cells the nullary pairs leave free."""
     forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
-    return _enumerate_relations(minus, plus, forced, con_closure_step, cap)
+    return _enumerate_relations(minus, plus, _check_cap(forced, cap), con_closure_step)
 
 
 def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
     forced = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
-    return _enumerate_relations(minus, plus, forced, tot_closure_step, cap)
+    return _enumerate_relations(minus, plus, _check_cap(forced, cap), tot_closure_step)
 
 
-def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """All valid d-frames on a fixed frame pair, con-major."""
-    cons = enumerate_con_relations(minus, plus, cap)
-    tots = enumerate_tot_relations(minus, plus, cap)
+def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18, forced=None):
+    """All valid d-frames on a fixed frame pair, con-major.
+
+    forced is the pair's forced_relations, when the caller has them already.
+    """
+    con0, tot0 = forced_relations(minus, plus, cap) if forced is None else forced
+    cons = _enumerate_relations(minus, plus, con0, con_closure_step)
+    tots = _enumerate_relations(minus, plus, tot0, tot_closure_step)
     for con in cons:
         for tot in tots:
             candidate = DFrame(minus, plus, con, tot)
@@ -225,10 +245,12 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
 
     report = MinerReport()
     pool = frame_pool(max_frame)
-    for minus, plus in product(pool, pool):
-        if minus.is_trivial != plus.is_trivial:
-            continue
-        for df in enumerate_dframes(minus, plus):
+    pairs = [(minus, plus) for minus, plus in product(pool, pool)
+             if minus.is_trivial == plus.is_trivial]
+    # every pair passes the relation cap before any d-frame is searched
+    forced = [forced_relations(minus, plus) for minus, plus in pairs]
+    for (minus, plus), pair_forced in zip(pairs, forced):
+        for df in enumerate_dframes(minus, plus, forced=pair_forced):
             report.searched += 1
             if report.searched > max_candidates:
                 return report

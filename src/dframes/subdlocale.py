@@ -15,7 +15,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import FrameHom, Sublocale, enumerate_sublocales
-from .order import scott_closure
+from .order import bound_table, scott_closure
 
 
 class SubDLocale:
@@ -55,10 +55,10 @@ class SubDLocale:
 
     def restricted_con(self) -> np.ndarray:
         """Parent con restricted to the member sets, in position space."""
-        return self.parent.con[np.ix_(self.plus.members, self.minus.members)]
+        return _restrict(self.parent.con, self.plus, self.minus)
 
     def restricted_tot(self) -> np.ndarray:
-        return self.parent.tot[np.ix_(self.minus.members, self.plus.members)]
+        return _restrict(self.parent.tot, self.minus, self.plus)
 
     def leq(self, other: "SubDLocale") -> bool:
         """Componentwise sublocale inclusion."""
@@ -93,24 +93,30 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     tot, which always equals the restriction.  A failed check raises
     BrokenInvariant.
     """
-    q_m, q_p = minus.quotient, plus.quotient
-    pos_m = {m: k for k, m in enumerate(minus.members)}
-    pos_p = {p: k for k, p in enumerate(plus.members)}
+    # a quotient value is a member, so its position is its rank among the
+    # sorted members
+    pos_m = np.searchsorted(minus.members, minus.quotient)
+    pos_p = np.searchsorted(plus.members, plus.quotient)
 
     con = np.zeros((len(plus.members), len(minus.members)), dtype=bool)
     ps, ms = np.where(parent.con)
-    con[[pos_p[int(q_p[p])] for p in ps], [pos_m[int(q_m[m])] for m in ms]] = True
+    con[pos_p[ps], pos_m[ms]] = True
     closed = scott_closure(plus.as_frame.lattice, minus.as_frame.lattice, con)
     if not (closed == con).all():
         raise BrokenInvariant("quotient image of con must be Scott closed")
 
     tot = np.zeros((len(minus.members), len(plus.members)), dtype=bool)
     ms, ps = np.where(parent.tot)
-    tot[[pos_m[int(q_m[m])] for m in ms], [pos_p[int(q_p[p])] for p in ps]] = True
-    restriction = parent.tot[np.ix_(minus.members, plus.members)]
+    tot[pos_m[ms], pos_p[ps]] = True
+    restriction = _restrict(parent.tot, minus, plus)
     if not (tot == restriction).all():
         raise BrokenInvariant("quotient image of tot must equal its restriction")
     return con, tot
+
+
+def _restrict(relation: np.ndarray, rows: Sublocale, cols: Sublocale) -> np.ndarray:
+    """The relation on the members of two sublocales, in position space."""
+    return relation[np.asarray(rows.members)[:, None], np.asarray(cols.members)]
 
 
 def build_sub_d_locale(parent: DFrame, minus: Sublocale, plus: Sublocale):
@@ -156,11 +162,9 @@ class SubDLocaleLattice:
         self.members = tuple(members)
         self._index = {(s.minus, s.plus): i for i, s in enumerate(members)}
         n = len(members)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, s in enumerate(members):
-            for j, t in enumerate(members):
-                leq[i, j] = s.leq(t)
-        self.leq = leq
+        minus = np.array([s.minus.member_vector for s in members]).reshape(n, parent.minus.n)
+        plus = np.array([s.plus.member_vector for s in members]).reshape(n, parent.plus.n)
+        self.leq = _inside(minus) & _inside(plus)  # componentwise inclusion, as SubDLocale.leq
         self.leq.flags.writeable = False
 
     @property
@@ -241,40 +245,50 @@ class SubDLocaleLattice:
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        table = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                table[i, j] = table[j, i] = self.join_index(i, j)
+        """All least upper bounds from the order kernel; join_index gives
+        each one independently."""
+        table, ok = bound_table(self.leq, lower=False)
+        if not ok.all():
+            raise BrokenInvariant("sub-d-locales must have unique joins")
+        table.flags.writeable = False
         return table
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        table = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                table[i, j] = table[j, i] = self.meet_index(i, j)
+        table, ok = bound_table(self.leq, lower=True)
+        if not ok.all():
+            raise BrokenInvariant("sub-d-locales must have unique meets")
+        table.flags.writeable = False
         return table
 
+    def _narrow_tables(self):
+        """meet_table and join_table in the narrowest index dtype, which keeps
+        the witnesses' per-row slabs small."""
+        dtype = np.min_scalar_type(self.n)
+        return self.meet_table.astype(dtype), self.join_table.astype(dtype)
+
     def distributivity_witness(self):
-        """A triple of labels violating meet-over-join distribution, or None."""
-        meet, join = self.meet_table, self.join_table
+        """The first triple (a, b, c) of labels, in row-major order, violating
+        meet-over-join distribution, or None."""
+        meet, join = self._narrow_tables()
         for a in range(self.n):
-            for b in range(self.n):
-                for c in range(self.n):
-                    if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                        return (self.labels[a], self.labels[b], self.labels[c])
+            bad = meet[a, join] != join[meet[a][:, None], meet[a]]
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                return (self.labels[a], self.labels[b], self.labels[c])
         return None
 
     def modularity_witness(self):
-        """A triple (a, b, x) of labels with a <= b violating modularity."""
-        meet, join = self.meet_table, self.join_table
+        """The first triple (a, b, x) of labels, in row-major order, with
+        a <= b violating modularity, or None."""
+        meet, join = self._narrow_tables()
+        above = np.arange(self.n)[:, None]  # b, down the rows
         for a in range(self.n):
-            for b in range(self.n):
-                if not self.leq[a, b]:
-                    continue
-                for x in range(self.n):
-                    if join[a, meet[x, b]] != meet[join[a, x], b]:
-                        return (self.labels[a], self.labels[b], self.labels[x])
+            bad = join[a, meet.T] != meet[join[a], above]
+            bad &= self.leq[a][:, None]
+            if bad.any():
+                b, x = np.argwhere(bad)[0]
+                return (self.labels[a], self.labels[b], self.labels[x])
         return None
 
     @cached_property
@@ -289,13 +303,21 @@ class SubDLocaleLattice:
     def covers(self) -> np.ndarray:
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         between = (lt.astype(np.int64) @ lt.astype(np.int64)) > 0
-        return lt & ~between
+        covers = lt & ~between
+        covers.flags.writeable = False
+        return covers
 
     def dot(self) -> str:
         return hasse_dot(self.labels, self.leq)
 
     def __repr__(self):
         return f"SubDLocaleLattice({self.parent.name}: {self.n} members)"
+
+
+def _inside(vectors: np.ndarray) -> np.ndarray:
+    """inside[i, j] iff member set i is contained in member set j, i.e. no
+    member of i lies outside j (a boolean matrix product)."""
+    return ~(vectors @ ~vectors.T)
 
 
 def enumerate_sub_d_locales(parent: DFrame, max_frame: int = 12,

@@ -183,6 +183,19 @@ def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
     assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
 
 
+def test_mine_refuses_an_oversized_window_before_searching(run_cli, monkeypatch):
+    # only the last pair (6-chain x 6-chain) is past the cap; the 2-chain
+    # pairs before it would be searched if the guard waited for the loop
+    monkeypatch.setattr(search, "frame_pool",
+                        lambda max_size: [Frame.chain(2), Frame.chain(6)])
+    calls = []
+    monkeypatch.setattr(search, "check_dframe", lambda df: calls.append(df))
+    code, out, err = run_cli(["mine", "--max-frame", "6"])
+    assert code == 2 and out == ""
+    assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
+    assert calls == []
+
+
 C2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
 
 

@@ -5,27 +5,37 @@ from hypothesis import given, settings, strategies as st
 from dframes.errors import CyclicOrder, NotALattice, UnknownElement
 from dframes.order import (
     Lattice,
+    _closure_from_pairs,
     are_order_isomorphic,
+    bound_table,
     directed_join_closure,
     directed_joins_bruteforce,
     down_closure_pairs,
     scott_closure,
     up_closure_pairs,
 )
+from dframes.search import all_lattices
+
+
+def brute_bound(leq, i, j, lower):
+    """The glb (lower) or lub of i and j by a per-pair scan, over leq as
+    nested lists; None if there is none.  The reference for bound_table."""
+    n = len(leq)
+    if lower:
+        cand = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        best = [k for k in cand if all(leq[x][k] for x in cand)]
+    else:
+        cand = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        best = [k for k in cand if all(leq[k][x] for x in cand)]
+    return best[0] if len(best) == 1 else None
 
 
 def brute_glb(lat, i, j):
-    cand = [k for k in range(lat.n) if lat.leq[k, i] and lat.leq[k, j]]
-    best = [k for k in cand if all(lat.leq[x, k] for x in cand)]
-    assert len(best) == 1
-    return best[0]
+    return brute_bound(lat.leq.tolist(), i, j, lower=True)
 
 
 def brute_lub(lat, i, j):
-    cand = [k for k in range(lat.n) if lat.leq[i, k] and lat.leq[j, k]]
-    best = [k for k in cand if all(lat.leq[k, x] for x in cand)]
-    assert len(best) == 1
-    return best[0]
+    return brute_bound(lat.leq.tolist(), i, j, lower=False)
 
 
 SAMPLE_LATTICES = [
@@ -59,6 +69,50 @@ def test_tables_agree_with_bruteforce(lat):
         for j in range(lat.n):
             assert lat.meet[i, j] == brute_glb(lat, i, j)
             assert lat.join[i, j] == brute_lub(lat, i, j)
+
+
+KERNEL_LATTICES = all_lattices(5) + [Lattice.boolean(3), Lattice.chain(8), Lattice.chain(40)]
+
+
+@pytest.mark.parametrize("lat", KERNEL_LATTICES, ids=lambda lat: f"n{lat.n}-{lat.leq.sum()}")
+def test_bound_kernel_matches_per_pair_scan(lat):
+    leq = lat.leq.tolist()
+    for lower, built in ((True, lat.meet), (False, lat.join)):
+        table, ok = bound_table(lat.leq, lower)
+        assert ok.all()
+        assert table.dtype == np.int64
+        expected = [[brute_bound(leq, i, j, lower) for j in range(lat.n)] for i in range(lat.n)]
+        assert table.tolist() == expected
+        assert built.tolist() == expected
+
+
+NON_LATTICES = [
+    # two maximal elements: every glb exists, a and b have no lub
+    ("0ab", [("0", "a"), ("0", "b")], "no lub for 'a' and 'b'"),
+    # an antichain: no common lower bound at all
+    ("abc", [], "no glb for 'a' and 'b'"),
+    # two minimal elements under a top
+    ("ab1", [("a", "1"), ("b", "1")], "no glb for 'a' and 'b'"),
+    # a bow tie: c and d have two lower bounds and no greatest one
+    ("0abcd1", [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                ("c", "1"), ("d", "1")], "no glb for 'c' and 'd'"),
+]
+
+
+@pytest.mark.parametrize("elements, covers, message", NON_LATTICES)
+def test_non_lattices_name_the_first_missing_bound(elements, covers, message):
+    with pytest.raises(NotALattice) as err:
+        Lattice.from_covers(elements, covers)
+    assert str(err.value) == message
+    leq = _closure_from_pairs(tuple(elements), covers)
+    for lower in (True, False):
+        table, ok = bound_table(leq, lower)
+        for i in range(len(elements)):
+            for j in range(len(elements)):
+                expected = brute_bound(leq.tolist(), i, j, lower)
+                assert ok[i, j] == (expected is not None)
+                if expected is not None:
+                    assert table[i, j] == expected
 
 
 def test_pentagon_is_a_lattice_but_not_distributive():

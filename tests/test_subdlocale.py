@@ -9,8 +9,9 @@ import pytest
 
 from dframes.density import Pseudocomplements
 from dframes.dframe import check_dframe, is_extremal_epi, minimal_dframe, symmetric_dframe
-from dframes.errors import NotASubDLocale, SizeGuardExceeded
+from dframes.errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
 from dframes.fixtures import three_three
+from dframes.search import standard_corpus
 from dframes.frames import (
     Frame,
     closed_sublocale,
@@ -20,10 +21,12 @@ from dframes.frames import (
     whole_sublocale,
 )
 from dframes.subdlocale import (
+    SubDLocale,
     SubDLocaleLattice,
     build_sub_d_locale,
     enumerate_sub_d_locales,
     hasse_dot,
+    induced_relations,
     join_sub_d_locales,
     try_sub_d_locale,
 )
@@ -254,3 +257,170 @@ def test_dot_is_deterministic():
     a = enumerate_sub_d_locales(three_three()).dot()
     b = enumerate_sub_d_locales(three_three()).dot()
     assert a == b
+
+
+# -- the vectorised order, tables and witnesses against per-pair routes -------
+
+
+def distributivity_violations(ds):
+    """Every index triple violating distributivity, in row-major order, by a
+    triple loop: the reference for distributivity_witness."""
+    meet, join = ds.meet_table.tolist(), ds.join_table.tolist()
+    for a in range(ds.n):
+        for b in range(ds.n):
+            for c in range(ds.n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    yield a, b, c
+
+
+def modularity_violations(ds):
+    """The same for modularity (a <= b), the reference for modularity_witness."""
+    meet, join, leq = ds.meet_table.tolist(), ds.join_table.tolist(), ds.leq.tolist()
+    for a in range(ds.n):
+        for b in range(ds.n):
+            if not leq[a][b]:
+                continue
+            for x in range(ds.n):
+                if join[a][meet[x][b]] != meet[join[a][x]][b]:
+                    yield a, b, x
+
+
+def loop_witness(ds, violations):
+    first = next(violations(ds), None)
+    return None if first is None else tuple(ds.labels[k] for k in first)
+
+
+def assert_matches_per_pair_routes(ds):
+    members = ds.members
+    assert ds.leq.tolist() == [[s.leq(t) for t in members] for s in members]
+    assert ds.join_table.tolist() == [[ds.join_index(i, j) for j in range(ds.n)]
+                                      for i in range(ds.n)]
+    assert ds.meet_table.tolist() == [[ds.meet_index(i, j) for j in range(ds.n)]
+                                      for i in range(ds.n)]
+
+
+def test_order_tables_and_witnesses_match_the_per_pair_routes_on_the_corpus():
+    lattices = [enumerate_sub_d_locales(df) for df in standard_corpus(5) + [three_three()]]
+    lattices = [ds for ds in lattices if ds.n <= 40]
+    assert len(lattices) == 37
+    for ds in lattices:
+        assert_matches_per_pair_routes(ds)
+        name = ds.parent.name
+        assert ds.distributivity_witness() == loop_witness(ds, distributivity_violations), name
+        assert ds.modularity_witness() == loop_witness(ds, modularity_violations), name
+    verdicts = {(ds.is_distributive, ds.is_modular) for ds in lattices}
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_order_tables_and_witnesses_on_five_five():
+    ds = enumerate_sub_d_locales(minimal_dframe(Frame.chain(5), Frame.chain(5), name="5.5"))
+    assert ds.n == 226
+    assert_matches_per_pair_routes(ds)
+    assert ds.distributivity_witness() == loop_witness(ds, distributivity_violations)
+    assert ds.modularity_witness() == loop_witness(ds, modularity_violations)
+
+
+def test_witness_labels_on_three_three_are_pinned():
+    ds = enumerate_sub_d_locales(three_three())
+    assert ds.distributivity_witness() == ("o(c).o(c)", "o(c).c(c)", "c(c).o(c)")
+    assert ds.modularity_witness() == ("o(c).o(c)", "3.o(c)", "c(c).c(c)")
+    distributive = enumerate_sub_d_locales(minimal_dframe(Frame.chain(2), Frame.chain(4)))
+    assert distributive.n == 8
+    assert distributive.distributivity_witness() is None
+    assert distributive.modularity_witness() is None
+
+
+@pytest.mark.parametrize("witness, violations", [
+    ("distributivity_witness", distributivity_violations),
+    ("modularity_witness", modularity_violations),
+])
+def test_witness_found_late(witness, violations):
+    # list the members whose row holds no violation first, so the first
+    # violating row comes after all of them
+    ds = enumerate_sub_d_locales(three_three())
+    bad = sorted({a for a, _, _ in violations(ds)})
+    order = [k for k in range(ds.n) if k not in bad] + bad
+    late = SubDLocaleLattice(ds.parent, [ds.members[k] for k in order])
+    found = getattr(late, witness)()
+    assert found == loop_witness(late, violations)
+    assert late.labels.index(found[0]) == ds.n - len(bad) > 0
+
+
+def doctored(ds, side):
+    """The order of ds with the top (bottom) made incomparable to the rest,
+    which leaves the coatoms without a join (the atoms without a meet)."""
+    leq = ds.leq.copy()
+    if side == "join":
+        leq[:, ds.top] = False
+    else:
+        leq[ds.bottom, :] = False
+    leq[np.diag_indices(ds.n)] = True
+    return leq
+
+
+@pytest.mark.parametrize("side", ["join", "meet"])
+def test_a_non_lattice_order_breaks_the_tables(side):
+    ds = enumerate_sub_d_locales(three_three())
+    ds.leq = doctored(ds, side)
+    with pytest.raises(BrokenInvariant, match=f"must have unique {side}s"):
+        getattr(ds, f"{side}_table")
+
+
+def test_table_check_survives_optimised_python():
+    script = textwrap.dedent("""
+        from dframes.errors import BrokenInvariant
+        from dframes.fixtures import three_three
+        from dframes.subdlocale import enumerate_sub_d_locales
+        ds = enumerate_sub_d_locales(three_three())
+        leq = ds.leq.copy()
+        leq[:, ds.top] = False
+        leq[ds.top, ds.top] = True
+        ds.leq = leq
+        assert False, "asserts must be stripped under -O"
+        try:
+            ds.join_table
+        except BrokenInvariant as err:
+            print(err)
+    """)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "sub-d-locales must have unique joins"
+
+
+def test_lattice_arrays_are_frozen():
+    ds = enumerate_sub_d_locales(three_three())
+    ds.join_table, ds.meet_table, ds.covers  # materialise the cached arrays
+    arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def image_relations(parent, minus, plus):
+    """The quotient images of con and tot, built through position dicts."""
+    pos_m = {m: k for k, m in enumerate(minus.members)}
+    pos_p = {p: k for k, p in enumerate(plus.members)}
+    con = np.zeros((len(plus.members), len(minus.members)), dtype=bool)
+    for p, m in zip(*np.where(parent.con)):
+        con[pos_p[plus.quotient[p]], pos_m[minus.quotient[m]]] = True
+    tot = np.zeros((len(minus.members), len(plus.members)), dtype=bool)
+    for m, p in zip(*np.where(parent.tot)):
+        tot[pos_m[minus.quotient[m]], pos_p[plus.quotient[p]]] = True
+    return con, tot
+
+
+def test_induced_and_restricted_relations_match_np_ix():
+    pairs = 0
+    for df in standard_corpus(4) + [three_three()]:
+        for sm in enumerate_sublocales(df.minus):
+            for sp in enumerate_sublocales(df.plus):
+                con, tot = induced_relations(df, sm, sp)
+                expected_con, expected_tot = image_relations(df, sm, sp)
+                assert (con == expected_con).all() and (tot == expected_tot).all()
+                candidate = SubDLocale(df, sm, sp, con, tot)
+                assert (candidate.restricted_con()
+                        == df.con[np.ix_(sp.members, sm.members)]).all()
+                assert (candidate.restricted_tot()
+                        == df.tot[np.ix_(sm.members, sp.members)]).all()
+                pairs += 1
+    assert pairs > 100
