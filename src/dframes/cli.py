@@ -76,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="bounded-exhaustive search for finite witnesses")
     p.add_argument("--max-frame", type=int, default=3)
-    p.add_argument("--max-candidates", type=int, default=20000)
+    p.add_argument("--max-candidates", type=int, default=20000,
+                   help="stop after this many d-frames; a window holding a frame "
+                        "pair past the 2^18 relation cap is refused (exit 2) "
+                        "before this limit can stop the search")
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -120,23 +120,28 @@ def random_dframe(rng, pool: list[Frame] | None = None, max_size: int = 4) -> DF
 # -- bounded-exhaustive relation enumeration -----------------------------------
 
 
+def forced_con(minus: Frame, plus: Frame, cap: int = 1 << 18) -> np.ndarray:
+    """The cells every consistency relation between two frames holds: the
+    closed empty generator set.
+
+    Raises SizeGuardExceeded when it leaves so many cells free that
+    enumerating their subsets would pass the cap.
+    """
+    empty = np.zeros((plus.n, minus.n), dtype=bool)
+    return _check_cap(close_con_generators(minus, plus, empty), cap)
+
+
+def forced_tot(minus: Frame, plus: Frame, cap: int = 1 << 18) -> np.ndarray:
+    """The cells every totality relation between two frames holds."""
+    empty = np.zeros((minus.n, plus.n), dtype=bool)
+    return _check_cap(close_tot_generators(minus, plus, empty), cap)
+
+
 def _check_cap(forced: np.ndarray, cap: int) -> np.ndarray:
     free = int((~forced).sum())
     if 2 ** free > cap:
         raise SizeGuardExceeded(f"2^{free} candidate relations exceed the cap of {cap}")
     return forced
-
-
-def forced_relations(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """(con, tot): the cells every consistency and every totality relation
-    between two frames holds, i.e. the closed empty generator sets.
-
-    Raises SizeGuardExceeded, con first, when either leaves so many cells
-    free that enumerating their subsets would pass the cap.
-    """
-    con = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
-    tot = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
-    return _check_cap(con, cap), _check_cap(tot, cap)
 
 
 def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step) -> list[np.ndarray]:
@@ -156,23 +161,17 @@ def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step) ->
 def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
     """Every valid consistency relation between two frames, in bitmask order
     over the cells the nullary pairs leave free."""
-    forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
-    return _enumerate_relations(minus, plus, _check_cap(forced, cap), con_closure_step)
+    return _enumerate_relations(minus, plus, forced_con(minus, plus, cap), con_closure_step)
 
 
 def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
-    forced = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
-    return _enumerate_relations(minus, plus, _check_cap(forced, cap), tot_closure_step)
+    return _enumerate_relations(minus, plus, forced_tot(minus, plus, cap), tot_closure_step)
 
 
-def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18, forced=None):
-    """All valid d-frames on a fixed frame pair, con-major.
-
-    forced is the pair's forced_relations, when the caller has them already.
-    """
-    con0, tot0 = forced_relations(minus, plus, cap) if forced is None else forced
-    cons = _enumerate_relations(minus, plus, con0, con_closure_step)
-    tots = _enumerate_relations(minus, plus, tot0, tot_closure_step)
+def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
+    """All valid d-frames on a fixed frame pair, con-major."""
+    cons = enumerate_con_relations(minus, plus, cap)
+    tots = enumerate_tot_relations(minus, plus, cap)
     for con in cons:
         for tot in tots:
             candidate = DFrame(minus, plus, con, tot)
@@ -247,10 +246,13 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
     pool = frame_pool(max_frame)
     pairs = [(minus, plus) for minus, plus in product(pool, pool)
              if minus.is_trivial == plus.is_trivial]
-    # every pair passes the relation cap before any d-frame is searched
-    forced = [forced_relations(minus, plus) for minus, plus in pairs]
-    for (minus, plus), pair_forced in zip(pairs, forced):
-        for df in enumerate_dframes(minus, plus, forced=pair_forced):
+    # the whole window passes the relation cap before any d-frame is
+    # searched, so max_candidates cannot hide an oversized pair
+    for minus, plus in pairs:
+        forced_con(minus, plus)
+        forced_tot(minus, plus)
+    for minus, plus in pairs:
+        for df in enumerate_dframes(minus, plus):
             report.searched += 1
             if report.searched > max_candidates:
                 return report

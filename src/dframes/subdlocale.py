@@ -15,7 +15,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import FrameHom, Sublocale, enumerate_sublocales
-from .order import bound_table, scott_closure
+from .order import _bool_matmul, bound_table, scott_closure
 
 
 class SubDLocale:
@@ -164,7 +164,8 @@ class SubDLocaleLattice:
         n = len(members)
         minus = np.array([s.minus.member_vector for s in members]).reshape(n, parent.minus.n)
         plus = np.array([s.plus.member_vector for s in members]).reshape(n, parent.plus.n)
-        self.leq = _inside(minus) & _inside(plus)  # componentwise inclusion, as SubDLocale.leq
+        # componentwise inclusion, as SubDLocale.leq: no member of i lies outside j
+        self.leq = ~_bool_matmul(minus, ~minus.T) & ~_bool_matmul(plus, ~plus.T)
         self.leq.flags.writeable = False
 
     @property
@@ -261,16 +262,10 @@ class SubDLocaleLattice:
         table.flags.writeable = False
         return table
 
-    def _narrow_tables(self):
-        """meet_table and join_table in the narrowest index dtype, which keeps
-        the witnesses' per-row slabs small."""
-        dtype = np.min_scalar_type(self.n)
-        return self.meet_table.astype(dtype), self.join_table.astype(dtype)
-
     def distributivity_witness(self):
         """The first triple (a, b, c) of labels, in row-major order, violating
         meet-over-join distribution, or None."""
-        meet, join = self._narrow_tables()
+        meet, join = self.meet_table, self.join_table
         for a in range(self.n):
             bad = meet[a, join] != join[meet[a][:, None], meet[a]]
             if bad.any():
@@ -281,7 +276,7 @@ class SubDLocaleLattice:
     def modularity_witness(self):
         """The first triple (a, b, x) of labels, in row-major order, with
         a <= b violating modularity, or None."""
-        meet, join = self._narrow_tables()
+        meet, join = self.meet_table, self.join_table
         above = np.arange(self.n)[:, None]  # b, down the rows
         for a in range(self.n):
             bad = join[a, meet.T] != meet[join[a], above]
@@ -312,12 +307,6 @@ class SubDLocaleLattice:
 
     def __repr__(self):
         return f"SubDLocaleLattice({self.parent.name}: {self.n} members)"
-
-
-def _inside(vectors: np.ndarray) -> np.ndarray:
-    """inside[i, j] iff member set i is contained in member set j, i.e. no
-    member of i lies outside j (a boolean matrix product)."""
-    return ~(vectors @ ~vectors.T)
 
 
 def enumerate_sub_d_locales(parent: DFrame, max_frame: int = 12,

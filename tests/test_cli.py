@@ -183,14 +183,16 @@ def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
     assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
 
 
-def test_mine_refuses_an_oversized_window_before_searching(run_cli, monkeypatch):
+@pytest.mark.parametrize("limit", [[], ["--max-candidates", "1"]])
+def test_mine_refuses_an_oversized_window_before_searching(run_cli, monkeypatch, limit):
     # only the last pair (6-chain x 6-chain) is past the cap; the 2-chain
-    # pairs before it would be searched if the guard waited for the loop
+    # pairs before it would be searched if the guard waited for the loop,
+    # and the first of them alone would pass --max-candidates 1
     monkeypatch.setattr(search, "frame_pool",
                         lambda max_size: [Frame.chain(2), Frame.chain(6)])
     calls = []
     monkeypatch.setattr(search, "check_dframe", lambda df: calls.append(df))
-    code, out, err = run_cli(["mine", "--max-frame", "6"])
+    code, out, err = run_cli(["mine", "--max-frame", "6", *limit])
     assert code == 2 and out == ""
     assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
     assert calls == []
