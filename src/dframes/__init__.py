@@ -9,9 +9,7 @@ smallest dense quotients, all over explicit finite carriers.
 from .order import (
     Lattice,
     Poset,
-    directed_join_closure,
     down_closure_pairs,
-    scott_closure,
     up_closure_pairs,
 )
 from .frames import (
@@ -60,6 +58,7 @@ from .density import (
     Pseudocomplements,
     are_isomorphic,
     classify,
+    con_preorder,
     coreflection_report,
     corrigibility,
     dense_core,
@@ -74,6 +73,7 @@ from .density import (
     is_excluded_middle,
     is_skeletal,
     pseudocomplement,
+    pseudocomplements,
     sublocale_generated_by,
 )
 from .search import all_distributive_lattices, all_lattices, mine, standard_corpus

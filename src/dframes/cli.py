@@ -90,6 +90,22 @@ def _load(args):
     return df
 
 
+def _emit(report, args, out) -> int:
+    """Write the report as asked; the exit code is 1 if a verdict failed."""
+    out.write(report.render_json() if args.json else report.render_text())
+    return 0 if report.ok else 1
+
+
+def _validated(df, report, args, out) -> bool:
+    """Whether df passes the axioms; if not, its report is written with the
+    failed axioms verdict."""
+    axioms = df.validate()
+    if not axioms.ok:
+        report.verdict("axioms", False, str(axioms.first_failure))
+        _emit(report, args, out)
+    return axioms.ok
+
+
 def cmd_check(args, out) -> int:
     df = _load(args)
     report = Report("check", {"path": args.path, "strict": args.strict, "name": df.name})
@@ -102,8 +118,7 @@ def cmd_check(args, out) -> int:
         f"con pairs: {df.con_pairs()}",
         f"tot pairs: {df.tot_pairs()}",
     ])
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0 if report.ok else 1
+    return _emit(report, args, out)
 
 
 def cmd_gen(args, out) -> int:
@@ -120,10 +135,7 @@ def cmd_gen(args, out) -> int:
 def cmd_dsub(args, out) -> int:
     df = _load(args)
     report = Report("dsub", {"path": args.path, "name": df.name})
-    axioms = df.validate()
-    if not axioms.ok:
-        report.verdict("axioms", False, str(axioms.first_failure))
-        out.write(report.render_json() if args.json else report.render_text())
+    if not _validated(df, report, args, out):
         return 1
     ds = enumerate_sub_d_locales(df, max_frame=args.max_frame, max_pairs=args.max_pairs)
     report.section("members", [
@@ -142,17 +154,13 @@ def cmd_dsub(args, out) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(ds.dot())
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0 if report.ok else 1
+    return _emit(report, args, out)
 
 
 def cmd_hat(args, out) -> int:
     df = _load(args)
     report = Report("hat", {"path": args.path, "name": df.name})
-    axioms = df.validate()
-    if not axioms.ok:
-        report.verdict("axioms", False, str(axioms.first_failure))
-        out.write(report.render_json() if args.json else report.render_text())
+    if not _validated(df, report, args, out):
         return 1
     core = dense_core(df)
     report.section("core carriers", [
@@ -180,25 +188,20 @@ def cmd_hat(args, out) -> int:
         report.section("minimality", ["skipped: enumeration exceeds the size guard"])
     props = classify(df)
     report.section("classification", [f"{k}: {v}" for k, v in sorted(props.as_dict().items())])
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0 if report.ok else 1
+    return _emit(report, args, out)
 
 
 def cmd_classify(args, out) -> int:
     df = _load(args)
     report = Report("classify", {"path": args.path, "name": df.name})
-    axioms = df.validate()
-    if not axioms.ok:
-        report.verdict("axioms", False, str(axioms.first_failure))
-        out.write(report.render_json() if args.json else report.render_text())
+    if not _validated(df, report, args, out):
         return 1
     props = classify(df)
     for key, value in sorted(props.as_dict().items()):
         report.section(key, [str(value)])
     report.verdict("implication chain", True,
                    "excluded middle => double negation => corrigible, dually subfit")
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0 if report.ok else 1
+    return _emit(report, args, out)
 
 
 def cmd_props(args, out) -> int:
@@ -218,10 +221,7 @@ def cmd_props(args, out) -> int:
                    incorrigible_minimal()]
     else:
         df = documents.load_path(args.target, strict=args.strict)
-        axioms = df.validate()
-        if not axioms.ok:
-            report.verdict("axioms", False, str(axioms.first_failure))
-            out.write(report.render_json() if args.json else report.render_text())
+        if not _validated(df, report, args, out):
             return 1
         corpus = [df]
     if args.seed is not None:
@@ -245,8 +245,7 @@ def cmd_props(args, out) -> int:
         and witness == ("bc", "ab"),
         f"witness {witness}",
     )
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0 if report.ok else 1
+    return _emit(report, args, out)
 
 
 def cmd_mine(args, out) -> int:
@@ -257,8 +256,7 @@ def cmd_mine(args, out) -> int:
     })
     report.section("findings", result.summary_lines())
     report.verdict("search completed", True, f"{result.searched} d-frames examined")
-    out.write(report.render_json() if args.json else report.render_text())
-    return 0
+    return _emit(report, args, out)
 
 
 _COMMANDS = {

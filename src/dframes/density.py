@@ -21,6 +21,22 @@ from .order import order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
+# -- the per-d-frame memo -----------------------------------------------------
+
+
+def _memo(df: DFrame, key: str, build):
+    """build(df), run once per d-frame and kept in the d-frame's instance dict.
+
+    A DFrame's arrays are read-only, so whatever is derived from them stays
+    valid as long as the d-frame lives, and dies with it.  A build that
+    raises stores nothing: the next call runs it, and fails, again.
+    """
+    memo = vars(df)
+    if key not in memo:
+        memo[key] = build(df)
+    return memo[key]
+
+
 # -- pseudocomplements -------------------------------------------------------
 
 
@@ -57,9 +73,14 @@ class Pseudocomplements:
         return self.to_plus[self.to_minus]
 
 
+def pseudocomplements(df: DFrame) -> Pseudocomplements:
+    """The d-frame's Pseudocomplements, built once per d-frame."""
+    return _memo(df, "_pseudocomplements", Pseudocomplements)
+
+
 def pseudocomplement(df: DFrame, side: str, x: int) -> int:
     """Largest opposite-side element consistent with x."""
-    pc = Pseudocomplements(df)
+    pc = pseudocomplements(df)
     if side == "minus":
         return int(pc.to_plus[x])
     if side == "plus":
@@ -68,8 +89,13 @@ def pseudocomplement(df: DFrame, side: str, x: int) -> int:
 
 
 def double_pseudocomplement_sets(df: DFrame):
-    """The image sets of the double maps and whether each is a sublocale."""
-    pc = Pseudocomplements(df)
+    """The image sets of the double maps and whether each is a sublocale,
+    built once per d-frame."""
+    return _memo(df, "_double_pseudocomplement_sets", _double_sets)
+
+
+def _double_sets(df: DFrame):
+    pc = pseudocomplements(df)
     minus_set = Sublocale(df.minus, set(pc.double_minus().tolist()))
     plus_set = Sublocale(df.plus, set(pc.double_plus().tolist()))
     return minus_set, plus_set, minus_set.is_valid, plus_set.is_valid
@@ -95,7 +121,7 @@ def galois_check(df: DFrame, subset_cap: int = 4096) -> GaloisReport:
     between consistency and the two comparisons, and invariance of
     consistency under the double maps.
     """
-    pc = Pseudocomplements(df)
+    pc = pseudocomplements(df)
     rep = GaloisReport()
     Lm, Lp, con = df.minus, df.plus, df.con
     dbl_m, dbl_p = pc.double_minus(), pc.double_plus()
@@ -225,10 +251,11 @@ class ConPreorder:
 
 
 def con_preorder(df: DFrame) -> ConPreorder:
-    return ConPreorder(df)
+    """The d-frame's ConPreorder, built once per d-frame."""
+    return _memo(df, "_con_preorder", ConPreorder)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseCore:
     """The smallest dense sub-d-locale with its defining nuclei."""
 
@@ -243,14 +270,18 @@ class DenseCore:
 
 
 def dense_core(df: DFrame) -> DenseCore:
-    """Compute the smallest dense sub-d-locale.
+    """The smallest dense sub-d-locale, computed once per d-frame.
 
     The saturation maps of the consistency preorder are verified to be
     nuclei; their fixpoint sublocales are cross-checked against the
     independently computed smallest sublocales containing the
     double-pseudocomplement sets, and the result is verified dense.
     """
-    pre = ConPreorder(df)
+    return _memo(df, "_dense_core", _dense_core)
+
+
+def _dense_core(df: DFrame) -> DenseCore:
+    pre = con_preorder(df)
     nu_m = Nucleus(df.minus, pre.saturation_minus())
     nu_p = Nucleus(df.plus, pre.saturation_plus())
     for side, nu in (("minus", nu_m), ("plus", nu_p)):
@@ -313,8 +344,8 @@ def corrigibility(df: DFrame) -> CorrigibilityReport:
     The seven results must agree per side (they are provably equivalent);
     disagreement raises instead of returning a verdict.
     """
-    pc = Pseudocomplements(df)
-    pre = ConPreorder(df)
+    pc = pseudocomplements(df)
+    pre = con_preorder(df)
     hat = dense_core(df)
     out = []
     for side, lat, other, single, double, order, fix in (
@@ -363,22 +394,20 @@ def is_corrigible(df: DFrame) -> bool:
 
 def is_skeletal(hom: DFrameHom) -> bool:
     """Both components carry the consistency preorders into each other."""
-    pre_d, pre_c = ConPreorder(hom.dom), ConPreorder(hom.cod)
+    pre_d, pre_c = con_preorder(hom.dom), con_preorder(hom.cod)
     fm, fp = hom.minus.mapping, hom.plus.mapping
     ok_minus = (~pre_d.minus | pre_c.minus[np.ix_(fm, fm)]).all()
     ok_plus = (~pre_d.plus | pre_c.plus[np.ix_(fp, fp)]).all()
     return bool(ok_minus and ok_plus)
 
 
-def dense_core_map(hom: DFrameHom, dom_core: DenseCore | None = None,
-                   cod_core: DenseCore | None = None) -> DFrameHom:
+def dense_core_map(hom: DFrameHom) -> DFrameHom:
     """The induced map between dense cores.
 
     Sends a fixpoint to the codomain saturation of its image; for skeletal
     morphisms this assignment is functorial.
     """
-    dom_core = dom_core or dense_core(hom.dom)
-    cod_core = cod_core or dense_core(hom.cod)
+    dom_core, cod_core = dense_core(hom.dom), dense_core(hom.cod)
     src, tgt = dom_core.as_dframe, cod_core.as_dframe
     sat_m = cod_core.nu_minus.mapping
     sat_p = cod_core.nu_plus.mapping
@@ -415,7 +444,7 @@ class DFrameProperties:
 
 
 def is_double_negation(df: DFrame) -> bool:
-    pc = Pseudocomplements(df)
+    pc = pseudocomplements(df)
     return bool(
         (pc.double_minus() == np.arange(df.minus.n)).all()
         and (pc.double_plus() == np.arange(df.plus.n)).all()
@@ -424,7 +453,7 @@ def is_double_negation(df: DFrame) -> bool:
 
 def is_excluded_middle(df: DFrame) -> bool:
     """Every element is total with its pseudocomplement."""
-    pc = Pseudocomplements(df)
+    pc = pseudocomplements(df)
     return bool(
         df.tot[np.arange(df.minus.n), pc.to_plus].all()
         and df.tot[pc.to_minus, np.arange(df.plus.n)].all()
@@ -455,13 +484,13 @@ def _dually_subfit_definitional(df: DFrame) -> bool:
     return True
 
 
-def is_dually_subfit(df: DFrame, pre: ConPreorder | None = None) -> bool:
+def is_dually_subfit(df: DFrame) -> bool:
     """Dually subfit means the consistency preorder is the lattice order.
 
     Checked both through the definitional witness search and through the
     preorder; the two must agree.
     """
-    pre = pre or ConPreorder(df)
+    pre = con_preorder(df)
     by_preorder = bool(
         (pre.minus == df.minus.leq).all() and (pre.plus == df.plus.leq).all()
     )
@@ -527,10 +556,8 @@ def coreflection_report(dframes, skeletal_homs=()) -> CoreflectionReport:
     codomain: it factors through the core quotient as the core map.
     """
     rep = CoreflectionReport()
-    cores = {}
     for df in dframes:
         core = dense_core(df)
-        cores[id(df)] = core
         realized = core.as_dframe
         again = dense_core(realized)
         if not again.core.is_whole:
@@ -547,7 +574,7 @@ def coreflection_report(dframes, skeletal_homs=()) -> CoreflectionReport:
             continue
         if not is_dually_subfit(hom.cod):
             continue
-        dom_core = cores.get(id(hom.dom)) or dense_core(hom.dom)
+        dom_core = dense_core(hom.dom)
         # The factorisation: f equals (f restricted to the core) after the
         # core quotient, because saturation is absorbed by skeletal maps
         # into dually subfit codomains.

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import BrokenInvariant, CarrierMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import (down_closure_pairs, is_down_closed_pairs, is_up_closed_pairs,
-                    scott_closure, up_closure_pairs)
+from .order import down_closure_pairs, is_down_closed_pairs, is_up_closed_pairs, up_closure_pairs
 
 
 @dataclass(frozen=True)
@@ -156,13 +155,10 @@ def check_dframe(df: DFrame) -> AxiomReport:
     else:
         checks.append(AxiomCheck("con-tot-minus", True))
 
-    # (con-dirjoin): automatic over finite carriers, still asserted.
-    closed = scott_closure(Lp.lattice, Lm.lattice, con)
-    if (closed == con).all():
-        checks.append(AxiomCheck("con-dirjoin", True))
-    else:  # pragma: no cover - unreachable over finite carriers
-        p, m = next(zip(*np.where(closed & ~con)))
-        checks.append(AxiomCheck("con-dirjoin", False, (Lp.elements[p], Lm.elements[m])))
+    # (con-dirjoin): a finite directed set holds its own join, so every
+    # relation is closed under directed joins (directed_joins_bruteforce is
+    # the test oracle).
+    checks.append(AxiomCheck("con-dirjoin", True))
 
     return AxiomReport(tuple(checks))
 
@@ -321,12 +317,12 @@ def is_monomorphism(hom: DFrameHom) -> bool:
 
 
 def is_extremal_epi(hom: DFrameHom) -> bool:
-    """Componentwise surjective, con image Scott-closes onto the codomain
-    con, and the tot image is exactly the codomain tot."""
+    """Componentwise surjective, and the con and tot images are exactly the
+    codomain con and tot (over finite carriers the con image needs no Scott
+    closure)."""
     if not (hom.minus.is_surjective and hom.plus.is_surjective):
         return False
-    closed = scott_closure(hom.cod.plus.lattice, hom.cod.minus.lattice, hom.con_image())
-    return bool((closed == hom.cod.con).all() and (hom.tot_image() == hom.cod.tot).all())
+    return bool((hom.con_image() == hom.cod.con).all() and (hom.tot_image() == hom.cod.tot).all())
 
 
 def dense_hom_witness(hom: DFrameHom):
@@ -355,9 +351,7 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     """Factor through the image d-frame: a surjection followed by a mono.
 
     The image carries the sub-frames generated by the component images, the
-    Scott closure of the con image and the tot image.  The closure is the
-    identity here because images of lower sets under surjections stay lower
-    sets; the equality is checked rather than assumed.
+    con image (already Scott closed over finite carriers) and the tot image.
     """
     # Subframes, not sublocales: image carriers keep the codomain's joins.
     img_minus = _subframe(hom.cod.minus, hom.minus.image_indices())
@@ -372,9 +366,6 @@ def image_factorization(hom: DFrameHom) -> Factorization:
         [pos_plus[int(i)] for i in hom.plus.mapping[ps]],
         [pos_minus[int(i)] for i in hom.minus.mapping[ms]],
     ] = True
-    closed = scott_closure(img_plus.lattice, img_minus.lattice, con_img)
-    if not (closed == con_img).all():
-        raise BrokenInvariant("con image was not already Scott closed")
     if not is_down_closed_pairs(img_plus.lattice, img_minus.lattice, con_img):
         raise BrokenInvariant("con image of a surjection must be a lower set")
 

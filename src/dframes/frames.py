@@ -335,9 +335,10 @@ class Nucleus:
 
     def __init__(self, frame: Frame, mapping):
         self.frame = frame
-        self.mapping = np.asarray(mapping, dtype=np.int64)
+        self.mapping = np.array(mapping, dtype=np.int64)  # a copy: never the caller's array
         if self.mapping.shape != (frame.n,):
             raise DomainMismatch("nucleus map must be total")
+        self.mapping.flags.writeable = False
 
     def __call__(self, i: int) -> int:
         return int(self.mapping[i])

@@ -24,6 +24,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def cover_relation(leq: np.ndarray) -> np.ndarray:
+    """covers[i, j] iff j covers i (strictly above, nothing in between)."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return _frozen(lt & ~_bool_matmul(lt, lt))
+
+
 def bound_table(leq: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
     """(table, ok): the glb (lower) or lub table of a finite order.
 
@@ -91,9 +97,7 @@ class Poset:
 
     @cached_property
     def covers(self) -> np.ndarray:
-        """covers[i, j] iff j covers i (strictly above, nothing in between)."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return _frozen(lt & ~_bool_matmul(lt, lt))
+        return cover_relation(self.leq)
 
     def downset(self, i: int) -> np.ndarray:
         return self.leq[:, i].copy()
@@ -292,35 +296,14 @@ def is_up_closed_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> bool:
     return bool((up_closure_pairs(a, b, pairs) == pairs).all())
 
 
-def directed_join_closure(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
-    """One step of the closure operator adding componentwise joins of
-    directed subsets.
-
-    Over a finite product order every directed subset contains an upper
-    bound of itself (chase internal upper bounds pairwise), hence contains
-    its own join; the operator therefore adds nothing and a single step is
-    already the Scott closure.  Kept as an explicit operation so callers can
-    iterate it and assert the fixpoint.
-    """
-    return pairs.copy()
-
-
-def scott_closure(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
-    """Iterate directed_join_closure to a fixpoint (at most |A|*|B| steps)."""
-    current = pairs.copy()
-    for _ in range(a.n * b.n + 1):
-        step = directed_join_closure(a, b, current)
-        if (step == current).all():
-            return current
-        current = step
-    raise AssertionError("directed-join closure failed to stabilise")
-
-
 def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Definitional D operator: enumerate every nonempty directed subset.
 
-    Exponential in the number of pairs; used as the independent oracle for
-    directed_join_closure on small inputs.
+    Over a finite product order every directed subset contains an upper
+    bound of itself (chase internal upper bounds pairwise), hence contains
+    its own join, so D adds nothing and relations are never Scott-closed
+    explicitly.  Exponential in the number of pairs; the tests use it as the
+    oracle for that fact on small inputs.
     """
     members = list(zip(*np.where(pairs)))
     if len(members) > 16:

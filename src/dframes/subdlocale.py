@@ -15,7 +15,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import FrameHom, Sublocale, enumerate_sublocales
-from .order import _bool_matmul, bound_table, scott_closure
+from .order import _bool_matmul, bound_table, cover_relation
 
 
 class SubDLocale:
@@ -88,10 +88,9 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     """The unique candidate relations for the quotient onto a sublocale pair.
 
     con is the Scott closure of the image of parent con under the quotient
-    pair (the image of a lower set under a surjection is a lower set, so the
-    closure is the identity and is checked); tot is the image of parent
-    tot, which always equals the restriction.  A failed check raises
-    BrokenInvariant.
+    pair, which over finite carriers is the image itself; tot is the image
+    of parent tot, which always equals the restriction.  A failed check
+    raises BrokenInvariant.
     """
     # a quotient value is a member, so its position is its rank among the
     # sorted members
@@ -101,9 +100,6 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     con = np.zeros((len(plus.members), len(minus.members)), dtype=bool)
     ps, ms = np.where(parent.con)
     con[pos_p[ps], pos_m[ms]] = True
-    closed = scott_closure(plus.as_frame.lattice, minus.as_frame.lattice, con)
-    if not (closed == con).all():
-        raise BrokenInvariant("quotient image of con must be Scott closed")
 
     tot = np.zeros((len(minus.members), len(plus.members)), dtype=bool)
     ms, ps = np.where(parent.tot)
@@ -296,11 +292,7 @@ class SubDLocaleLattice:
 
     @cached_property
     def covers(self) -> np.ndarray:
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        between = (lt.astype(np.int64) @ lt.astype(np.int64)) > 0
-        covers = lt & ~between
-        covers.flags.writeable = False
-        return covers
+        return cover_relation(self.leq)
 
     def dot(self) -> str:
         return hasse_dot(self.labels, self.leq)
@@ -340,16 +332,10 @@ def hasse_dot(labels, leq: np.ndarray) -> str:
     One node per element with its display label; one edge per cover pair,
     drawn from the lower to the upper element.
     """
-    n = len(labels)
-    leq = np.asarray(leq, dtype=bool)
-    lt = leq & ~np.eye(n, dtype=bool)
-    covers = lt & ~((lt.astype(np.int64) @ lt.astype(np.int64)) > 0)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, lab in enumerate(labels):
         lines.append(f'  n{i} [label="{lab}"];')
-    for i in range(n):
-        for j in range(n):
-            if covers[i, j]:
-                lines.append(f"  n{i} -> n{j};")
+    for i, j in np.argwhere(cover_relation(np.asarray(leq, dtype=bool))):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,9 +19,8 @@ from .dframe import (
     is_monomorphism,
 )
 from .density import (
-    ConPreorder,
-    Pseudocomplements,
     classify,
+    con_preorder,
     coreflection_report,
     dense_core,
     dense_core_map,
@@ -30,6 +29,7 @@ from .density import (
     is_dense_sub_d_locale,
     is_dually_subfit,
     is_skeletal,
+    pseudocomplements,
     sublocale_generated_by,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
@@ -54,8 +54,7 @@ class Sweep:
         return [(n, d) for n, ok, d in self.verdicts if not ok]
 
 
-def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400,
-                 cores: dict | None = None):
+def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
     """All per-d-frame law checks; enumeration-based ones are size-guarded."""
     name = df.name
     sweep.check(f"{name}: axioms", df.validate().ok)
@@ -64,7 +63,7 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400,
     sweep.check(f"{name}: pseudocomplement laws", galois.ok,
                 "" if galois.ok else str(galois.failures[0]))
 
-    pre = ConPreorder(df)
+    pre = con_preorder(df)
     leq_in_pre = bool(
         (~df.minus.leq | pre.minus).all() and (~df.plus.leq | pre.plus).all()
     )
@@ -74,8 +73,6 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400,
     sweep.check(f"{name}: preorder transitive", bool(trans_m.all() and trans_p.all()))
 
     core = dense_core(df)
-    if cores is not None:
-        cores[id(df)] = core
     sweep.check(f"{name}: dense core is dense", is_dense_sub_d_locale(core.core))
 
     # The three characterisations of core membership agree elementwise, on
@@ -118,7 +115,7 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400,
     )
     sweep.check(f"{name}: dense core enumerated", any(m == core.core for m in ds.members))
 
-    pc = Pseudocomplements(df)
+    pc = pseudocomplements(df)
     ok_fix = True
     for m in dense_members:
         q_m, q_p = m.minus.quotient, m.plus.quotient
@@ -190,7 +187,7 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400,
     sweep.check(f"{name}: pairs containing the double sets are dense", ok_dense_pairs)
 
 
-def sweep_morphism(hom: DFrameHom, sweep: Sweep, cores: dict):
+def sweep_morphism(hom: DFrameHom, sweep: Sweep):
     name = hom.name
     sweep.check(f"{name}: is a d-frame homomorphism", hom.is_hom)
 
@@ -208,36 +205,24 @@ def sweep_morphism(hom: DFrameHom, sweep: Sweep, cores: dict):
                     hom.minus.is_dense and hom.plus.is_dense)
 
 
-def _core_for(df, cores: dict):
-    if id(df) not in cores:
-        cores[id(df)] = dense_core(df)
-    return cores[id(df)]
-
-
-def sweep_functoriality(pairs, sweep: Sweep, cores: dict):
+def sweep_functoriality(pairs, sweep: Sweep):
     """hat of a composite equals the composite of hats when the outer
     morphism is skeletal; hat of the identity is the identity."""
     for outer, inner in pairs:
         if not is_skeletal(outer):
             continue
-        dom_c = _core_for(inner.dom, cores)
-        mid_c = _core_for(inner.cod, cores)
-        cod_c = _core_for(outer.cod, cores)
-        lhs = dense_core_map(outer.compose(inner), dom_core=dom_c, cod_core=cod_c)
-        rhs = dense_core_map(outer, dom_core=mid_c, cod_core=cod_c).compose(
-            dense_core_map(inner, dom_core=dom_c, cod_core=mid_c)
-        )
+        lhs = dense_core_map(outer.compose(inner))
+        rhs = dense_core_map(outer).compose(dense_core_map(inner))
         sweep.check(
             f"core functor: {outer.name} after {inner.name}",
             lhs == rhs,
         )
 
 
-def sweep_identity_functor(dframes, sweep: Sweep, cores: dict):
+def sweep_identity_functor(dframes, sweep: Sweep):
     for df in dframes:
-        core = _core_for(df, cores)
-        ident = DFrameHom.identity(df)
-        mapped = dense_core_map(ident, dom_core=core, cod_core=core)
+        core = dense_core(df)
+        mapped = dense_core_map(DFrameHom.identity(df))
         n_m, n_p = len(core.core.minus.members), len(core.core.plus.members)
         ok = bool(
             (mapped.minus.mapping == np.arange(n_m)).all()
@@ -246,7 +231,7 @@ def sweep_identity_functor(dframes, sweep: Sweep, cores: dict):
         sweep.check(f"{df.name}: core of identity is identity", ok)
 
 
-def standard_morphisms(dframes, cores: dict) -> tuple[list, list]:
+def standard_morphisms(dframes) -> tuple[list, list]:
     """A deterministic morphism corpus over the given d-frames.
 
     Returns (morphisms, composable_pairs): identities, dense-core
@@ -260,14 +245,14 @@ def standard_morphisms(dframes, cores: dict) -> tuple[list, list]:
     for df in dframes:
         ident = DFrameHom.identity(df)
         morphisms.append(ident)
-        core = _core_for(df, cores)
+        core = dense_core(df)
         q_core = core.core.quotient_hom()
         morphisms.append(q_core)
         pairs.append((q_core, ident))
         # Quotient onto the core of the realized core: composable follow-up
         # whose outer map comes from a dually subfit d-frame, hence skeletal.
         realized = core.as_dframe
-        again = _core_for(realized, cores)
+        again = dense_core(realized)
         q_again = again.core.quotient_hom()
         morphisms.append(q_again)
         pairs.append((q_again, q_core))
@@ -288,14 +273,13 @@ def standard_morphisms(dframes, cores: dict) -> tuple[list, list]:
 
 def full_sweep(dframes, max_frame: int = 12, max_pairs: int = 400) -> Sweep:
     sweep = Sweep()
-    cores: dict = {}
     for df in dframes:
-        sweep_dframe(df, sweep, max_frame=max_frame, max_pairs=max_pairs, cores=cores)
-    morphisms, pairs = standard_morphisms(dframes, cores)
+        sweep_dframe(df, sweep, max_frame=max_frame, max_pairs=max_pairs)
+    morphisms, pairs = standard_morphisms(dframes)
     for hom in morphisms:
-        sweep_morphism(hom, sweep, cores)
-    sweep_identity_functor(dframes, sweep, cores)
-    sweep_functoriality(pairs, sweep, cores)
+        sweep_morphism(hom, sweep)
+    sweep_identity_functor(dframes, sweep)
+    sweep_functoriality(pairs, sweep)
     cref = coreflection_report(dframes, [h for h in morphisms if is_skeletal(h)])
     sweep.check("coreflection sweep over corpus", cref.ok,
                 "" if cref.ok else str(cref.failures[0]))

@@ -63,11 +63,6 @@ def corpus():
     ]
 
 
-@pytest.fixture(scope="module")
-def cores():
-    return {}
-
-
 def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     ds = enumerate_sub_d_locales(three_three())
@@ -111,12 +106,11 @@ def test_criterion_3_dense_components_counterexample():
     assert record(3, ok, f"component-dense, pair not dense, witness {witness}")
 
 
-def test_criterion_4_smallest_dense_over_corpus(corpus, cores):
+def test_criterion_4_smallest_dense_over_corpus(corpus):
     start = time.perf_counter()
     violations = []
     for df in corpus:
         core = dense_core(df)
-        cores[id(df)] = core
         if not is_dense_sub_d_locale(core.core):
             violations.append((df.name, "core not dense"))
         ds = enumerate_sub_d_locales(df)
@@ -157,12 +151,12 @@ def test_criterion_5_named_examples():
     )
 
 
-def test_criterion_6_lemma_equivalence_suites(corpus, cores):
+def test_criterion_6_lemma_equivalence_suites(corpus):
     violations = []
     for df in corpus:
         if not galois_check(df).ok:
             violations.append((df.name, "pseudocomplement laws"))
-        core = cores.get(id(df)) or dense_core(df)
+        core = dense_core(df)
         pre = ConPreorder(df)
         for lat, order, sat, members in (
             (df.minus, pre.minus, core.nu_minus.mapping, core.core.minus.members),
@@ -177,7 +171,7 @@ def test_criterion_6_lemma_equivalence_suites(corpus, cores):
                     break
         try:
             corrigibility(df)   # raises if the seven conditions disagree
-            is_dually_subfit(df, pre)  # raises if the two routes disagree
+            is_dually_subfit(df)  # raises if the two routes disagree
             classify(df)        # raises on implication-chain violations
         except Exception as exc:  # noqa: BLE001 - recorded as a violation
             violations.append((df.name, str(exc)))
@@ -185,7 +179,7 @@ def test_criterion_6_lemma_equivalence_suites(corpus, cores):
         realized = core.as_dframe
         if not is_dually_subfit(realized):
             violations.append((df.name, "core not dually subfit"))
-        if is_dually_subfit(df, pre) and not are_isomorphic(df, realized):
+        if is_dually_subfit(df) and not are_isomorphic(df, realized):
             violations.append((df.name, "dually subfit but core differs"))
         if is_excluded_middle(df) and not is_double_negation(df):
             violations.append((df.name, "excluded middle without double negation"))
@@ -196,8 +190,8 @@ def test_criterion_6_lemma_equivalence_suites(corpus, cores):
                   + (f"; first: {violations[0]}" if violations else ""))
 
 
-def test_criterion_7_factorisation_soundness(corpus, cores):
-    morphisms, _ = standard_morphisms(corpus, cores)
+def test_criterion_7_factorisation_soundness(corpus):
+    morphisms, _ = standard_morphisms(corpus)
     violations = []
     for hom in morphisms:
         fac = image_factorization(hom)
@@ -213,18 +207,13 @@ def test_criterion_7_factorisation_soundness(corpus, cores):
     assert record(7, ok, f"{len(morphisms)} morphisms, {len(violations)} violations")
 
 
-def test_criterion_8_core_functoriality(corpus, cores):
-    morphisms, pairs = standard_morphisms(corpus, cores)
+def test_criterion_8_core_functoriality(corpus):
+    morphisms, pairs = standard_morphisms(corpus)
     violations = []
 
-    def core_for(df):
-        if id(df) not in cores:
-            cores[id(df)] = dense_core(df)
-        return cores[id(df)]
-
     for df in corpus:
-        core = core_for(df)
-        ident = dense_core_map(DFrameHom.identity(df), dom_core=core, cod_core=core)
+        core = dense_core(df)
+        ident = dense_core_map(DFrameHom.identity(df))
         n_m = len(core.core.minus.members)
         n_p = len(core.core.plus.members)
         if not ((ident.minus.mapping == np.arange(n_m)).all()
@@ -236,10 +225,8 @@ def test_criterion_8_core_functoriality(corpus, cores):
         if not is_skeletal(outer):
             continue
         checked += 1
-        dom_c, mid_c, cod_c = core_for(inner.dom), core_for(inner.cod), core_for(outer.cod)
-        lhs = dense_core_map(outer.compose(inner), dom_core=dom_c, cod_core=cod_c)
-        rhs = dense_core_map(outer, dom_core=mid_c, cod_core=cod_c).compose(
-            dense_core_map(inner, dom_core=dom_c, cod_core=mid_c))
+        lhs = dense_core_map(outer.compose(inner))
+        rhs = dense_core_map(outer).compose(dense_core_map(inner))
         if lhs != rhs:
             violations.append((outer.name, inner.name))
     ok = not violations and checked > 0

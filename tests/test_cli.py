@@ -132,13 +132,7 @@ def test_hat_skips_minimality_beyond_the_guard(run_cli, tmp_path):
     assert "[pass] core is dense" in out
 
 
-def test_props_fails_on_invalid_document(run_cli, fixture_dir):
-    code, out, _ = run_cli(["props", str(fixture_dir / "bad_contot.json")])
-    assert code == 1
-    assert "[FAIL] axioms" in out
-
-
-@pytest.mark.parametrize("command", ["dsub", "hat", "classify"])
+@pytest.mark.parametrize("command", ["dsub", "hat", "classify", "props"])
 def test_commands_fail_cleanly_on_invalid_dframes(run_cli, fixture_dir, command):
     code, out, _ = run_cli([command, str(fixture_dir / "bad_contot.json"), "--strict"])
     assert code == 1

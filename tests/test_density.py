@@ -3,18 +3,23 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dframes import density
 from dframes.dframe import DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.density import (
     ConPreorder,
     Pseudocomplements,
     are_isomorphic,
     classify,
+    con_preorder,
     coreflection_report,
     corrigibility,
     dense_core,
@@ -29,6 +34,7 @@ from dframes.density import (
     is_excluded_middle,
     is_skeletal,
     pseudocomplement,
+    pseudocomplements,
     sublocale_generated_by,
 )
 from dframes.fixtures import (
@@ -38,9 +44,10 @@ from dframes.fixtures import (
     three_three,
     two_two,
 )
-from dframes.errors import BrokenInvariant
-from dframes.frames import Frame, Sublocale
-from dframes.search import standard_corpus
+from dframes.errors import BrokenInvariant, EquivalenceMismatch
+from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
+from dframes.search import mine, standard_corpus
+from dframes.sweeps import full_sweep
 from dframes.subdlocale import enumerate_sub_d_locales
 
 C3, B4 = Frame.chain(3), Frame.boolean(2)
@@ -186,9 +193,8 @@ def test_skeletal_morphisms():
 
 def test_dense_core_map_identity_and_quotient():
     s3 = symmetric_dframe(C3)
-    core = dense_core(s3)
     ident = DFrameHom.identity(s3)
-    mapped = dense_core_map(ident, dom_core=core, cod_core=core)
+    mapped = dense_core_map(ident)
     assert (mapped.minus.mapping == np.arange(2)).all()
     assert mapped.is_hom
 
@@ -379,3 +385,99 @@ def test_pseudocomplement_check_survives_optimised_python():
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "raised"
+
+
+# -- the per-d-frame memo ------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts, per d-frame, every Pseudocomplements and ConPreorder built and
+    every dense core computed.  The d-frames are kept alive so that no id is
+    reused while counting."""
+    counts = Counter()
+    seen = []
+
+    def counted(name, build):
+        def wrapper(*args):
+            df = args[-1]  # (self, df) for a constructor, (df) for the core
+            seen.append(df)
+            counts[name, id(df)] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(Pseudocomplements, "__init__",
+                        counted("pc", Pseudocomplements.__init__))
+    monkeypatch.setattr(ConPreorder, "__init__", counted("pre", ConPreorder.__init__))
+    monkeypatch.setattr(density, "_dense_core", counted("core", density._dense_core))
+    return counts
+
+
+def test_mine_builds_derived_structure_once_per_dframe(builds):
+    assert mine(max_frame=3).searched > 0
+    assert {name for name, _ in builds} == {"pc", "pre", "core"}
+    assert max(builds.values()) == 1
+
+
+def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
+    corpus = standard_corpus(3) + [three_three()]
+    assert full_sweep(corpus).ok
+    assert {name for name, _ in builds} == {"pc", "pre", "core"}
+    assert max(builds.values()) == 1
+
+
+def test_dense_core_is_memoised():
+    tt = three_three()
+    core = dense_core(tt)
+    assert dense_core(tt) is core
+    assert pseudocomplements(tt) is pseudocomplements(tt)
+    assert con_preorder(tt) is con_preorder(tt)
+    assert double_pseudocomplement_sets(tt) is double_pseudocomplement_sets(tt)
+    # an equal but distinct d-frame has its own memo
+    assert dense_core(three_three()) is not core
+
+
+def test_a_failed_dense_core_is_not_memoised(monkeypatch):
+    tt = three_three()
+    monkeypatch.setattr(density, "sublocale_generated_by",
+                        lambda frame, seed: whole_sublocale(frame))
+    for _ in range(2):
+        with pytest.raises(EquivalenceMismatch, match="saturation fixpoints differ"):
+            dense_core(tt)
+    monkeypatch.undo()
+    assert dense_core(tt).core.label == "o(c).o(c)"
+
+
+def test_shared_dense_core_cannot_be_changed():
+    core = dense_core(three_three())
+    with pytest.raises(ValueError):
+        core.nu_minus.mapping[0] = 5
+    with pytest.raises(FrozenInstanceError):
+        core.nu_minus = core.nu_plus
+    mapping = np.arange(C3.n)
+    nucleus = Nucleus(C3, mapping)
+    mapping[0] = 2
+    assert nucleus.mapping[0] == 0
+
+
+def test_concurrent_first_calls_agree():
+    # Unsynchronised: racing first calls may each build the core, and every
+    # caller must still get an equal, fully checked one.
+    corpus = [three_three(), *standard_corpus(3)]  # fresh: nothing memoised yet
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [(dense_core(df).core.label, classify(df)) for df in corpus]))
+            for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r == results[0] for r in results)
+    assert results[0][0][0] == "o(c).o(c)"

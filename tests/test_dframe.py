@@ -28,7 +28,8 @@ from dframes.fixtures import (
     two_two,
 )
 from dframes.frames import Frame, FrameHom
-from dframes.order import scott_closure
+from dframes.order import directed_joins_bruteforce
+from dframes.search import standard_corpus
 from dframes.subdlocale import enumerate_sub_d_locales
 
 
@@ -264,5 +265,9 @@ def test_generator_closure_produces_valid_relations():
 
 
 def test_scott_closure_is_identity_on_con():
-    for df in (three_three(), symmetric_dframe(B4)):
-        assert (scott_closure(df.plus.lattice, df.minus.lattice, df.con) == df.con).all()
+    # why check_dframe passes con-dirjoin without computing anything
+    corpus = [df for df in standard_corpus(3) if df.con.sum() <= 16]
+    assert len(corpus) == 8
+    for df in [three_three(), symmetric_dframe(B4)] + corpus:
+        closed = directed_joins_bruteforce(df.plus.lattice, df.minus.lattice, df.con)
+        assert (closed == df.con).all()

@@ -8,10 +8,8 @@ from dframes.order import (
     _closure_from_pairs,
     are_order_isomorphic,
     bound_table,
-    directed_join_closure,
     directed_joins_bruteforce,
     down_closure_pairs,
-    scott_closure,
     up_closure_pairs,
 )
 from dframes.search import all_lattices
@@ -220,27 +218,27 @@ def test_down_closure_matches_definition(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_directed_join_closure_matches_bruteforce(data):
+    # Over finite carriers the directed-join closure is the identity, which
+    # is why no code in the package computes it.
     a = data.draw(st.sampled_from([Lattice.chain(3), Lattice.boolean(2)]))
     b = data.draw(st.sampled_from([Lattice.chain(2), Lattice.chain(3)]))
     cells = [(i, j) for i in range(a.n) for j in range(b.n)]
     chosen = data.draw(st.lists(st.sampled_from(cells), max_size=6))
     mat = pair_matrix(a, b, chosen)
-    one_step = directed_join_closure(a, b, mat)
-    assert (one_step == directed_joins_bruteforce(a, b, mat)).all()
-    assert (scott_closure(a, b, mat) == one_step).all()
+    assert (directed_joins_bruteforce(a, b, mat) == mat).all()
 
 
 def test_directed_join_closure_fixes_down_sets():
     a, b = Lattice.boolean(2), Lattice.chain(3)
     mat = down_closure_pairs(a, b, pair_matrix(a, b, [(a.idx("a"), b.idx("c"))]))
-    assert (directed_join_closure(a, b, mat) == mat).all()
+    assert (directed_joins_bruteforce(a, b, mat) == mat).all()
 
 
 def test_directed_join_closure_fixes_antichains():
     b4 = Lattice.boolean(2)
     c3 = Lattice.chain(3)
     antichain = pair_matrix(b4, c3, [(b4.idx("a"), c3.idx("0")), (b4.idx("b"), c3.idx("c"))])
-    assert (directed_join_closure(b4, c3, antichain) == antichain).all()
+    assert (directed_joins_bruteforce(b4, c3, antichain) == antichain).all()
 
 
 def test_membership_vector_down_closure_check():

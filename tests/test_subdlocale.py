@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dframes.density import Pseudocomplements
+from dframes.density import Pseudocomplements, con_preorder, dense_core, pseudocomplements
 from dframes.dframe import check_dframe, is_extremal_epi, minimal_dframe, symmetric_dframe
 from dframes.errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
 from dframes.fixtures import three_three
@@ -202,9 +202,12 @@ def test_handed_out_arrays_are_frozen():
     sub = closed_sublocale(tt.minus, "c")
     sub.member_vector, sub.quotient  # materialise the cached arrays
     member = enumerate_sub_d_locales(tt).members[3]
-    for obj in (sub, member, Pseudocomplements(tt)):
+    core = dense_core(tt)  # memoised: every caller on tt shares it
+    for obj, count in ((sub, 2), (member, 2), (Pseudocomplements(tt), 2),
+                       (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
+                       (con_preorder(tt), 2), (pseudocomplements(tt), 2)):
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 2
+        assert len(arrays) == count
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -257,6 +260,23 @@ def test_dot_is_deterministic():
     a = enumerate_sub_d_locales(three_three()).dot()
     b = enumerate_sub_d_locales(three_three()).dot()
     assert a == b
+
+
+def test_dot_matches_a_per_cell_scan():
+    # edges in row-major order of (lower, upper), as the DOT output promises
+    def scan(labels, leq):
+        n = len(labels)
+        lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
+        lines += [f'  n{i} [label="{lab}"];' for i, lab in enumerate(labels)]
+        lines += [f"  n{i} -> n{j};" for i in range(n) for j in range(n)
+                  if i != j and leq[i][j] and not any(
+                      k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))]
+        return "\n".join(lines + ["}"]) + "\n"
+
+    for df in (three_three(), symmetric_dframe(Frame.chain(4))):  # 10 and 50 members
+        ds = enumerate_sub_d_locales(df)
+        assert ds.dot() == scan(ds.labels, ds.leq.tolist())
+    assert hasse_dot("abc", Frame.chain(3).leq) == scan("abc", Frame.chain(3).leq.tolist())
 
 
 # -- the vectorised order, tables and witnesses against per-pair routes -------
