@@ -14,27 +14,33 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, is_regular
+from .dframe import DFrame, DFrameHom, _memo, is_regular
 from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale
 from .order import order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
-# -- the per-d-frame memo -----------------------------------------------------
+# -- two-sided structure -------------------------------------------------------
 
 
-def _memo(df: DFrame, key: str, build):
-    """build(df), run once per d-frame and kept in the d-frame's instance dict.
+def _sided(df: DFrame, key: str, build):
+    """_memo for a structure with a minus and a plus side.
 
-    A DFrame's arrays are read-only, so whatever is derived from them stays
-    valid as long as the d-frame lives, and dies with it.  A build that
-    raises stores nothing: the next call runs it, and fails, again.
+    A swap builds and keeps none: it reads the structure of the d-frame it
+    was swapped from, mirrored by the structure's swap(), which shares every
+    array.
     """
-    memo = vars(df)
-    if key not in memo:
-        memo[key] = build(df)
-    return memo[key]
+    if df.swapped_from is None:
+        return _memo(df, key, build)
+    return _memo(df.swapped_from, key, build).swap()
+
+
+def _mirror(obj, **fields):
+    """A shallow copy of obj with some fields replaced; nothing is rebuilt."""
+    out = object.__new__(type(obj))
+    vars(out).update(vars(obj), **fields)
+    return out
 
 
 # -- pseudocomplements -------------------------------------------------------
@@ -44,38 +50,41 @@ class Pseudocomplements:
     """The two pseudocomplement maps of a d-frame, materialised as arrays.
 
     to_plus[a] is the largest plus element consistent with a; to_minus[p]
-    is the largest minus element consistent with p.  That the joins defining
-    them are themselves consistent is checked on construction.
+    is the largest minus element consistent with p, which is to_plus of the
+    swap.  That the joins defining them are themselves consistent is
+    checked on construction.
     """
 
     def __init__(self, df: DFrame):
         self.df = df
-        to_plus = np.zeros(df.minus.n, dtype=np.int64)
-        for a in range(df.minus.n):
-            to_plus[a] = df.plus.join_all(np.where(df.con[:, a])[0])
-            if not df.con[to_plus[a], a]:
-                raise BrokenInvariant("join of consistent elements must stay consistent")
-        to_minus = np.zeros(df.plus.n, dtype=np.int64)
-        for p in range(df.plus.n):
-            to_minus[p] = df.minus.join_all(np.where(df.con[p, :])[0])
-            if not df.con[p, to_minus[p]]:
-                raise BrokenInvariant("join of consistent elements must stay consistent")
-        to_plus.flags.writeable = False
-        to_minus.flags.writeable = False
-        self.to_plus = to_plus
-        self.to_minus = to_minus
+        self.to_plus = _largest_consistent(df)
+        self.to_minus = _largest_consistent(df.swap())
+
+    def swap(self) -> "Pseudocomplements":
+        """The same maps seen from df.swap()."""
+        return _mirror(self, df=self.df.swap(), to_plus=self.to_minus, to_minus=self.to_plus)
 
     def double_minus(self) -> np.ndarray:
-        """a |-> pseudocomplement of the pseudocomplement, on the minus side."""
+        """a |-> pseudocomplement of the pseudocomplement, on the minus side;
+        swap().double_minus() is the plus side's."""
         return self.to_minus[self.to_plus]
 
-    def double_plus(self) -> np.ndarray:
-        return self.to_plus[self.to_minus]
+
+def _largest_consistent(df: DFrame) -> np.ndarray:
+    """a |-> the join of the plus elements consistent with a, checked to be
+    consistent with a itself."""
+    out = np.zeros(df.minus.n, dtype=np.int64)
+    for a in range(df.minus.n):
+        out[a] = df.plus.join_all(np.where(df.con[:, a])[0])
+        if not df.con[out[a], a]:
+            raise BrokenInvariant("join of consistent elements must stay consistent")
+    out.flags.writeable = False
+    return out
 
 
 def pseudocomplements(df: DFrame) -> Pseudocomplements:
     """The d-frame's Pseudocomplements, built once per d-frame."""
-    return _memo(df, "_pseudocomplements", Pseudocomplements)
+    return _sided(df, "_pseudocomplements", Pseudocomplements)
 
 
 def pseudocomplement(df: DFrame, side: str, x: int) -> int:
@@ -95,10 +104,13 @@ def double_pseudocomplement_sets(df: DFrame):
 
 
 def _double_sets(df: DFrame):
-    pc = pseudocomplements(df)
-    minus_set = Sublocale(df.minus, set(pc.double_minus().tolist()))
-    plus_set = Sublocale(df.plus, set(pc.double_plus().tolist()))
+    minus_set, plus_set = _double_set(df), _double_set(df.swap())
     return minus_set, plus_set, minus_set.is_valid, plus_set.is_valid
+
+
+def _double_set(df: DFrame) -> Sublocale:
+    """The image of the minus double map as a member set, a sublocale or not."""
+    return Sublocale(df.minus, set(pseudocomplements(df).double_minus().tolist()))
 
 
 @dataclass
@@ -121,26 +133,16 @@ def galois_check(df: DFrame, subset_cap: int = 4096) -> GaloisReport:
     between consistency and the two comparisons, and invariance of
     consistency under the double maps.
     """
-    pc = pseudocomplements(df)
     rep = GaloisReport()
-    Lm, Lp, con = df.minus, df.plus, df.con
-    dbl_m, dbl_p = pc.double_minus(), pc.double_plus()
+    for side, d in (("minus", df), ("plus", df.swap())):
+        pc = pseudocomplements(d)
+        lat, other, to_op, dbl = d.minus, d.plus, pc.to_plus, pc.double_minus()
+        for a in range(lat.n):
+            if not lat.leq[a, dbl[a]]:
+                rep.note(f"{side} below double", (lat.elements[a],))
+            if to_op[dbl[a]] != to_op[a]:
+                rep.note(f"{side} triple equals single", (lat.elements[a],))
 
-    for a in range(Lm.n):
-        if not Lm.leq[a, dbl_m[a]]:
-            rep.note("minus below double", (Lm.elements[a],))
-        if pc.to_plus[dbl_m[a]] != pc.to_plus[a]:
-            rep.note("minus triple equals single", (Lm.elements[a],))
-    for p in range(Lp.n):
-        if not Lp.leq[p, dbl_p[p]]:
-            rep.note("plus below double", (Lp.elements[p],))
-        if pc.to_minus[dbl_p[p]] != pc.to_minus[p]:
-            rep.note("plus triple equals single", (Lp.elements[p],))
-
-    for side, lat, to_op, other in (
-        ("minus", Lm, pc.to_plus, Lp),
-        ("plus", Lp, pc.to_minus, Lm),
-    ):
         if 2 ** lat.n <= subset_cap:
             idxs = range(lat.n)
             subsets = (
@@ -157,6 +159,8 @@ def galois_check(df: DFrame, subset_cap: int = 4096) -> GaloisReport:
                 rep.note(f"{side} join to meet", tuple(lat.names(subset)))
                 break
 
+    Lm, Lp, con, pc = df.minus, df.plus, df.con, pseudocomplements(df)
+    dbl_m, dbl_p = pc.double_minus(), pc.swap().double_minus()
     for p in range(Lp.n):
         for a in range(Lm.n):
             c = bool(con[p, a])
@@ -220,39 +224,38 @@ class ConPreorder:
 
     def __init__(self, df: DFrame):
         self.df = df
-        Lm, Lp, con = df.minus, df.plus, df.con
-        # minus[a, b]: forall c, p: con[p, b /\ c] -> con[p, a /\ c]
-        ctx_m = con[:, Lm.meet]            # (p, x, c) -> con[p, x /\ c]
-        self.minus = np.zeros((Lm.n, Lm.n), dtype=bool)
-        for a in range(Lm.n):
-            self.minus[a, :] = (~ctx_m | ctx_m[:, a, :][:, None, :]).all(axis=(0, 2))
-        # plus[p, q]: forall t, a: con[q /\ t, a] -> con[p /\ t, a]
-        ctx_p = con[Lp.meet, :]            # (x, t, a) -> con[x /\ t, a]
-        self.plus = np.zeros((Lp.n, Lp.n), dtype=bool)
-        for p in range(Lp.n):
-            self.plus[p, :] = (~ctx_p | ctx_p[p, :, :][None, :, :]).all(axis=(1, 2))
-        self.minus.flags.writeable = False
-        self.plus.flags.writeable = False
+        self.minus = _consistency_preorder(df)
+        self.plus = _consistency_preorder(df.swap())
+
+    def swap(self) -> "ConPreorder":
+        """The same preorders seen from df.swap()."""
+        return _mirror(self, df=self.df.swap(), minus=self.plus, plus=self.minus)
 
     def saturation_minus(self) -> np.ndarray:
-        """a |-> join of everything below a in the minus preorder."""
+        """a |-> join of everything below a in the minus preorder;
+        swap().saturation_minus() is the plus side's."""
         Lm = self.df.minus
         return np.asarray(
             [Lm.join_all(np.where(self.minus[:, a])[0]) for a in range(Lm.n)],
             dtype=np.int64,
         )
 
-    def saturation_plus(self) -> np.ndarray:
-        Lp = self.df.plus
-        return np.asarray(
-            [Lp.join_all(np.where(self.plus[:, p])[0]) for p in range(Lp.n)],
-            dtype=np.int64,
-        )
+
+def _consistency_preorder(df: DFrame) -> np.ndarray:
+    """The minus preorder: [a, b] iff every p consistent with b meet c, for
+    any c, is consistent with a meet c."""
+    Lm = df.minus
+    ctx = df.con[:, Lm.meet]            # (p, x, c) -> con[p, x /\ c]
+    out = np.zeros((Lm.n, Lm.n), dtype=bool)
+    for a in range(Lm.n):
+        out[a, :] = (~ctx | ctx[:, a, :][:, None, :]).all(axis=(0, 2))
+    out.flags.writeable = False
+    return out
 
 
 def con_preorder(df: DFrame) -> ConPreorder:
     """The d-frame's ConPreorder, built once per d-frame."""
-    return _memo(df, "_con_preorder", ConPreorder)
+    return _sided(df, "_con_preorder", ConPreorder)
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,10 @@ class DenseCore:
     def as_dframe(self) -> DFrame:
         return self.core.as_dframe
 
+    def swap(self) -> "DenseCore":
+        """The same core seen from parent.swap()."""
+        return DenseCore(self.parent.swap(), self.nu_plus, self.nu_minus, self.core.swap())
+
 
 def dense_core(df: DFrame) -> DenseCore:
     """The smallest dense sub-d-locale, computed once per d-frame.
@@ -277,33 +284,32 @@ def dense_core(df: DFrame) -> DenseCore:
     independently computed smallest sublocales containing the
     double-pseudocomplement sets, and the result is verified dense.
     """
-    return _memo(df, "_dense_core", _dense_core)
+    return _sided(df, "_dense_core", _dense_core)
 
 
 def _dense_core(df: DFrame) -> DenseCore:
-    pre = con_preorder(df)
-    nu_m = Nucleus(df.minus, pre.saturation_minus())
-    nu_p = Nucleus(df.plus, pre.saturation_plus())
-    for side, nu in (("minus", nu_m), ("plus", nu_p)):
-        bad = nu.violation()
-        if bad is not None:
-            raise EquivalenceMismatch(f"saturation on the {side} side is not a nucleus: {bad}")
-
-    fix_m, fix_p = nu_m.fixpoints(), nu_p.fixpoints()
-    dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
-    gen_m = sublocale_generated_by(df.minus, dbl_m.members)
-    gen_p = sublocale_generated_by(df.plus, dbl_p.members)
-    if fix_m != gen_m or fix_p != gen_p:
-        raise EquivalenceMismatch(
-            "saturation fixpoints differ from the sublocales generated by the "
-            f"double pseudocomplements: {fix_m.members} vs {gen_m.members}, "
-            f"{fix_p.members} vs {gen_p.members}"
-        )
-
-    core = try_sub_d_locale(df, fix_m, fix_p)
+    nu_m, nu_p = (_saturation_nucleus(side, d) for side, d in (("minus", df), ("plus", df.swap())))
+    core = try_sub_d_locale(df, nu_m.fixpoints(), nu_p.fixpoints())
     if not is_dense_sub_d_locale(core):
         raise EquivalenceMismatch("the dense core failed its own density check")
     return DenseCore(df, nu_m, nu_p, core)
+
+
+def _saturation_nucleus(side: str, df: DFrame) -> Nucleus:
+    """The saturation of the minus consistency preorder, verified to be a
+    nucleus whose fixpoints are the sublocale generated by the double
+    pseudocomplements."""
+    nu = Nucleus(df.minus, con_preorder(df).saturation_minus())
+    bad = nu.violation()
+    if bad is not None:
+        raise EquivalenceMismatch(f"saturation on the {side} side is not a nucleus: {bad}")
+    fix, gen = nu.fixpoints(), sublocale_generated_by(df.minus, _double_set(df).members)
+    if fix != gen:
+        raise EquivalenceMismatch(
+            f"saturation fixpoints differ on the {side} side from the sublocale generated "
+            f"by the double pseudocomplements: {fix.members} vs {gen.members}"
+        )
+    return nu
 
 
 # -- corrigibility -------------------------------------------------------------
@@ -344,45 +350,38 @@ def corrigibility(df: DFrame) -> CorrigibilityReport:
     The seven results must agree per side (they are provably equivalent);
     disagreement raises instead of returning a verdict.
     """
-    pc = pseudocomplements(df)
-    pre = con_preorder(df)
-    hat = dense_core(df)
     out = []
-    for side, lat, other, single, double, order, fix in (
-        ("minus", df.minus, df.plus, pc.to_plus, pc.double_minus(), pre.minus, hat.core.minus),
-        ("plus", df.plus, df.minus, pc.to_minus, pc.double_plus(), pre.plus, hat.core.plus),
-    ):
-        image = Sublocale(lat, set(double.tolist()))
-        conds = {}
-        conds[_CONDITION_NAMES[0]] = image.is_valid
-        conds[_CONDITION_NAMES[1]] = image == fix
-        conds[_CONDITION_NAMES[2]] = bool(
-            (lat.leq[:, double] == order).all()  # b <= a^.. iff b below a
-        )
-        conds[_CONDITION_NAMES[3]] = bool((double[lat.meet] == lat.meet[np.ix_(double, double)]).all())
-        conds[_CONDITION_NAMES[4]] = bool(
-            (single[lat.meet] == single[lat.meet[np.ix_(double, np.arange(lat.n))]]).all()
-        )
-        if side == "minus":
-            def consistent(own, foreign):
-                return bool(df.con[foreign, own])
-        else:
-            def consistent(own, foreign):
-                return bool(df.con[own, foreign])
-        cond6 = all(
-            not (consistent(lat.meet[a, b], x)
-                 and not consistent(lat.meet[double[a], b], x))
-            for a in range(lat.n) for b in range(lat.n) for x in range(other.n)
-        )
-        conds[_CONDITION_NAMES[5]] = cond6
-        conds[_CONDITION_NAMES[6]] = bool((~order | order[double, :]).all())
-        values = set(conds.values())
-        if len(values) > 1:
+    for side, d in (("minus", df), ("plus", df.swap())):
+        conds = _corrigibility_conditions(d)
+        if len(set(conds.values())) > 1:
             raise EquivalenceMismatch(
                 f"corrigibility conditions disagree on the {side} side of {df.name}: {conds}"
             )
         out.append(conds)
     return CorrigibilityReport(out[0], out[1])
+
+
+def _corrigibility_conditions(df: DFrame) -> dict:
+    """The seven conditions on the minus side, each computed on its own."""
+    lat, con, pc = df.minus, df.con, pseudocomplements(df)
+    single, double, order = pc.to_plus, pc.double_minus(), con_preorder(df).minus
+    image = _double_set(df)
+    conds = {}
+    conds[_CONDITION_NAMES[0]] = image.is_valid
+    conds[_CONDITION_NAMES[1]] = image == dense_core(df).core.minus
+    conds[_CONDITION_NAMES[2]] = bool(
+        (lat.leq[:, double] == order).all()  # b <= a^.. iff b below a
+    )
+    conds[_CONDITION_NAMES[3]] = bool((double[lat.meet] == lat.meet[np.ix_(double, double)]).all())
+    conds[_CONDITION_NAMES[4]] = bool(
+        (single[lat.meet] == single[lat.meet[np.ix_(double, np.arange(lat.n))]]).all()
+    )
+    conds[_CONDITION_NAMES[5]] = all(
+        not (con[x, lat.meet[a, b]] and not con[x, lat.meet[double[a], b]])
+        for a in range(lat.n) for b in range(lat.n) for x in range(df.plus.n)
+    )
+    conds[_CONDITION_NAMES[6]] = bool((~order | order[double, :]).all())
+    return conds
 
 
 def is_corrigible(df: DFrame) -> bool:
@@ -394,11 +393,13 @@ def is_corrigible(df: DFrame) -> bool:
 
 def is_skeletal(hom: DFrameHom) -> bool:
     """Both components carry the consistency preorders into each other."""
-    pre_d, pre_c = con_preorder(hom.dom), con_preorder(hom.cod)
-    fm, fp = hom.minus.mapping, hom.plus.mapping
-    ok_minus = (~pre_d.minus | pre_c.minus[np.ix_(fm, fm)]).all()
-    ok_plus = (~pre_d.plus | pre_c.plus[np.ix_(fp, fp)]).all()
-    return bool(ok_minus and ok_plus)
+    return all(_carries_preorder(h) for h in (hom, hom.swap()))
+
+
+def _carries_preorder(hom: DFrameHom) -> bool:
+    """The minus component carries the minus preorders into each other."""
+    f = hom.minus.mapping
+    return bool((~con_preorder(hom.dom).minus | con_preorder(hom.cod).minus[np.ix_(f, f)]).all())
 
 
 def dense_core_map(hom: DFrameHom) -> DFrameHom:
@@ -407,19 +408,18 @@ def dense_core_map(hom: DFrameHom) -> DFrameHom:
     Sends a fixpoint to the codomain saturation of its image; for skeletal
     morphisms this assignment is functorial.
     """
-    dom_core, cod_core = dense_core(hom.dom), dense_core(hom.cod)
-    src, tgt = dom_core.as_dframe, cod_core.as_dframe
-    sat_m = cod_core.nu_minus.mapping
-    sat_p = cod_core.nu_plus.mapping
-    minus = FrameHom(src.minus, tgt.minus, [
-        cod_core.core.minus.position(int(sat_m[hom.minus.mapping[a]]))
-        for a in dom_core.core.minus.members
+    return DFrameHom(dense_core(hom.dom).as_dframe, dense_core(hom.cod).as_dframe,
+                     _core_component(hom), _core_component(hom.swap()),
+                     name=f"core({hom.name})")
+
+
+def _core_component(hom: DFrameHom) -> FrameHom:
+    """The minus component of the core map."""
+    src, cod_core = dense_core(hom.dom).core.minus, dense_core(hom.cod)
+    tgt, sat = cod_core.core.minus, cod_core.nu_minus.mapping
+    return FrameHom(src.as_frame, tgt.as_frame, [
+        tgt.position(int(sat[hom.minus.mapping[a]])) for a in src.members
     ])
-    plus = FrameHom(src.plus, tgt.plus, [
-        cod_core.core.plus.position(int(sat_p[hom.plus.mapping[p]]))
-        for p in dom_core.core.plus.members
-    ])
-    return DFrameHom(src, tgt, minus, plus, name=f"core({hom.name})")
 
 
 # -- classification -------------------------------------------------------------
@@ -444,24 +444,28 @@ class DFrameProperties:
 
 
 def is_double_negation(df: DFrame) -> bool:
-    pc = pseudocomplements(df)
-    return bool(
-        (pc.double_minus() == np.arange(df.minus.n)).all()
-        and (pc.double_plus() == np.arange(df.plus.n)).all()
+    return all(
+        (pseudocomplements(d).double_minus() == np.arange(d.minus.n)).all()
+        for d in (df, df.swap())
     )
 
 
 def is_excluded_middle(df: DFrame) -> bool:
     """Every element is total with its pseudocomplement."""
-    pc = pseudocomplements(df)
-    return bool(
-        df.tot[np.arange(df.minus.n), pc.to_plus].all()
-        and df.tot[pc.to_minus, np.arange(df.plus.n)].all()
+    return all(
+        d.tot[np.arange(d.minus.n), pseudocomplements(d).to_plus].all()
+        for d in (df, df.swap())
     )
 
 
 def _dually_subfit_definitional(df: DFrame) -> bool:
-    """The two separation conditions, evaluated by direct witness search."""
+    """The separation condition on each side, by direct witness search."""
+    return all(_separates(d) for d in (df, df.swap()))
+
+
+def _separates(df: DFrame) -> bool:
+    """Every a not below b on the minus side has a witness c, p: p is
+    consistent with b meet c but not with a meet c."""
     Lm, Lp, con = df.minus, df.plus, df.con
     for a in range(Lm.n):
         for b in range(Lm.n):
@@ -470,15 +474,6 @@ def _dually_subfit_definitional(df: DFrame) -> bool:
             if not any(
                 not con[p, Lm.meet[c, a]] and con[p, Lm.meet[c, b]]
                 for c in range(Lm.n) for p in range(Lp.n)
-            ):
-                return False
-    for p in range(Lp.n):
-        for q in range(Lp.n):
-            if Lp.leq[p, q]:
-                continue
-            if not any(
-                not con[Lp.meet[p, t], c] and con[Lp.meet[q, t], c]
-                for t in range(Lp.n) for c in range(Lm.n)
             ):
                 return False
     return True
@@ -490,10 +485,7 @@ def is_dually_subfit(df: DFrame) -> bool:
     Checked both through the definitional witness search and through the
     preorder; the two must agree.
     """
-    pre = con_preorder(df)
-    by_preorder = bool(
-        (pre.minus == df.minus.leq).all() and (pre.plus == df.plus.leq).all()
-    )
+    by_preorder = all((con_preorder(d).minus == d.minus.leq).all() for d in (df, df.swap()))
     by_definition = _dually_subfit_definitional(df)
     if by_preorder != by_definition:
         raise EquivalenceMismatch(
@@ -574,15 +566,12 @@ def coreflection_report(dframes, skeletal_homs=()) -> CoreflectionReport:
             continue
         if not is_dually_subfit(hom.cod):
             continue
-        dom_core = dense_core(hom.dom)
         # The factorisation: f equals (f restricted to the core) after the
         # core quotient, because saturation is absorbed by skeletal maps
         # into dually subfit codomains.
-        nu_m = dom_core.nu_minus.mapping
-        nu_p = dom_core.nu_plus.mapping
-        if not (
-            (hom.minus.mapping[nu_m] == hom.minus.mapping).all()
-            and (hom.plus.mapping[nu_p] == hom.plus.mapping).all()
+        if not all(
+            (h.minus.mapping[dense_core(h.dom).nu_minus.mapping] == h.minus.mapping).all()
+            for h in (hom, hom.swap())
         ):
             rep.failures.append((hom.name, "does not factor through the core quotient"))
     return rep

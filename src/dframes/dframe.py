@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BrokenInvariant, CarrierMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import down_closure_pairs, is_down_closed_pairs, is_up_closed_pairs, up_closure_pairs
+from .order import Lattice, _bool_matmul, down_closure_pairs, is_down_closed_pairs, up_closure_pairs
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,23 @@ class DFrame:
         self.con.flags.writeable = False
         self.tot.flags.writeable = False
         self.name = name if name is not None else f"{minus.name}.{plus.name}"
+        self.swapped_from = None
+
+    def swap(self) -> "DFrame":
+        """The d-frame (plus, minus, con transposed, tot transposed).
+
+        Built once, so df.swap() is df.swap() and df.swap().swap() is df.
+        Each per-side computation is written for the minus side and run on
+        df and on df.swap().  The swap keeps no derived structure of its
+        own: density reads it from swapped_from's, mirrored.
+        """
+        swapped = vars(self).get("_swap")
+        if swapped is None:
+            swapped = DFrame(self.plus, self.minus, self.con.T, self.tot.T,
+                             name=f"swap({self.name})")
+            swapped._swap = swapped.swapped_from = self
+            swapped = vars(self).setdefault("_swap", swapped)
+        return swapped
 
     def con_pairs(self) -> list[tuple[str, str]]:
         return [
@@ -99,17 +116,26 @@ class DFrame:
         return f"DFrame({self.name}: |con|={int(self.con.sum())}, |tot|={int(self.tot.sum())})"
 
 
+def _memo(df: DFrame, key: str, build):
+    """build(df), run once per d-frame and kept in the d-frame's instance dict.
+
+    A DFrame's arrays are read-only, so whatever is derived from them stays
+    valid as long as the d-frame lives, and dies with it.  A build that
+    raises stores nothing: the next call runs it, and fails, again.
+    """
+    memo = vars(df)
+    if key not in memo:
+        memo[key] = build(df)
+    return memo[key]
+
+
 def check_dframe(df: DFrame) -> AxiomReport:
     """Run the nine named axioms, each with a first-counterexample witness."""
     Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
     checks = []
 
     # (con-down): con is a lower set of plus x minus.
-    if is_down_closed_pairs(Lp.lattice, Lm.lattice, con):
-        checks.append(AxiomCheck("con-down", True))
-    else:
-        checks.append(AxiomCheck("con-down", False, _down_witness(Lp, Lm, con)))
-
+    checks.append(_order_check("con-down", con, Lp, Lm, upper=False))
     checks.append(_pairwise_check(
         "con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
         nullary=(Lp.bottom, Lm.top)))
@@ -118,11 +144,7 @@ def check_dframe(df: DFrame) -> AxiomReport:
         nullary=(Lp.top, Lm.bottom)))
 
     # (tot-up): tot is an upper set of minus x plus.
-    if is_up_closed_pairs(Lm.lattice, Lp.lattice, tot):
-        checks.append(AxiomCheck("tot-up", True))
-    else:
-        checks.append(AxiomCheck("tot-up", False, _up_witness(Lm, Lp, tot)))
-
+    checks.append(_order_check("tot-up", tot, Lm, Lp, upper=True))
     checks.append(_pairwise_check(
         "tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
         nullary=(Lm.bottom, Lp.top)))
@@ -130,30 +152,13 @@ def check_dframe(df: DFrame) -> AxiomReport:
         "tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
         nullary=(Lm.top, Lp.bottom)))
 
-    # (con-tot), plus side: phi con a and a tot psi force phi <= psi.
-    comp = (con.astype(np.int64) @ tot.astype(np.int64)) > 0
-    bad = comp & ~Lp.leq
-    if bad.any():
-        p1, p2 = next(zip(*np.where(bad)))
-        m = int(np.where(con[p1, :] & tot[:, p2])[0][0])
-        checks.append(AxiomCheck(
-            "con-tot-plus", False,
-            (Lp.elements[p1], "con", Lm.elements[m], "tot", Lp.elements[p2])))
-    else:
-        checks.append(AxiomCheck("con-tot-plus", True))
-
-    # (con-tot), minus side: phi con a and b tot phi force a <= b.
-    comp2 = (con.astype(np.int64).T @ tot.astype(np.int64).T) > 0
-    bad2 = comp2 & ~Lm.leq
-    if bad2.any():
-        m1, m2 = next(zip(*np.where(bad2)))
-        p = int(np.where(con[:, m1] & tot[m2, :])[0][0])
-        checks.append(AxiomCheck(
-            "con-tot-minus", False,
-            (Lp.elements[p], "con", Lm.elements[m1], "while", Lm.elements[m2],
-             "tot", Lp.elements[p])))
-    else:
-        checks.append(AxiomCheck("con-tot-minus", True))
+    # (con-tot), plus side: phi con a and a tot psi force phi <= psi; the
+    # minus side is the same law on the transposes: phi con a and b tot phi
+    # force a <= b.
+    checks.append(_con_tot_check("con-tot-plus", con, tot, Lp.leq, lambda p1, m, p2: (
+        Lp.elements[p1], "con", Lm.elements[m], "tot", Lp.elements[p2])))
+    checks.append(_con_tot_check("con-tot-minus", con.T, tot.T, Lm.leq, lambda m1, p, m2: (
+        Lp.elements[p], "con", Lm.elements[m1], "while", Lm.elements[m2], "tot", Lp.elements[p])))
 
     # (con-dirjoin): a finite directed set holds its own join, so every
     # relation is closed under directed joins (directed_joins_bruteforce is
@@ -179,24 +184,36 @@ def _pairwise_check(name, rel, row_op, col_op, row_names, col_names, nullary):
     return AxiomCheck(name, True)
 
 
-def _down_witness(Lp, Lm, con):
-    for p, m in zip(*np.where(con)):
-        for p2 in np.where(Lp.leq[:, p])[0]:
-            for m2 in np.where(Lm.leq[:, m])[0]:
-                if not con[p2, m2]:
-                    return (Lp.elements[p2], Lm.elements[m2], "below",
-                            Lp.elements[p], Lm.elements[m])
-    return ()
+def _order_check(name, rel, rows, cols, upper):
+    """rel is a lower set of rows x cols, or an upper set when upper is set.
+
+    An upper set is a lower set for the reversed orders.  The witness is
+    the first missing pair below (above) a member, in rel's own row-major
+    order.
+    """
+    closure = up_closure_pairs if upper else down_closure_pairs
+    if (closure(rows.lattice, cols.lattice, rel) == rel).all():
+        return AxiomCheck(name, True)
+    row_leq, col_leq = (rows.leq.T, cols.leq.T) if upper else (rows.leq, cols.leq)
+    for r, c in zip(*np.where(rel)):
+        for r2 in np.where(row_leq[:, r])[0]:
+            for c2 in np.where(col_leq[:, c])[0]:
+                if not rel[r2, c2]:
+                    return AxiomCheck(name, False, (
+                        rows.elements[r2], cols.elements[c2], "above" if upper else "below",
+                        rows.elements[r], cols.elements[c]))
+    return AxiomCheck(name, False)
 
 
-def _up_witness(Lm, Lp, tot):
-    for m, p in zip(*np.where(tot)):
-        for m2 in np.where(Lm.leq[m, :])[0]:
-            for p2 in np.where(Lp.leq[p, :])[0]:
-                if not tot[m2, p2]:
-                    return (Lm.elements[m2], Lp.elements[p2], "above",
-                            Lm.elements[m], Lp.elements[p])
-    return ()
+def _con_tot_check(name, con, tot, leq, witness):
+    """x con y and y tot z force x <= z, with con in X x Y, tot in Y x X
+    and leq the order of X; witness(x, y, z) names the first failure."""
+    bad = _bool_matmul(con, tot) & ~leq
+    if not bad.any():
+        return AxiomCheck(name, True)
+    x, z = next(zip(*np.where(bad)))
+    y = int(np.where(con[x, :] & tot[:, z])[0][0])
+    return AxiomCheck(name, False, witness(x, y, z))
 
 
 # -- canonical constructors ---------------------------------------------------
@@ -261,31 +278,34 @@ class DFrameHom:
             name=f"{self.name}.{inner.name}",
         )
 
-    def con_image(self) -> np.ndarray:
-        """Image of dom's con inside cod's index space."""
-        out = np.zeros((self.cod.plus.n, self.cod.minus.n), dtype=bool)
-        ps, ms = np.where(self.dom.con)
-        out[self.plus.mapping[ps], self.minus.mapping[ms]] = True
-        return out
+    def swap(self) -> "DFrameHom":
+        """The same pair of maps between the swapped d-frames."""
+        return DFrameHom(self.dom.swap(), self.cod.swap(), self.plus, self.minus, name=self.name)
 
-    def tot_image(self) -> np.ndarray:
-        out = np.zeros((self.cod.minus.n, self.cod.plus.n), dtype=bool)
-        ms, ps = np.where(self.dom.tot)
-        out[self.minus.mapping[ms], self.plus.mapping[ps]] = True
-        return out
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        """The images of dom's con and tot inside cod's index space.
+
+        tot is imaged through its transpose, which lives in plus x minus
+        like con.
+        """
+        def image(rel):
+            out = np.zeros((self.cod.plus.n, self.cod.minus.n), dtype=bool)
+            ps, ms = np.where(rel)
+            out[self.plus.mapping[ps], self.minus.mapping[ms]] = True
+            return out
+        return image(self.dom.con), image(self.dom.tot.T).T
 
     def violations(self) -> list:
         """Frame-hom failures of both components plus relation preservation."""
         out = [("minus " + v.law, v.witness) for v in self.minus.violations()]
         out += [("plus " + v.law, v.witness) for v in self.plus.violations()]
-        bad_con = self.con_image() & ~self.cod.con
-        if bad_con.any():
-            p, m = next(zip(*np.where(bad_con)))
-            out.append(("con", (self.cod.plus.elements[p], self.cod.minus.elements[m])))
-        bad_tot = self.tot_image() & ~self.cod.tot
-        if bad_tot.any():
-            m, p = next(zip(*np.where(bad_tot)))
-            out.append(("tot", (self.cod.minus.elements[m], self.cod.plus.elements[p])))
+        con_image, tot_image = self.images()
+        cod = self.cod
+        for law, bad, rows, cols in (("con", con_image & ~cod.con, cod.plus, cod.minus),
+                                     ("tot", tot_image & ~cod.tot, cod.minus, cod.plus)):
+            if bad.any():
+                r, c = next(zip(*np.where(bad)))
+                out.append((law, (rows.elements[r], cols.elements[c])))
         return out
 
     @cached_property
@@ -322,7 +342,8 @@ def is_extremal_epi(hom: DFrameHom) -> bool:
     closure)."""
     if not (hom.minus.is_surjective and hom.plus.is_surjective):
         return False
-    return bool((hom.con_image() == hom.cod.con).all() and (hom.tot_image() == hom.cod.tot).all())
+    con_image, tot_image = hom.images()
+    return bool((con_image == hom.cod.con).all() and (tot_image == hom.cod.tot).all())
 
 
 def dense_hom_witness(hom: DFrameHom):
@@ -353,57 +374,30 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     The image carries the sub-frames generated by the component images, the
     con image (already Scott closed over finite carriers) and the tot image.
     """
-    # Subframes, not sublocales: image carriers keep the codomain's joins.
-    img_minus = _subframe(hom.cod.minus, hom.minus.image_indices())
-    img_plus = _subframe(hom.cod.plus, hom.plus.image_indices())
-
-    pos_minus = {idx: k for k, idx in enumerate(hom.minus.image_indices())}
-    pos_plus = {idx: k for k, idx in enumerate(hom.plus.image_indices())}
-
-    con_img = np.zeros((img_plus.n, img_minus.n), dtype=bool)
-    ps, ms = np.where(hom.dom.con)
-    con_img[
-        [pos_plus[int(i)] for i in hom.plus.mapping[ps]],
-        [pos_minus[int(i)] for i in hom.minus.mapping[ms]],
-    ] = True
-    if not is_down_closed_pairs(img_plus.lattice, img_minus.lattice, con_img):
+    (onto_m, incl_m), (onto_p, incl_p) = _factor(hom.minus), _factor(hom.plus)
+    im, ip = incl_m.mapping, incl_p.mapping
+    con_image, tot_image = hom.images()  # both vanish outside the image carriers
+    image = DFrame(onto_m.cod, onto_p.cod, con_image[np.ix_(ip, im)], tot_image[np.ix_(im, ip)],
+                   name=f"im({hom.name})")
+    if not is_down_closed_pairs(image.plus.lattice, image.minus.lattice, image.con):
         raise BrokenInvariant("con image of a surjection must be a lower set")
-
-    tot_img = np.zeros((img_minus.n, img_plus.n), dtype=bool)
-    ms, ps = np.where(hom.dom.tot)
-    tot_img[
-        [pos_minus[int(i)] for i in hom.minus.mapping[ms]],
-        [pos_plus[int(i)] for i in hom.plus.mapping[ps]],
-    ] = True
-
-    image = DFrame(img_minus, img_plus, con_img, tot_img,
-                   name=f"im({hom.name})").assert_valid()
-    onto = DFrameHom(
-        hom.dom, image,
-        FrameHom(hom.dom.minus, img_minus, [pos_minus[int(i)] for i in hom.minus.mapping]),
-        FrameHom(hom.dom.plus, img_plus, [pos_plus[int(i)] for i in hom.plus.mapping]),
-        name=f"{hom.name}-onto",
-    )
-    embedding = DFrameHom(
-        image, hom.cod,
-        FrameHom(img_minus, hom.cod.minus, list(hom.minus.image_indices())),
-        FrameHom(img_plus, hom.cod.plus, list(hom.plus.image_indices())),
-        name=f"{hom.name}-incl",
-    )
+    image.assert_valid()
+    onto = DFrameHom(hom.dom, image, onto_m, onto_p, name=f"{hom.name}-onto")
+    embedding = DFrameHom(image, hom.cod, incl_m, incl_p, name=f"{hom.name}-incl")
     return Factorization(onto, image, embedding)
 
 
-def _subframe(frame: Frame, indices) -> Frame:
-    """The subset as a frame with the inherited order.
+def _factor(f: FrameHom) -> tuple[FrameHom, FrameHom]:
+    """f as a surjection onto its image followed by the inclusion.
 
-    Valid when the subset is closed under the frame's meets and joins (image
-    of a frame hom always is); then bounds and operations restrict.
+    Subframes, not sublocales: the image keeps the codomain's joins, and is
+    the codomain itself when f is onto.  The image of a frame hom is closed
+    under the codomain's meets and joins, so bounds and operations restrict.
     """
-    from .order import Lattice
-
-    sub = np.asarray(sorted(indices))
-    leq = frame.leq[np.ix_(sub, sub)]
-    return Frame(Lattice(frame.names(sub), leq), name=f"{frame.name}|{len(sub)}")
+    idx = np.asarray(f.image_indices())
+    image = f.cod if f.is_surjective else Frame(
+        Lattice(f.cod.names(idx), f.cod.leq[np.ix_(idx, idx)]), name=f"{f.cod.name}|{len(idx)}")
+    return FrameHom(f.dom, image, np.searchsorted(idx, f.mapping)), FrameHom(image, f.cod, idx)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -413,24 +407,19 @@ def rather_below(df: DFrame) -> tuple[np.ndarray, np.ndarray]:
     """The two composites of con and tot.
 
     Returns (minus, plus): minus[a, b] iff some phi has phi con a and
-    b tot phi; plus[phi, psi] iff some a has phi con a and a tot psi.  The
-    con-tot axiom says both sit inside the lattice orders.
+    b tot phi; plus is minus of the swap, plus[phi, psi] iff some a has
+    phi con a and a tot psi.  The con-tot axiom says both sit inside the
+    lattice orders.
     """
-    plus = (df.con.astype(np.int64) @ df.tot.astype(np.int64)) > 0
-    minus = (df.con.astype(np.int64).T @ df.tot.astype(np.int64).T) > 0
-    return minus, plus
+    return tuple(_bool_matmul(d.con.T, d.tot.T) for d in (df, df.swap()))
 
 
 def is_regular(df: DFrame) -> bool:
     """Every element is the join of the elements rather below it."""
-    rb_minus, rb_plus = rather_below(df)
-    for b in range(df.minus.n):
-        if df.minus.join_all(np.where(rb_minus[:, b])[0]) != b:
-            return False
-    for q in range(df.plus.n):
-        if df.plus.join_all(np.where(rb_plus[:, q])[0]) != q:
-            return False
-    return True
+    return all(
+        d.minus.join_all(np.where(rb[:, b])[0]) == b
+        for d, rb in zip((df, df.swap()), rather_below(df)) for b in range(d.minus.n)
+    )
 
 
 # -- generator closure ---------------------------------------------------------

