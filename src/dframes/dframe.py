@@ -49,9 +49,9 @@ class AxiomReport:
 class DFrame:
     """A quadruple (minus frame, plus frame, con, tot).
 
-    The constructor only stores; run validate() or use the checked
-    factories below.  con[p, m] means plus element p is consistent with
-    minus element m; tot[m, p] means they are total.
+    The constructor only stores, keeping an array that is read-only and owns
+    its data and copying any other; run validate() or use the checked
+    factories below.  con[p, m]: plus p con minus m; tot[m, p]: m tot p.
     """
 
     def __init__(self, minus: Frame, plus: Frame, con: np.ndarray, tot: np.ndarray,
@@ -64,10 +64,9 @@ class DFrame:
             raise CarrierMismatch(f"tot must be {minus.n}x{plus.n}, got {tot.shape}")
         self.minus = minus
         self.plus = plus
-        self.con = con.copy()
-        self.tot = tot.copy()
-        self.con.flags.writeable = False
-        self.tot.flags.writeable = False
+        self.con, self.tot = (a if a.flags.owndata and not a.flags.writeable else a.copy()
+                              for a in (con, tot))
+        self.con.flags.writeable = self.tot.flags.writeable = False
         self.name = name if name is not None else f"{minus.name}.{plus.name}"
         self.swapped_from = None
 
@@ -100,7 +99,8 @@ class DFrame:
         ]
 
     def validate(self) -> AxiomReport:
-        return check_dframe(self)
+        """check_dframe, run once per d-frame."""
+        return _memo(self, "_axioms", check_dframe)
 
     def assert_valid(self) -> "DFrame":
         report = self.validate()

@@ -3,7 +3,8 @@
 A pair of component sublocales determines at most one d-frame quotient: the
 consistency relation is the Scott closure of the image of con under the
 quotient pair, and the totality relation is the restriction of tot.  A pair
-is admitted exactly when the induced quadruple passes the d-frame axioms.
+is admitted exactly when the induced quadruple passes the d-frame axioms:
+admission_matrix tests every pair at once, build_sub_d_locale one pair.
 """
 
 from __future__ import annotations
@@ -19,21 +20,25 @@ from .order import _bool_matmul, bound_table, cover_relation
 
 
 class SubDLocale:
-    """A valid sublocale pair with its induced relations.
-
-    Construct through try_sub_d_locale so the axioms are known to hold.
-    The induced matrices are indexed by positions inside the member frames.
+    """A sublocale pair, admitted by enumerate_sub_d_locales or
+    try_sub_d_locale, with its induced relations: con and tot are built
+    together on first use, indexed by positions inside the member frames.
     """
 
-    def __init__(self, parent: DFrame, minus: Sublocale, plus: Sublocale,
-                 con: np.ndarray, tot: np.ndarray):
+    def __init__(self, parent: DFrame, minus: Sublocale, plus: Sublocale):
         self.parent = parent
         self.minus = minus
         self.plus = plus
-        self.con = con
-        self.tot = tot
-        self.con.flags.writeable = False
-        self.tot.flags.writeable = False
+
+    @cached_property
+    def con(self) -> np.ndarray:
+        self.con, self.tot = induced_relations(self.parent, self.minus, self.plus)
+        return self.con
+
+    @cached_property
+    def tot(self) -> np.ndarray:
+        self.con, self.tot = induced_relations(self.parent, self.minus, self.plus)
+        return self.tot
 
     @cached_property
     def label(self) -> str:
@@ -54,8 +59,10 @@ class SubDLocale:
         return DFrameHom(self.parent, target, q_minus, q_plus, name=f"q[{self.label}]")
 
     def swap(self) -> "SubDLocale":
-        """The same pair as a sub-d-locale of parent.swap()."""
-        return SubDLocale(self.parent.swap(), self.plus, self.minus, self.con.T, self.tot.T)
+        """The same pair, sharing its relations, under parent.swap()."""
+        swapped = SubDLocale(self.parent.swap(), self.plus, self.minus)
+        swapped.con, swapped.tot = self.con.T, self.tot.T
+        return swapped
 
     def restricted_con(self) -> np.ndarray:
         """Parent con restricted to the member sets, in position space."""
@@ -94,7 +101,7 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     con is the Scott closure of the image of parent con under the quotient
     pair, which over finite carriers is the image itself; tot is the image
     of parent tot, which always equals the restriction.  A failed check
-    raises BrokenInvariant.
+    raises BrokenInvariant.  Both come back read-only.
     """
     # a quotient value is a member, so its position is its rank among the
     # sorted members
@@ -111,6 +118,7 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     restriction = _restrict(parent.tot, minus, plus)
     if not (tot == restriction).all():
         raise BrokenInvariant("quotient image of tot must equal its restriction")
+    con.flags.writeable = tot.flags.writeable = False
     return con, tot
 
 
@@ -120,9 +128,8 @@ def _restrict(relation: np.ndarray, rows: Sublocale, cols: Sublocale) -> np.ndar
 
 
 def build_sub_d_locale(parent: DFrame, minus: Sublocale, plus: Sublocale):
-    """(SubDLocale, report): the candidate and its axiom report."""
-    con, tot = induced_relations(parent, minus, plus)
-    candidate = SubDLocale(parent, minus, plus, con, tot)
+    """(SubDLocale, report): the candidate and its nine-axiom report."""
+    candidate = SubDLocale(parent, minus, plus)
     report = check_dframe(candidate.as_dframe)
     return candidate, report
 
@@ -324,17 +331,41 @@ def _enumerate(parent: DFrame, max_frame: int, max_pairs: int) -> SubDLocaleLatt
     pairs = len(subs_minus) * len(subs_plus)
     if pairs > max_pairs:
         raise SizeGuardExceeded(f"{pairs} sublocale pairs exceed the guard of {max_pairs}")
-    found = []
-    for sm in subs_minus:
-        for sp in subs_plus:
-            candidate, report = build_sub_d_locale(parent, sm, sp)
-            if report.ok:
-                found.append(candidate)
+    found = [SubDLocale(parent, subs_minus[i], subs_plus[j])
+             for i, j in np.argwhere(admission_matrix(parent, subs_minus, subs_plus))]
     found.sort(key=lambda s: (
         len(s.minus.members) + len(s.plus.members),
         s.minus.members, s.plus.members,
     ))
     return SubDLocaleLattice(parent, found)
+
+
+def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
+    """[i, j]: whether (subs_minus[i], subs_plus[j]) induces a d-frame.
+
+    Over a valid parent (InvalidDFrame otherwise) only the two con-tot
+    axioms can fail.  Con-tot-plus holds iff q+(f(a)) <= q+(g(q-(a))) for
+    every minus element a: f(a) is the largest plus element consistent with
+    a, so q+(f(a)) is the largest induced partner of q-(a), and g(a) is the
+    least one total with a.  Con-tot-minus is the same test on the swap.
+    """
+    from .density import pseudocomplements
+
+    parent.assert_valid()
+    quotients = [np.array([s.quotient for s in subs]) for subs in (subs_minus, subs_plus)]
+    sides = []
+    for df, (q_minus, q_plus) in ((parent, quotients), (parent.swap(), quotients[::-1])):
+        f, g = pseudocomplements(df).to_plus, _least_total(df)
+        sides.append(df.plus.leq[q_plus[:, f][:, None, :], q_plus[:, g[q_minus]]].all(-1))
+    return sides[0].T & sides[1]
+
+
+def _least_total(df: DFrame) -> np.ndarray:
+    """a |-> the least plus element total with a (the meet of all of them)."""
+    g = np.array([df.plus.meet_all(np.where(row)[0]) for row in df.tot], dtype=np.int64)
+    if not df.tot[np.arange(df.minus.n), g].all():
+        raise BrokenInvariant("meet of total elements must stay total")
+    return g
 
 
 def hasse_dot(labels, leq: np.ndarray) -> str:

@@ -101,6 +101,26 @@ def test_assert_valid_raises():
         invalid_all_pairs().assert_valid()
 
 
+def test_dframe_keeps_frozen_owned_arrays_and_copies_the_rest():
+    tt = three_three()
+    frozen = tt.con.copy()
+    frozen.flags.writeable = False
+    writeable = tt.tot.copy()
+    df = DFrame(tt.minus, tt.plus, frozen, writeable)
+    assert df.con is frozen
+    assert df.tot is not writeable and not df.tot.flags.writeable
+    writeable[:] = False  # the caller's later writes do not reach df
+    assert (df.tot == tt.tot).all()
+    view = DFrame(tt.plus, tt.minus, frozen.T, tt.tot.T)  # views are copied
+    assert view.con.flags.owndata and view.tot.flags.owndata
+
+
+def test_validation_runs_once_per_dframe():
+    tt = three_three()
+    assert tt.validate() is tt.validate()
+    assert tt.swap().validate() is not tt.validate()
+
+
 def test_dframe_hom_checker():
     tt = three_three()
     ident = DFrameHom.identity(tt)

@@ -185,6 +185,28 @@ def test_partnerless_matches_the_unmemoised_loops():
     assert searched == mine(max_frame=3).searched
 
 
+def test_partnerless_admits_by_the_matrix(monkeypatch):
+    import dframes.search
+    import dframes.subdlocale
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_sub_d_locale(*args)
+
+    for module in (dframes.subdlocale, dframes.search):
+        monkeypatch.setattr(module, "build_sub_d_locale", counted)
+    pool = frame_pool(3)
+    searched = 0
+    for minus, plus in product(pool, pool):
+        if minus.is_trivial == plus.is_trivial:
+            for df in enumerate_dframes(minus, plus):
+                partnerless_sublocales(df)
+                searched += 1
+    assert searched == 8 and calls == []  # the d-frames mine(max_frame=3) searches
+
+
 def test_miner_at_size_four():
     report = mine(max_frame=4)
     assert report.searched == 136

@@ -1,21 +1,32 @@
+import io
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dframes import subdlocale
+from dframes import cli, documents, subdlocale
 from dframes.density import Pseudocomplements, con_preorder, dense_core, pseudocomplements
-from dframes.dframe import check_dframe, is_extremal_epi, minimal_dframe, symmetric_dframe
-from dframes.errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
+from dframes.dframe import (
+    AxiomCheck,
+    AxiomReport,
+    check_dframe,
+    is_extremal_epi,
+    minimal_dframe,
+    symmetric_dframe,
+)
+from dframes.errors import BrokenInvariant, InvalidDFrame, NotASubDLocale, SizeGuardExceeded
 from dframes.fixtures import three_three
-from dframes.search import standard_corpus
+from dframes.search import frame_pool, random_dframe, standard_corpus
 from dframes.frames import (
     Frame,
+    Sublocale,
     closed_sublocale,
     enumerate_sublocales,
     one_sublocale,
@@ -25,6 +36,7 @@ from dframes.frames import (
 from dframes.subdlocale import (
     SubDLocale,
     SubDLocaleLattice,
+    admission_matrix,
     build_sub_d_locale,
     enumerate_sub_d_locales,
     hasse_dot,
@@ -146,6 +158,79 @@ def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
     assert max(admitted.values()) == 1
 
 
+# The parents of the dsub-lattice benchmark workload.
+LATTICE_SPECS = ("min:chain:5:chain:5", "sym:chain:5", "min:bool:2:chain:5",
+                 "min:chain:5:bool:2", "sym:bool:2", "min:bool:3:chain:4")
+
+
+def test_admission_matrix_matches_the_axiom_route():
+    rng = random.Random(8)
+    pool = frame_pool(4)
+    parents = ([three_three()] + [documents.dframe_from_spec(s) for s in LATTICE_SPECS]
+               + standard_corpus(5) + [random_dframe(rng, pool=pool) for _ in range(200)])
+    failures = Counter()
+    for df in parents:
+        subs_minus, subs_plus = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
+        admitted = admission_matrix(df, subs_minus, subs_plus)
+        assert admitted.shape == (len(subs_minus), len(subs_plus))
+        for i, sm in enumerate(subs_minus):
+            for j, sp in enumerate(subs_plus):
+                report = build_sub_d_locale(df, sm, sp)[1]
+                assert admitted[i, j] == report.ok, (df.name, sm, sp)
+                failures[tuple(c.name for c in report.checks if not c.ok)] += 1
+    # over a valid parent only the con-tot axioms fail, and each side alone
+    # rejects some pairs
+    assert set(failures) == {(), ("con-tot-plus",), ("con-tot-minus",),
+                             ("con-tot-plus", "con-tot-minus")}
+    assert sum(failures.values()) > 6000
+
+
+def test_enumeration_refuses_an_invalid_parent(fixture_dir):
+    bad = documents.load_path(str(fixture_dir / "bad_contot.json"), strict=True)
+    assert not bad.validate().ok
+    with pytest.raises(InvalidDFrame):
+        subdlocale._enumerate(bad, 12, 400)
+    with pytest.raises(InvalidDFrame):
+        enumerate_sub_d_locales(bad)
+
+
+def _count_calls(monkeypatch, original):
+    """Replace every binding of original in the dframes modules with a
+    counting wrapper; returns the list the calls are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dframes":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_dsub_checks_only_its_parent_and_builds_no_member_frame(monkeypatch, tmp_path):
+    path = tmp_path / "five_five.json"
+    path.write_text(documents.dumps(documents.dframe_from_spec("min:chain:5:chain:5")))
+    checks = _count_calls(monkeypatch, check_dframe)
+    builds = []
+    raw = Sublocale.__dict__["as_frame"]
+
+    def counted(self):
+        builds.append(self)
+        return raw.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Sublocale, "as_frame")
+    monkeypatch.setattr(Sublocale, "as_frame", prop)
+    out = io.StringIO()
+    assert cli.main(["dsub", str(path)], stdout=out) == 0
+    assert "member count :: 226 members" in out.getvalue()
+    assert len(checks) == 1 and builds == []
+
+
 def test_induced_tot_is_restriction_and_quotients_are_extremal():
     ds = enumerate_sub_d_locales(three_three())
     for member in ds.members:
@@ -219,6 +304,23 @@ def test_sweep_records_a_wrong_meet_index_as_a_failed_verdict(monkeypatch):
     assert (DENSE_MEET_VERDICT, "") in sweep.failures()
 
 
+def test_sweep_records_an_admission_disagreement_as_a_failed_verdict(monkeypatch):
+    tt = three_three()
+    dense_core(tt)  # admits its own pair with the unpatched route
+
+    def rejects_the_whole_pair(parent, minus, plus):
+        candidate, report = build_sub_d_locale(parent, minus, plus)
+        if parent is tt and minus.is_whole and plus.is_whole:
+            report = AxiomReport((AxiomCheck("con-tot-plus", False),))
+        return candidate, report
+
+    monkeypatch.setattr(subdlocale, "build_sub_d_locale", rejects_the_whole_pair)
+    sweep = Sweep()
+    sweep_dframe(tt, sweep)
+    assert sweep.failures() == [
+        ("3.3: axiom route admits the members, induced tot equals restriction", "")]
+
+
 def test_bounds_check_survives_optimised_python():
     script = textwrap.dedent(f"""
         from dframes.fixtures import three_three
@@ -238,6 +340,10 @@ def test_bounds_check_survives_optimised_python():
 
 def test_handed_out_arrays_are_frozen():
     tt = three_three()
+    lazy = enumerate_sub_d_locales(tt).members[4]
+    assert "con" not in vars(lazy) and "tot" not in vars(lazy)
+    lazy.tot  # builds con with it
+    assert lazy.as_dframe.con is lazy.con and lazy.as_dframe.tot is lazy.tot
     sub = closed_sublocale(tt.minus, "c")
     sub.member_vector, sub.quotient  # materialise the cached arrays
     member = enumerate_sub_d_locales(tt).members[3]
@@ -251,7 +357,7 @@ def test_handed_out_arrays_are_frozen():
                        (member.quotient_hom().minus, 1), (lattice, 5),
                        (tt, 2), (swapped, 2), (pseudocomplements(swapped), 2),
                        (con_preorder(swapped), 2), (dense_core(swapped).core, 2),
-                       (dense_core(swapped).nu_minus, 1)):
+                       (dense_core(swapped).nu_minus, 1), (lazy, 2), (lazy.as_dframe, 2)):
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == count
         assert not any(a.flags.writeable for a in arrays)
@@ -483,7 +589,8 @@ def test_induced_and_restricted_relations_match_np_ix():
                 con, tot = induced_relations(df, sm, sp)
                 expected_con, expected_tot = image_relations(df, sm, sp)
                 assert (con == expected_con).all() and (tot == expected_tot).all()
-                candidate = SubDLocale(df, sm, sp, con, tot)
+                candidate = SubDLocale(df, sm, sp)
+                assert (candidate.con == con).all() and (candidate.tot == tot).all()
                 assert (candidate.restricted_con()
                         == df.con[np.ix_(sp.members, sm.members)]).all()
                 assert (candidate.restricted_tot()
