@@ -33,9 +33,10 @@ print("\n3-chain: c -> 0 =", c3.elements[c3.implies(c3.idx("c"), c3.idx("0"))])
 print("3-chain: c* =", c3.elements[c3.pseudocomplement(c3.idx("c"))],
       "  c** =", c3.elements[c3.pseudocomplement(c3.pseudocomplement(c3.idx("c")))])
 
-# A Frame validates distributivity on construction.
+# A Frame is a Lattice that has passed the distributivity check.  Made from
+# c3, it keeps c3's tables rather than rebuilding them.
 frame = Frame(c3, name="3")
-print("\nframe:", frame)
+print("\nframe:", frame, " same meet table as c3?", frame.meet is c3.meet)
 
 # Any finite order renders as a DOT Hasse diagram.
 print("\nDOT for the diamond:")

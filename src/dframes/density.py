@@ -196,7 +196,7 @@ def sublocale_generated_by(frame, seed) -> Sublocale:
     """Smallest sublocale containing the seed: close under meets and
     implications from arbitrary elements."""
     members = set(int(i) for i in seed) | {frame.top}
-    imp = frame.lattice.implication
+    imp = frame.implication
     while True:
         new = set()
         mem = sorted(members)
@@ -517,9 +517,9 @@ def classify(df: DFrame) -> DFrameProperties:
 def dframe_isomorphism(a: DFrame, b: DFrame):
     """A pair of component order isomorphisms carrying con to con and tot
     to tot, or None."""
-    for fm in order_isomorphisms(a.minus.lattice, b.minus.lattice):
+    for fm in order_isomorphisms(a.minus, b.minus):
         fm = np.asarray(fm)
-        for fp in order_isomorphisms(a.plus.lattice, b.plus.lattice):
+        for fp in order_isomorphisms(a.plus, b.plus):
             fp = np.asarray(fp)
             if (a.con == b.con[np.ix_(fp, fm)]).all() and (a.tot == b.tot[np.ix_(fm, fp)]).all():
                 return fm, fp

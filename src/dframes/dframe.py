@@ -50,8 +50,9 @@ class DFrame:
     """A quadruple (minus frame, plus frame, con, tot).
 
     The constructor only stores, keeping an array that is read-only and owns
-    its data and copying any other; run validate() or use the checked
-    factories below.  con[p, m]: plus p con minus m; tot[m, p]: m tot p.
+    its data, or is a view of such an array (a swap's transposes), and
+    copying any other; run validate() or use the checked factories below.
+    con[p, m]: plus p con minus m; tot[m, p]: m tot p.
     """
 
     def __init__(self, minus: Frame, plus: Frame, con: np.ndarray, tot: np.ndarray,
@@ -64,8 +65,7 @@ class DFrame:
             raise CarrierMismatch(f"tot must be {minus.n}x{plus.n}, got {tot.shape}")
         self.minus = minus
         self.plus = plus
-        self.con, self.tot = (a if a.flags.owndata and not a.flags.writeable else a.copy()
-                              for a in (con, tot))
+        self.con, self.tot = (a if _frozen_owner(a) else a.copy() for a in (con, tot))
         self.con.flags.writeable = self.tot.flags.writeable = False
         self.name = name if name is not None else f"{minus.name}.{plus.name}"
         self.swapped_from = None
@@ -114,6 +114,13 @@ class DFrame:
 
     def __repr__(self):
         return f"DFrame({self.name}: |con|={int(self.con.sum())}, |tot|={int(self.tot.sum())})"
+
+
+def _frozen_owner(a: np.ndarray) -> bool:
+    """a is read-only, and so is the array owning its data: a itself or its base."""
+    owner = a if a.base is None else a.base
+    return (not a.flags.writeable and isinstance(owner, np.ndarray)
+            and owner.flags.owndata and not owner.flags.writeable)
 
 
 def _memo(df: DFrame, key: str, build):
@@ -192,7 +199,7 @@ def _order_check(name, rel, rows, cols, upper):
     order.
     """
     closure = up_closure_pairs if upper else down_closure_pairs
-    if (closure(rows.lattice, cols.lattice, rel) == rel).all():
+    if (closure(rows, cols, rel) == rel).all():
         return AxiomCheck(name, True)
     row_leq, col_leq = (rows.leq.T, cols.leq.T) if upper else (rows.leq, cols.leq)
     for r, c in zip(*np.where(rel)):
@@ -379,7 +386,7 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     con_image, tot_image = hom.images()  # both vanish outside the image carriers
     image = DFrame(onto_m.cod, onto_p.cod, con_image[np.ix_(ip, im)], tot_image[np.ix_(im, ip)],
                    name=f"im({hom.name})")
-    if not is_down_closed_pairs(image.plus.lattice, image.minus.lattice, image.con):
+    if not is_down_closed_pairs(image.plus, image.minus, image.con):
         raise BrokenInvariant("con image of a surjection must be a lower set")
     image.assert_valid()
     onto = DFrameHom(hom.dom, image, onto_m, onto_p, name=f"{hom.name}-onto")
@@ -431,7 +438,7 @@ def is_regular(df: DFrame) -> bool:
 
 
 def _closure_step(minus: Frame, plus: Frame, rel: np.ndarray, order_closure) -> np.ndarray:
-    step = order_closure(plus.lattice, minus.lattice, rel)
+    step = order_closure(plus, minus, rel)
     ps, ms = np.where(step)
     step[plus.join[ps[:, None], ps], minus.meet[ms[:, None], ms]] = True
     step[plus.meet[ps[:, None], ps], minus.join[ms[:, None], ms]] = True

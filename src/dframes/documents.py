@@ -28,7 +28,7 @@ from .order import Lattice
 def frame_to_block(frame: Frame) -> dict:
     covers = [
         [frame.elements[i], frame.elements[j]]
-        for i, j in zip(*np.where(frame.lattice.covers))
+        for i, j in zip(*np.where(frame.covers))
     ]
     return {"name": frame.name, "elements": list(frame.elements), "covers": covers}
 

@@ -1,9 +1,9 @@
 """Finite frames, frame homomorphisms, sublocales and nuclei.
 
-A finite frame is exactly a finite distributive lattice, so Frame is a thin
-validated wrapper around Lattice.  Sublocales are stored extensionally as
-member index sets; the associated quotient map and nucleus are derived
-views.
+A finite frame is exactly a finite distributive lattice, so Frame is a
+Lattice that has passed the distributivity check.  Sublocales are stored
+extensionally as member index sets; the associated quotient map and nucleus
+are derived views.
 """
 
 from __future__ import annotations
@@ -18,67 +18,29 @@ from .errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceede
 from .order import Lattice
 
 
-class Frame:
-    """A validated finite frame over a distributive bounded lattice."""
+class Frame(Lattice):
+    """A finite frame: a Lattice that has passed the distributivity check.
+
+    It is made from a built Lattice and adopts that lattice's frozen tables
+    and cached views as they are, so nothing is rebuilt.  The Lattice
+    constructors reached through Frame return checked frames.
+    """
 
     def __init__(self, lattice: Lattice, name: str | None = None):
         if not lattice.is_distributive:
             witness = lattice.names(lattice.distributivity_witness)
             raise NotAFrame(f"not distributive; witness triple {witness}")
-        self.lattice = lattice
+        vars(self).update(vars(lattice))
         self.name = name if name is not None else f"F{lattice.n}"
         self._sublocales: dict = {}
-
-    # Delegation keeps call sites free of `.lattice` noise.
-    @property
-    def n(self):
-        return self.lattice.n
-
-    @property
-    def elements(self):
-        return self.lattice.elements
-
-    @property
-    def leq(self):
-        return self.lattice.leq
-
-    @property
-    def meet(self):
-        return self.lattice.meet
-
-    @property
-    def join(self):
-        return self.lattice.join
-
-    @property
-    def bottom(self):
-        return self.lattice.bottom
-
-    @property
-    def top(self):
-        return self.lattice.top
-
-    def idx(self, element):
-        return self.lattice.idx(element)
-
-    def implies(self, a, b):
-        return self.lattice.implies(a, b)
-
-    def pseudocomplement(self, a):
-        return self.lattice.pseudocomplement(a)
-
-    def meet_all(self, idxs):
-        return self.lattice.meet_all(idxs)
-
-    def join_all(self, idxs):
-        return self.lattice.join_all(idxs)
-
-    def names(self, idxs):
-        return self.lattice.names(idxs)
 
     @property
     def is_trivial(self):
         return self.n == 1
+
+    @classmethod
+    def from_covers(cls, elements, cover_pairs) -> "Frame":
+        return cls(Lattice.from_covers(elements, cover_pairs))
 
     @classmethod
     def chain(cls, n: int) -> "Frame":
@@ -238,7 +200,7 @@ class Sublocale:
         if not mem[meets].all():
             i, j = next(zip(*np.where(~mem[meets])))
             return ("meet", (F.elements[sub[i]], F.elements[sub[j]]))
-        imps = F.lattice.implication[:, sub]
+        imps = F.implication[:, sub]
         if not mem[imps].all():
             a, s = next(zip(*np.where(~mem[imps])))
             return ("implication", (F.elements[a], F.elements[sub[s]]))
@@ -276,9 +238,6 @@ class Sublocale:
         """The quotient map onto the member frame."""
         target = self.as_frame
         return FrameHom(self.frame, target, [self.position(q) for q in self.quotient])
-
-    def inclusion_positions(self) -> np.ndarray:
-        return np.asarray(self.members)
 
     # -- lattice of sublocales ---------------------------------------------
 
@@ -389,7 +348,7 @@ def closed_sublocale(frame: Frame, a) -> Sublocale:
 def open_sublocale(frame: Frame, a) -> Sublocale:
     """{a -> b | b in the frame}."""
     a = frame.idx(a) if isinstance(a, str) else int(a)
-    return Sublocale(frame, set(frame.lattice.implication[a, :].tolist()))
+    return Sublocale(frame, set(frame.implication[a, :].tolist()))
 
 
 def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
@@ -398,7 +357,7 @@ def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
     This is the least dense sublocale; joins in the image are recomputed as
     the double pseudocomplement of the carrier join.
     """
-    star = frame.lattice.implication[:, frame.bottom]
+    star = frame.implication[:, frame.bottom]
     double = star[star]
     sub = Sublocale(frame, set(double.tolist()))
     hom = FrameHom(frame, sub.as_frame, [sub.position(int(d)) for d in double])

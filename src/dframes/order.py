@@ -99,12 +99,6 @@ class Poset:
     def covers(self) -> np.ndarray:
         return cover_relation(self.leq)
 
-    def downset(self, i: int) -> np.ndarray:
-        return self.leq[:, i].copy()
-
-    def upset(self, i: int) -> np.ndarray:
-        return self.leq[i, :].copy()
-
     def is_down_closed(self, member: np.ndarray) -> bool:
         # x in member and y <= x must give y in member
         return not (_bool_matmul(self.leq, member.reshape(-1, 1)).ravel() & ~member).any()
@@ -164,11 +158,6 @@ class Lattice(Poset):
     def from_covers(cls, elements, cover_pairs) -> "Lattice":
         """Build a lattice from Hasse cover pairs (lower, upper)."""
         return cls(elements, _closure_from_pairs(tuple(str(e) for e in elements), cover_pairs))
-
-    @classmethod
-    def from_leq_pairs(cls, elements, leq_pairs) -> "Lattice":
-        """Build a lattice from arbitrary order pairs; closure is taken anyway."""
-        return cls.from_covers(elements, leq_pairs)
 
     @classmethod
     def chain(cls, n: int) -> "Lattice":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dframe import DFrame, DFrameHom, _memo, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
-from .frames import FrameHom, Sublocale, enumerate_sublocales
+from .frames import Sublocale, enumerate_sublocales
 from .order import _bool_matmul, bound_table, cover_relation
 
 
@@ -51,12 +51,8 @@ class SubDLocale:
 
     def quotient_hom(self) -> DFrameHom:
         """The extremal epimorphism from the parent onto this sub-d-locale."""
-        target = self.as_dframe
-        q_minus = FrameHom(self.parent.minus, target.minus,
-                           [self.minus.position(q) for q in self.minus.quotient])
-        q_plus = FrameHom(self.parent.plus, target.plus,
-                          [self.plus.position(q) for q in self.plus.quotient])
-        return DFrameHom(self.parent, target, q_minus, q_plus, name=f"q[{self.label}]")
+        return DFrameHom(self.parent, self.as_dframe, self.minus.quotient_hom(),
+                         self.plus.quotient_hom(), name=f"q[{self.label}]")
 
     def swap(self) -> "SubDLocale":
         """The same pair, sharing its relations, under parent.swap()."""

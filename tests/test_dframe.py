@@ -111,8 +111,14 @@ def test_dframe_keeps_frozen_owned_arrays_and_copies_the_rest():
     assert df.tot is not writeable and not df.tot.flags.writeable
     writeable[:] = False  # the caller's later writes do not reach df
     assert (df.tot == tt.tot).all()
-    view = DFrame(tt.plus, tt.minus, frozen.T, tt.tot.T)  # views are copied
-    assert view.con.flags.owndata and view.tot.flags.owndata
+    # read-only views of frozen owned arrays are kept, so a swap shares its
+    # parent's relations; a read-only view of a writable array is copied
+    assert np.shares_memory(df.swap().con, df.con) and np.shares_memory(df.swap().tot, df.tot)
+    loose = writeable.T
+    loose.flags.writeable = False
+    view = DFrame(tt.plus, tt.minus, frozen.T, loose)
+    assert view.con.base is frozen
+    assert view.tot.flags.owndata and not np.shares_memory(view.tot, writeable)
 
 
 def test_validation_runs_once_per_dframe():
@@ -294,7 +300,7 @@ def test_scott_closure_is_identity_on_con():
     corpus = [df for df in standard_corpus(3) if df.con.sum() <= 16]
     assert len(corpus) == 8
     for df in [three_three(), symmetric_dframe(B4)] + corpus:
-        closed = directed_joins_bruteforce(df.plus.lattice, df.minus.lattice, df.con)
+        closed = directed_joins_bruteforce(df.plus, df.minus, df.con)
         assert (closed == df.con).all()
 
 

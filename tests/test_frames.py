@@ -32,6 +32,27 @@ def test_frame_requires_distributivity():
         Frame(Lattice.pentagon())
 
 
+def test_frame_is_a_lattice():
+    assert isinstance(Frame.chain(3), Lattice)
+    assert isinstance(Frame.from_covers("0a1", [("0", "a"), ("a", "1")]), Frame)
+
+
+def test_frame_from_a_lattice_shares_its_tables(monkeypatch):
+    lattice = Lattice.boolean(2)
+    built = []
+    init = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    frame = Frame(lattice, name="B4")
+    assert built == []
+    assert frame.meet is lattice.meet and frame.join is lattice.join and frame.leq is lattice.leq
+
+
+def test_non_distributive_constructors_raise_through_frame():
+    for build in (Frame.pentagon, Frame.diamond3):
+        with pytest.raises(NotAFrame):
+            build()
+
+
 def test_check_frame_hom_identity_and_constant():
     ok, _ = check_frame_hom(FrameHom.identity(C3))
     assert ok
@@ -177,7 +198,7 @@ def test_booleanization_map_is_hom_onto_members():
     assert bmap.is_hom
     assert bmap.is_surjective
     # joins in the image are the double pseudocomplement of carrier joins
-    star = C4.lattice.implication[:, C4.bottom]
+    star = C4.implication[:, C4.bottom]
     for x in range(C4.n):
         for y in range(C4.n):
             recomputed = star[star[C4.join[x, y]]]

@@ -348,13 +348,12 @@ def test_handed_out_arrays_are_frozen():
     sub.member_vector, sub.quotient  # materialise the cached arrays
     member = enumerate_sub_d_locales(tt).members[3]
     core = dense_core(tt)  # memoised: every caller on tt shares it
-    lattice = tt.minus.lattice
-    lattice.implication, lattice.covers
+    tt.minus.implication, tt.minus.covers
     swapped = tt.swap()
     for obj, count in ((sub, 2), (member, 2), (Pseudocomplements(tt), 2),
                        (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
                        (con_preorder(tt), 2), (pseudocomplements(tt), 2),
-                       (member.quotient_hom().minus, 1), (lattice, 5),
+                       (member.quotient_hom().minus, 1), (tt.minus, 5),
                        (tt, 2), (swapped, 2), (pseudocomplements(swapped), 2),
                        (con_preorder(swapped), 2), (dense_core(swapped).core, 2),
                        (dense_core(swapped).nu_minus, 1), (lazy, 2), (lazy.as_dframe, 2)):
