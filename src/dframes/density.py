@@ -17,7 +17,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, _memo, is_regular
 from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale
-from .order import order_isomorphisms
+from .order import _bool_matmul, order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
@@ -376,9 +376,8 @@ def _corrigibility_conditions(df: DFrame) -> dict:
     conds[_CONDITION_NAMES[4]] = bool(
         (single[lat.meet] == single[lat.meet[np.ix_(double, np.arange(lat.n))]]).all()
     )
-    conds[_CONDITION_NAMES[5]] = all(
-        not (con[x, lat.meet[a, b]] and not con[x, lat.meet[double[a], b]])
-        for a in range(lat.n) for b in range(lat.n) for x in range(df.plus.n)
+    conds[_CONDITION_NAMES[5]] = bool(  # con[x, a /\ b] gives con[x, a^.. /\ b]
+        (~con[:, lat.meet] | con[:, lat.meet[double, :]]).all()
     )
     conds[_CONDITION_NAMES[6]] = bool((~order | order[double, :]).all())
     return conds
@@ -465,18 +464,13 @@ def _dually_subfit_definitional(df: DFrame) -> bool:
 
 def _separates(df: DFrame) -> bool:
     """Every a not below b on the minus side has a witness c, p: p is
-    consistent with b meet c but not with a meet c."""
-    Lm, Lp, con = df.minus, df.plus, df.con
-    for a in range(Lm.n):
-        for b in range(Lm.n):
-            if Lm.leq[a, b]:
-                continue
-            if not any(
-                not con[p, Lm.meet[c, a]] and con[p, Lm.meet[c, b]]
-                for c in range(Lm.n) for p in range(Lp.n)
-            ):
-                return False
-    return True
+    consistent with b meet c but not with a meet c.  With
+    below[a, (p, c)] = con[p, a meet c], a witness for (a, b) is a column
+    that is False in row a and True in row b; one boolean matrix product
+    finds them for every pair."""
+    Lm = df.minus
+    below = df.con[:, Lm.meet].transpose(1, 0, 2).reshape(Lm.n, -1)
+    return bool((Lm.leq | _bool_matmul(~below, below.T)).all())
 
 
 def is_dually_subfit(df: DFrame) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BrokenInvariant, CarrierMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import Lattice, _bool_matmul, down_closure_pairs, is_down_closed_pairs, up_closure_pairs
+from .order import Lattice, _bool_matmul, _frozen, down_closure_pairs, is_down_closed_pairs, up_closure_pairs
 
 
 @dataclass(frozen=True)
@@ -384,8 +384,8 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     (onto_m, incl_m), (onto_p, incl_p) = _factor(hom.minus), _factor(hom.plus)
     im, ip = incl_m.mapping, incl_p.mapping
     con_image, tot_image = hom.images()  # both vanish outside the image carriers
-    image = DFrame(onto_m.cod, onto_p.cod, con_image[np.ix_(ip, im)], tot_image[np.ix_(im, ip)],
-                   name=f"im({hom.name})")
+    image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[np.ix_(ip, im)]),
+                   _frozen(tot_image[np.ix_(im, ip)]), name=f"im({hom.name})")
     if not is_down_closed_pairs(image.plus, image.minus, image.con):
         raise BrokenInvariant("con image of a surjection must be a lower set")
     image.assert_valid()

@@ -235,14 +235,17 @@ class Lattice(Poset):
         """Table of relative pseudocomplements a -> b = max{c | a∧c <= b}.
 
         Only meaningful on distributive lattices, where the join below
-        itself satisfies a∧(a->b) <= b.
+        itself satisfies a∧(a->b) <= b; elsewhere each cell is still the
+        join of its candidates.  Per row a, cand[b, c] holds iff a∧c <= b;
+        the upper bounds U of a candidate set form an up-set, and its join
+        is the member of U whose up-set has |U| elements (as in bound_table).
         """
-        n = self.n
-        table = np.zeros((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                cand = np.where(self.leq[self.meet[a, :], b])[0]
-                table[a, b] = self.join_all(cand)
+        leq, ups = self.leq, self.leq.sum(axis=1)
+        table = np.zeros((self.n, self.n), dtype=np.int64)
+        for a in range(self.n):
+            cand = leq[self.meet[a, :], :].T
+            bounds = ~_bool_matmul(cand, ~leq)  # bounds[b, u]: u is above every candidate
+            table[a] = (bounds & (ups == bounds.sum(axis=1)[:, None])).argmax(axis=1)
         return _frozen(table)
 
     def implies(self, a: int, b: int) -> int:

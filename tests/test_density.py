@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from dframes import density
 from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
+from dframes.documents import dframe_from_spec
 from dframes.density import (
     ConPreorder,
     Pseudocomplements,
@@ -349,6 +350,88 @@ def test_classification_chain_on_random_dframes(seed):
         assert props.double_negation
     if props.double_negation:
         assert props.dually_subfit and props.corrigible
+
+
+# -- the per-cell loops kept as oracles for the array forms ---------------------
+
+LARGE_SPECS = ("min:chain:40:chain:40", "sym:chain:30", "sym:bool:5")
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """Both sides of standard_corpus(5), incorrigible_minimal(), 200 seeded
+    random d-frames and the benchmark's large carriers."""
+    pool = frame_pool(4)
+    dframes = (
+        standard_corpus(5) + [incorrigible_minimal()]
+        + [random_dframe(random.Random(seed), pool=pool) for seed in range(200)]
+        + [dframe_from_spec(spec) for spec in LARGE_SPECS]
+    )
+    return [d for df in dframes for d in (df, df.swap())]
+
+
+def separates_by_search(df):
+    """Every a not below b has a witness c, p with p con (b meet c) but not
+    p con (a meet c), one cell at a time.  The reference for density._separates."""
+    Lm, Lp, con = df.minus, df.plus, df.con
+    for a in range(Lm.n):
+        for b in range(Lm.n):
+            if Lm.leq[a, b]:
+                continue
+            if not any(
+                not con[p, Lm.meet[c, a]] and con[p, Lm.meet[c, b]]
+                for c in range(Lm.n) for p in range(Lp.n)
+            ):
+                return False
+    return True
+
+
+def double_transfers_by_search(df):
+    """x con (a meet b) gives x con (a^.. meet b), one cell at a time.  The
+    reference for the corrigibility condition "consistency transfers through
+    the double"."""
+    lat, con, double = df.minus, df.con, pseudocomplements(df).double_minus()
+    return all(
+        not (con[x, lat.meet[a, b]] and not con[x, lat.meet[double[a], b]])
+        for a in range(lat.n) for b in range(lat.n) for x in range(df.plus.n)
+    )
+
+
+def test_separation_matches_the_witness_search(oracle_corpus):
+    verdicts = Counter()
+    for d in oracle_corpus:
+        verdict = density._separates(d)
+        assert verdict == separates_by_search(d), d.name
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_double_transfer_condition_matches_the_cell_search(oracle_corpus):
+    transfers = density._CONDITION_NAMES[5]
+    verdicts = Counter()
+    for d in oracle_corpus:
+        verdict = density._corrigibility_conditions(d)[transfers]
+        assert verdict == double_transfers_by_search(d), d.name
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+    assert not density._corrigibility_conditions(incorrigible_minimal())[transfers]
+
+
+def test_classify_and_hat_reach_64_and_80_element_carriers(run_cli, tmp_path):
+    records = {
+        "sym:bool:6": dict(corrigible=True, double_negation=True, dually_subfit=True,
+                           excluded_middle=True, regular=True),
+        "min:chain:80:chain:80": dict(corrigible=True, double_negation=False,
+                                      dually_subfit=False, excluded_middle=False, regular=False),
+    }
+    for spec, record in records.items():
+        path = tmp_path / f"{spec.replace(':', '_')}.json"
+        assert run_cli(["gen", spec, "-o", str(path)])[0] == 0
+        code, out, _ = run_cli(["classify", str(path)])
+        assert code == 0 and "result: ok" in out
+        assert "".join(f"-- {key} --\n  {value}\n" for key, value in sorted(record.items())) in out
+    code, out, _ = run_cli(["hat", str(tmp_path / "sym_bool_6.json")])
+    assert code == 0 and "label: B64.B64" in out
 
 
 # -- the swap symmetry -----------------------------------------------------------

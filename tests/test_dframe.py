@@ -232,6 +232,23 @@ def test_factorization_recomposes_everywhere():
         assert fac.image.validate().ok
 
 
+def test_image_keeps_the_relations_it_is_given(monkeypatch):
+    passed, init = {}, DFrame.__init__
+
+    def recording(self, minus, plus, con, tot, name=None):
+        passed[name] = con, tot
+        init(self, minus, plus, con, tot, name=name)
+
+    monkeypatch.setattr(DFrame, "__init__", recording)
+    tt, small = three_three(), two_two()
+    inclusion = DFrameHom(small, tt, FrameHom(small.minus, tt.minus, ["0", "1"]),
+                          FrameHom(small.plus, tt.plus, ["0", "1"]))
+    for hom in all_dframe_homs(tt, symmetric_dframe(C2)) + [inclusion]:
+        image = image_factorization(hom).image
+        con, tot = passed[image.name]
+        assert image.con is con and image.tot is tot
+
+
 def test_extremal_epi_characterisation():
     tt = three_three()
     assert is_extremal_epi(DFrameHom.identity(tt))

@@ -12,7 +12,8 @@ from dframes.order import (
     down_closure_pairs,
     up_closure_pairs,
 )
-from dframes.search import all_lattices
+from dframes.frames import Frame
+from dframes.search import all_lattices, frame_pool
 
 
 def brute_bound(leq, i, j, lower):
@@ -165,6 +166,25 @@ def test_residuation_law(lat):
             imp = lat.implies(a, b)
             for c in range(lat.n):
                 assert lat.leq[lat.meet[a, c], b] == lat.leq[c, imp]
+
+
+def implication_by_joins(lat):
+    """Each cell a -> b as the join_all of {c | a meet c <= b}, one cell at a
+    time.  The reference for Lattice.implication."""
+    table = np.zeros((lat.n, lat.n), dtype=np.int64)
+    for a in range(lat.n):
+        for b in range(lat.n):
+            table[a, b] = lat.join_all(np.where(lat.leq[lat.meet[a, :], b])[0])
+    return table
+
+
+def test_implication_table_matches_the_per_cell_joins():
+    lattices = frame_pool(5) + [Lattice.chain(40), Frame.boolean(5),
+                                Lattice.pentagon(), Lattice.diamond3()]
+    # indexed top first: the least upper bound is then never the first one by index
+    reversed_ = [Lattice(lat.elements[::-1], lat.leq[::-1, ::-1]) for lat in lattices[-3:]]
+    for lat in lattices + reversed_:
+        assert (lat.implication == implication_by_joins(lat)).all(), lat
 
 
 def test_pseudocomplements():
