@@ -4,17 +4,19 @@
 The consistency relation gives each element a pseudocomplement on the
 opposite side; the two maps form an antitone Galois connection.  Their
 double images generate the dense core: the smallest dense sub-d-locale.
+Each map is computed for the minus side of a d-frame; the plus side's is
+the same computation on the swap.
 """
 
 from dframes import (
     Frame,
-    Pseudocomplements,
     classify,
     coreflection_report,
     dense_core,
     galois_check,
     is_dense_sub_d_locale,
     mine,
+    pseudocomplements,
     symmetric_dframe,
 )
 from dframes import enumerate_sub_d_locales
@@ -25,9 +27,11 @@ from dframes.fixtures import (
 )
 
 s3 = symmetric_dframe(Frame.chain(3))
-pc = Pseudocomplements(s3)
+to_plus, to_minus = pseudocomplements(s3), pseudocomplements(s3.swap())
 print("Sym(3) pseudocomplements:",
-      {s3.minus.elements[a]: s3.plus.elements[pc.to_plus[a]] for a in range(3)})
+      {s3.minus.elements[a]: s3.plus.elements[to_plus[a]] for a in range(3)})
+print("and back from the plus side:",
+      {s3.plus.elements[p]: s3.minus.elements[to_minus[p]] for p in range(3)})
 print("Galois laws hold:", galois_check(s3).ok)
 
 # The dense core of Sym(3) is the Booleanization on both sides.

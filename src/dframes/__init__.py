@@ -53,9 +53,7 @@ from .subdlocale import (
     try_sub_d_locale,
 )
 from .density import (
-    ConPreorder,
     DenseCore,
-    Pseudocomplements,
     are_isomorphic,
     classify,
     con_preorder,
@@ -65,6 +63,7 @@ from .density import (
     dense_core_map,
     dframe_isomorphism,
     double_pseudocomplement_sets,
+    double_pseudocomplements,
     galois_check,
     is_corrigible,
     is_dense_sub_d_locale,
@@ -74,6 +73,7 @@ from .density import (
     is_skeletal,
     pseudocomplement,
     pseudocomplements,
+    saturation_nucleus,
     sublocale_generated_by,
 )
 from .search import all_distributive_lattices, all_lattices, mine, standard_corpus

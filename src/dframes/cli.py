@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -83,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), run once per process: parsing leaves a parser as it was."""
+    return build_parser()
 
 
 def _load(args):
@@ -273,9 +280,8 @@ _COMMANDS = {
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -21,53 +21,18 @@ from .order import _bool_matmul, order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
-# -- two-sided structure -------------------------------------------------------
-
-
-def _sided(df: DFrame, key: str, build):
-    """_memo for a structure with a minus and a plus side.
-
-    A swap builds and keeps none: it reads the structure of the d-frame it
-    was swapped from, mirrored by the structure's swap(), which shares every
-    array.
-    """
-    if df.swapped_from is None:
-        return _memo(df, key, build)
-    return _memo(df.swapped_from, key, build).swap()
-
-
-def _mirror(obj, **fields):
-    """A shallow copy of obj with some fields replaced; nothing is rebuilt."""
-    out = object.__new__(type(obj))
-    vars(out).update(vars(obj), **fields)
-    return out
-
-
 # -- pseudocomplements -------------------------------------------------------
+#
+# Every per-side structure below is a function of one d-frame's minus side,
+# built once and kept in that d-frame's memo.  The plus side is the same
+# function of df.swap(), which is built once and keeps its own memo.
 
 
-class Pseudocomplements:
-    """The two pseudocomplement maps of a d-frame, materialised as arrays.
-
-    to_plus[a] is the largest plus element consistent with a; to_minus[p]
-    is the largest minus element consistent with p, which is to_plus of the
-    swap.  That the joins defining them are themselves consistent is
-    checked on construction.
-    """
-
-    def __init__(self, df: DFrame):
-        self.df = df
-        self.to_plus = _largest_consistent(df)
-        self.to_minus = _largest_consistent(df.swap())
-
-    def swap(self) -> "Pseudocomplements":
-        """The same maps seen from df.swap()."""
-        return _mirror(self, df=self.df.swap(), to_plus=self.to_minus, to_minus=self.to_plus)
-
-    def double_minus(self) -> np.ndarray:
-        """a |-> pseudocomplement of the pseudocomplement, on the minus side;
-        swap().double_minus() is the plus side's."""
-        return self.to_minus[self.to_plus]
+def pseudocomplements(df: DFrame) -> np.ndarray:
+    """a |-> the largest plus element consistent with a, built once per
+    d-frame and read-only; pseudocomplements(df.swap()) is the plus side's.
+    That the joins defining it are themselves consistent is checked."""
+    return _memo(df, "_pseudocomplements", _largest_consistent)
 
 
 def _largest_consistent(df: DFrame) -> np.ndarray:
@@ -82,18 +47,20 @@ def _largest_consistent(df: DFrame) -> np.ndarray:
     return out
 
 
-def pseudocomplements(df: DFrame) -> Pseudocomplements:
-    """The d-frame's Pseudocomplements, built once per d-frame."""
-    return _sided(df, "_pseudocomplements", Pseudocomplements)
+def double_pseudocomplements(df: DFrame) -> np.ndarray:
+    """a |-> the pseudocomplement of the pseudocomplement, on the minus side,
+    read-only; double_pseudocomplements(df.swap()) is the plus side's."""
+    out = pseudocomplements(df.swap())[pseudocomplements(df)]
+    out.flags.writeable = False
+    return out
 
 
 def pseudocomplement(df: DFrame, side: str, x: int) -> int:
     """Largest opposite-side element consistent with x."""
-    pc = pseudocomplements(df)
     if side == "minus":
-        return int(pc.to_plus[x])
+        return int(pseudocomplements(df)[x])
     if side == "plus":
-        return int(pc.to_minus[x])
+        return int(pseudocomplements(df.swap())[x])
     raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
 
 
@@ -110,7 +77,7 @@ def _double_sets(df: DFrame):
 
 def _double_set(df: DFrame) -> Sublocale:
     """The image of the minus double map as a member set, a sublocale or not."""
-    return Sublocale(df.minus, set(pseudocomplements(df).double_minus().tolist()))
+    return Sublocale(df.minus, set(double_pseudocomplements(df).tolist()))
 
 
 @dataclass
@@ -135,8 +102,8 @@ def galois_check(df: DFrame, subset_cap: int = 4096) -> GaloisReport:
     """
     rep = GaloisReport()
     for side, d in (("minus", df), ("plus", df.swap())):
-        pc = pseudocomplements(d)
-        lat, other, to_op, dbl = d.minus, d.plus, pc.to_plus, pc.double_minus()
+        lat, other = d.minus, d.plus
+        to_op, dbl = pseudocomplements(d), double_pseudocomplements(d)
         for a in range(lat.n):
             if not lat.leq[a, dbl[a]]:
                 rep.note(f"{side} below double", (lat.elements[a],))
@@ -159,12 +126,13 @@ def galois_check(df: DFrame, subset_cap: int = 4096) -> GaloisReport:
                 rep.note(f"{side} join to meet", tuple(lat.names(subset)))
                 break
 
-    Lm, Lp, con, pc = df.minus, df.plus, df.con, pseudocomplements(df)
-    dbl_m, dbl_p = pc.double_minus(), pc.swap().double_minus()
+    Lm, Lp, con = df.minus, df.plus, df.con
+    to_plus, to_minus = pseudocomplements(df), pseudocomplements(df.swap())
+    dbl_m, dbl_p = double_pseudocomplements(df), double_pseudocomplements(df.swap())
     for p in range(Lp.n):
         for a in range(Lm.n):
             c = bool(con[p, a])
-            if c != bool(Lm.leq[a, pc.to_minus[p]]) or c != bool(Lp.leq[p, pc.to_plus[a]]):
+            if c != bool(Lm.leq[a, to_minus[p]]) or c != bool(Lp.leq[p, to_plus[a]]):
                 rep.note("consistency vs comparisons", (Lp.elements[p], Lm.elements[a]))
             if c != bool(con[dbl_p[p], a]) or c != bool(con[p, dbl_m[a]]):
                 rep.note("consistency under double maps", (Lp.elements[p], Lm.elements[a]))
@@ -214,31 +182,15 @@ def sublocale_generated_by(frame, seed) -> Sublocale:
 # -- the consistency preorder and the dense core ------------------------------
 
 
-class ConPreorder:
-    """The componentwise preorders induced by the consistency relation.
+def con_preorder(df: DFrame) -> np.ndarray:
+    """The minus consistency preorder, built once per d-frame and read-only;
+    con_preorder(df.swap()) is the plus side's.
 
-    On the minus side, a is below b when every consistency witness against
-    b-in-context is already one against a-in-context; dually on the plus
-    side.  Both contain the lattice order and are transitive.
+    a is below b when every consistency witness against b-in-context is
+    already one against a-in-context.  It contains the lattice order and is
+    transitive.
     """
-
-    def __init__(self, df: DFrame):
-        self.df = df
-        self.minus = _consistency_preorder(df)
-        self.plus = _consistency_preorder(df.swap())
-
-    def swap(self) -> "ConPreorder":
-        """The same preorders seen from df.swap()."""
-        return _mirror(self, df=self.df.swap(), minus=self.plus, plus=self.minus)
-
-    def saturation_minus(self) -> np.ndarray:
-        """a |-> join of everything below a in the minus preorder;
-        swap().saturation_minus() is the plus side's."""
-        Lm = self.df.minus
-        return np.asarray(
-            [Lm.join_all(np.where(self.minus[:, a])[0]) for a in range(Lm.n)],
-            dtype=np.int64,
-        )
+    return _memo(df, "_con_preorder", _consistency_preorder)
 
 
 def _consistency_preorder(df: DFrame) -> np.ndarray:
@@ -253,9 +205,31 @@ def _consistency_preorder(df: DFrame) -> np.ndarray:
     return out
 
 
-def con_preorder(df: DFrame) -> ConPreorder:
-    """The d-frame's ConPreorder, built once per d-frame."""
-    return _sided(df, "_con_preorder", ConPreorder)
+def saturation_nucleus(df: DFrame) -> Nucleus:
+    """The saturation of the minus consistency preorder, built once per
+    d-frame; saturation_nucleus(df.swap()) is the plus side's.
+
+    a |-> the join of everything below a in the preorder, verified to be a
+    nucleus whose fixpoints are the sublocale generated by the double
+    pseudocomplements.  Its fixpoints are the minus carrier of the dense core.
+    """
+    return _memo(df, "_saturation_nucleus", _saturation_nucleus)
+
+
+def _saturation_nucleus(df: DFrame) -> Nucleus:
+    Lm, order = df.minus, con_preorder(df)
+    nu = Nucleus(Lm, [Lm.join_all(np.where(order[:, a])[0]) for a in range(Lm.n)])
+    bad = nu.violation()
+    if bad is not None:
+        raise EquivalenceMismatch(f"saturation on the minus side of {df.name} is not a "
+                                  f"nucleus: {bad}")
+    fix, gen = nu.fixpoints(), sublocale_generated_by(Lm, _double_set(df).members)
+    if fix != gen:
+        raise EquivalenceMismatch(
+            f"saturation fixpoints differ on the minus side of {df.name} from the sublocale "
+            f"generated by the double pseudocomplements: {fix.members} vs {gen.members}"
+        )
+    return nu
 
 
 @dataclass(frozen=True)
@@ -271,45 +245,22 @@ class DenseCore:
     def as_dframe(self) -> DFrame:
         return self.core.as_dframe
 
-    def swap(self) -> "DenseCore":
-        """The same core seen from parent.swap()."""
-        return DenseCore(self.parent.swap(), self.nu_plus, self.nu_minus, self.core.swap())
-
 
 def dense_core(df: DFrame) -> DenseCore:
     """The smallest dense sub-d-locale, computed once per d-frame.
 
-    The saturation maps of the consistency preorder are verified to be
-    nuclei; their fixpoint sublocales are cross-checked against the
-    independently computed smallest sublocales containing the
-    double-pseudocomplement sets, and the result is verified dense.
+    Its component sublocales are the fixpoints of the two saturation nuclei;
+    the pair is admitted by the nine-axiom route and verified dense.
     """
-    return _sided(df, "_dense_core", _dense_core)
+    return _memo(df, "_dense_core", _dense_core)
 
 
 def _dense_core(df: DFrame) -> DenseCore:
-    nu_m, nu_p = (_saturation_nucleus(side, d) for side, d in (("minus", df), ("plus", df.swap())))
+    nu_m, nu_p = saturation_nucleus(df), saturation_nucleus(df.swap())
     core = try_sub_d_locale(df, nu_m.fixpoints(), nu_p.fixpoints())
     if not is_dense_sub_d_locale(core):
         raise EquivalenceMismatch("the dense core failed its own density check")
     return DenseCore(df, nu_m, nu_p, core)
-
-
-def _saturation_nucleus(side: str, df: DFrame) -> Nucleus:
-    """The saturation of the minus consistency preorder, verified to be a
-    nucleus whose fixpoints are the sublocale generated by the double
-    pseudocomplements."""
-    nu = Nucleus(df.minus, con_preorder(df).saturation_minus())
-    bad = nu.violation()
-    if bad is not None:
-        raise EquivalenceMismatch(f"saturation on the {side} side is not a nucleus: {bad}")
-    fix, gen = nu.fixpoints(), sublocale_generated_by(df.minus, _double_set(df).members)
-    if fix != gen:
-        raise EquivalenceMismatch(
-            f"saturation fixpoints differ on the {side} side from the sublocale generated "
-            f"by the double pseudocomplements: {fix.members} vs {gen.members}"
-        )
-    return nu
 
 
 # -- corrigibility -------------------------------------------------------------
@@ -348,8 +299,11 @@ def corrigibility(df: DFrame) -> CorrigibilityReport:
     """Evaluate the seven equivalent conditions independently on each side.
 
     The seven results must agree per side (they are provably equivalent);
-    disagreement raises instead of returning a verdict.
+    disagreement raises instead of returning a verdict.  The dense core is
+    built first, so its pair is admitted and checked dense before condition
+    2 compares each double image with that side's core carrier.
     """
+    dense_core(df)
     out = []
     for side, d in (("minus", df), ("plus", df.swap())):
         conds = _corrigibility_conditions(d)
@@ -363,12 +317,12 @@ def corrigibility(df: DFrame) -> CorrigibilityReport:
 
 def _corrigibility_conditions(df: DFrame) -> dict:
     """The seven conditions on the minus side, each computed on its own."""
-    lat, con, pc = df.minus, df.con, pseudocomplements(df)
-    single, double, order = pc.to_plus, pc.double_minus(), con_preorder(df).minus
+    lat, con, single = df.minus, df.con, pseudocomplements(df)
+    double, order = double_pseudocomplements(df), con_preorder(df)
     image = _double_set(df)
     conds = {}
     conds[_CONDITION_NAMES[0]] = image.is_valid
-    conds[_CONDITION_NAMES[1]] = image == dense_core(df).core.minus
+    conds[_CONDITION_NAMES[1]] = image == saturation_nucleus(df).fixpoints()
     conds[_CONDITION_NAMES[2]] = bool(
         (lat.leq[:, double] == order).all()  # b <= a^.. iff b below a
     )
@@ -398,7 +352,7 @@ def is_skeletal(hom: DFrameHom) -> bool:
 def _carries_preorder(hom: DFrameHom) -> bool:
     """The minus component carries the minus preorders into each other."""
     f = hom.minus.mapping
-    return bool((~con_preorder(hom.dom).minus | con_preorder(hom.cod).minus[np.ix_(f, f)]).all())
+    return bool((~con_preorder(hom.dom) | con_preorder(hom.cod)[np.ix_(f, f)]).all())
 
 
 def dense_core_map(hom: DFrameHom) -> DFrameHom:
@@ -407,17 +361,18 @@ def dense_core_map(hom: DFrameHom) -> DFrameHom:
     Sends a fixpoint to the codomain saturation of its image; for skeletal
     morphisms this assignment is functorial.
     """
-    return DFrameHom(dense_core(hom.dom).as_dframe, dense_core(hom.cod).as_dframe,
-                     _core_component(hom), _core_component(hom.swap()),
+    dom, cod = dense_core(hom.dom), dense_core(hom.cod)
+    return DFrameHom(dom.as_dframe, cod.as_dframe,
+                     _core_component(hom.minus, dom.core.minus, cod.core.minus, cod.nu_minus),
+                     _core_component(hom.plus, dom.core.plus, cod.core.plus, cod.nu_plus),
                      name=f"core({hom.name})")
 
 
-def _core_component(hom: DFrameHom) -> FrameHom:
-    """The minus component of the core map."""
-    src, cod_core = dense_core(hom.dom).core.minus, dense_core(hom.cod)
-    tgt, sat = cod_core.core.minus, cod_core.nu_minus.mapping
+def _core_component(f: FrameHom, src: Sublocale, tgt: Sublocale, sat: Nucleus) -> FrameHom:
+    """One component of the core map: src's members go by f into the
+    codomain, then by its saturation into the core carrier tgt."""
     return FrameHom(src.as_frame, tgt.as_frame, [
-        tgt.position(int(sat[hom.minus.mapping[a]])) for a in src.members
+        tgt.position(int(sat.mapping[f.mapping[a]])) for a in src.members
     ])
 
 
@@ -444,7 +399,7 @@ class DFrameProperties:
 
 def is_double_negation(df: DFrame) -> bool:
     return all(
-        (pseudocomplements(d).double_minus() == np.arange(d.minus.n)).all()
+        (double_pseudocomplements(d) == np.arange(d.minus.n)).all()
         for d in (df, df.swap())
     )
 
@@ -452,7 +407,7 @@ def is_double_negation(df: DFrame) -> bool:
 def is_excluded_middle(df: DFrame) -> bool:
     """Every element is total with its pseudocomplement."""
     return all(
-        d.tot[np.arange(d.minus.n), pseudocomplements(d).to_plus].all()
+        d.tot[np.arange(d.minus.n), pseudocomplements(d)].all()
         for d in (df, df.swap())
     )
 
@@ -479,7 +434,7 @@ def is_dually_subfit(df: DFrame) -> bool:
     Checked both through the definitional witness search and through the
     preorder; the two must agree.
     """
-    by_preorder = all((con_preorder(d).minus == d.minus.leq).all() for d in (df, df.swap()))
+    by_preorder = all((con_preorder(d) == d.minus.leq).all() for d in (df, df.swap()))
     by_definition = _dually_subfit_definitional(df)
     if by_preorder != by_definition:
         raise EquivalenceMismatch(
@@ -564,7 +519,7 @@ def coreflection_report(dframes, skeletal_homs=()) -> CoreflectionReport:
         # core quotient, because saturation is absorbed by skeletal maps
         # into dually subfit codomains.
         if not all(
-            (h.minus.mapping[dense_core(h.dom).nu_minus.mapping] == h.minus.mapping).all()
+            (h.minus.mapping[saturation_nucleus(h.dom).mapping] == h.minus.mapping).all()
             for h in (hom, hom.swap())
         ):
             rep.failures.append((hom.name, "does not factor through the core quotient"))

@@ -68,21 +68,20 @@ class DFrame:
         self.con, self.tot = (a if _frozen_owner(a) else a.copy() for a in (con, tot))
         self.con.flags.writeable = self.tot.flags.writeable = False
         self.name = name if name is not None else f"{minus.name}.{plus.name}"
-        self.swapped_from = None
 
     def swap(self) -> "DFrame":
         """The d-frame (plus, minus, con transposed, tot transposed).
 
         Built once, so df.swap() is df.swap() and df.swap().swap() is df.
         Each per-side computation is written for the minus side and run on
-        df and on df.swap().  The swap keeps no derived structure of its
-        own: density reads it from swapped_from's, mirrored.
+        df and on df.swap(), so the swap's memo holds df's plus-side
+        structure, built once.
         """
         swapped = vars(self).get("_swap")
         if swapped is None:
             swapped = DFrame(self.plus, self.minus, self.con.T, self.tot.T,
                              name=f"swap({self.name})")
-            swapped._swap = swapped.swapped_from = self
+            swapped._swap = self
             swapped = vars(self).setdefault("_swap", swapped)
         return swapped
 

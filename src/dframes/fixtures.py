@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
+from .dframe import DFrame, DFrameHom, minimal_dframe
 from .frames import Frame, FrameHom
 from .order import Lattice
 
@@ -18,14 +18,6 @@ def three_three() -> DFrame:
 def two_two() -> DFrame:
     c2 = Frame.chain(2)
     return minimal_dframe(c2, c2, name="2.2")
-
-
-def sym_chain(n: int) -> DFrame:
-    return symmetric_dframe(Frame.chain(n))
-
-
-def sym_boolean(atoms: int) -> DFrame:
-    return symmetric_dframe(Frame.boolean(atoms))
 
 
 def invalid_all_pairs() -> DFrame:

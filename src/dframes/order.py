@@ -99,10 +99,6 @@ class Poset:
     def covers(self) -> np.ndarray:
         return cover_relation(self.leq)
 
-    def is_down_closed(self, member: np.ndarray) -> bool:
-        # x in member and y <= x must give y in member
-        return not (_bool_matmul(self.leq, member.reshape(-1, 1)).ravel() & ~member).any()
-
     def __repr__(self):
         return f"{type(self).__name__}({list(self.elements)})"
 

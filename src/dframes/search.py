@@ -24,7 +24,7 @@ from .dframe import (
 )
 from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
-from .order import Lattice, are_order_isomorphic
+from .order import Lattice, _bool_matmul, are_order_isomorphic
 # Nothing calls build_sub_d_locale through this binding; it stays because
 # benchmarks/test_benchmark.py checks that the tracer wraps it in this
 # module.
@@ -48,7 +48,7 @@ def all_lattices(max_size: int) -> list[Lattice]:
                     leq[i, j] = True
             closed = leq
             while True:
-                step = closed | ((closed.astype(np.int64) @ closed.astype(np.int64)) > 0)
+                step = closed | _bool_matmul(closed, closed)
                 if (step == closed).all():
                     break
                 closed = step

@@ -54,12 +54,6 @@ class SubDLocale:
         return DFrameHom(self.parent, self.as_dframe, self.minus.quotient_hom(),
                          self.plus.quotient_hom(), name=f"q[{self.label}]")
 
-    def swap(self) -> "SubDLocale":
-        """The same pair, sharing its relations, under parent.swap()."""
-        swapped = SubDLocale(self.parent.swap(), self.plus, self.minus)
-        swapped.con, swapped.tot = self.con.T, self.tot.T
-        return swapped
-
     def restricted_con(self) -> np.ndarray:
         """Parent con restricted to the member sets, in position space."""
         return _restrict(self.parent.con, self.plus, self.minus)
@@ -351,7 +345,7 @@ def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     quotients = [np.array([s.quotient for s in subs]) for subs in (subs_minus, subs_plus)]
     sides = []
     for df, (q_minus, q_plus) in ((parent, quotients), (parent.swap(), quotients[::-1])):
-        f, g = pseudocomplements(df).to_plus, _least_total(df)
+        f, g = pseudocomplements(df), _least_total(df)
         sides.append(df.plus.leq[q_plus[:, f][:, None, :], q_plus[:, g[q_minus]]].all(-1))
     return sides[0].T & sides[1]
 

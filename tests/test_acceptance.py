@@ -13,9 +13,9 @@ import conftest
 from dframes.dframe import DFrameHom, is_extremal_epi, is_monomorphism
 from dframes.dframe import is_dense_hom, image_factorization
 from dframes.density import (
-    ConPreorder,
     are_isomorphic,
     classify,
+    con_preorder,
     corrigibility,
     dense_core,
     dense_core_map,
@@ -157,10 +157,9 @@ def test_criterion_6_lemma_equivalence_suites(corpus):
         if not galois_check(df).ok:
             violations.append((df.name, "pseudocomplement laws"))
         core = dense_core(df)
-        pre = ConPreorder(df)
         for lat, order, sat, members in (
-            (df.minus, pre.minus, core.nu_minus.mapping, core.core.minus.members),
-            (df.plus, pre.plus, core.nu_plus.mapping, core.core.plus.members),
+            (df.minus, con_preorder(df), core.nu_minus.mapping, core.core.minus.members),
+            (df.plus, con_preorder(df.swap()), core.nu_plus.mapping, core.core.plus.members),
         ):
             for x in range(lat.n):
                 in_core = x in members

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dframes import search
+from dframes import cli, search
 from dframes.cli import main as cli_main
 from dframes.documents import loads
 from dframes.fixtures import three_three
@@ -167,6 +167,20 @@ def test_props_is_byte_deterministic(run_cli):
 def test_usage_error_exit_code(run_cli, capsys):
     code, _, _ = run_cli(["no-such-command"])
     assert code == 2
+
+
+def test_main_builds_one_parser_per_process(run_cli, fixture_dir, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(["check", str(fixture_dir / "sym3.json")])[0] == 0
+        assert run_cli(["check", "--max-frame", "many", "x.json"])[0] == 2
+        assert run_cli(["check", str(fixture_dir / "sym3.json")])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):

@@ -16,8 +16,6 @@ from dframes import density
 from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.documents import dframe_from_spec
 from dframes.density import (
-    ConPreorder,
-    Pseudocomplements,
     are_isomorphic,
     classify,
     con_preorder,
@@ -27,6 +25,7 @@ from dframes.density import (
     dense_core_map,
     dframe_isomorphism,
     double_pseudocomplement_sets,
+    double_pseudocomplements,
     galois_check,
     is_corrigible,
     is_dense_sub_d_locale,
@@ -36,6 +35,7 @@ from dframes.density import (
     is_skeletal,
     pseudocomplement,
     pseudocomplements,
+    saturation_nucleus,
     sublocale_generated_by,
 )
 from dframes.fixtures import (
@@ -59,27 +59,26 @@ def test_pseudocomplement_values():
     tt = three_three()
     assert pseudocomplement(tt, "minus", tt.minus.idx("c")) == tt.plus.idx("0")
     s3 = symmetric_dframe(C3)
-    pc = Pseudocomplements(s3)
-    assert [C3.elements[pc.to_plus[C3.idx(x)]] for x in "0c1"] == ["1", "0", "0"]
+    pc = pseudocomplements(s3)
+    assert [C3.elements[pc[C3.idx(x)]] for x in "0c1"] == ["1", "0", "0"]
 
 
 def test_bottom_pseudocomplement_is_top_everywhere():
     for df in SMALL_CORPUS:
-        pc = Pseudocomplements(df)
-        assert pc.to_plus[df.minus.bottom] == df.plus.top
-        assert pc.to_minus[df.plus.bottom] == df.minus.top
+        assert pseudocomplements(df)[df.minus.bottom] == df.plus.top
+        assert pseudocomplements(df.swap())[df.plus.bottom] == df.minus.top
 
 
 def test_galois_laws_on_named_examples():
     sb4 = symmetric_dframe(B4)
     assert galois_check(sb4).ok
-    pc = Pseudocomplements(sb4)
-    assert (pc.double_minus() == np.arange(B4.n)).all()
+    pc = pseudocomplements(sb4)
+    assert (double_pseudocomplements(sb4) == np.arange(B4.n)).all()
     tt = three_three()
     assert galois_check(tt).ok
     c = tt.minus.idx("c")
     assert pc is not None
-    assert Pseudocomplements(tt).double_minus()[c] == tt.minus.top
+    assert double_pseudocomplements(tt)[c] == tt.minus.top
 
 
 @pytest.mark.parametrize("df", SMALL_CORPUS, ids=lambda d: d.name)
@@ -112,15 +111,14 @@ def test_dense_sub_d_locale_verdicts():
 
 def test_con_preorder_contains_order_and_known_table():
     tt = three_three()
-    pre = ConPreorder(tt)
-    assert (~tt.minus.leq | pre.minus).all()
+    pre = con_preorder(tt)
+    assert (~tt.minus.leq | pre).all()
     # minimal relations make the preorder ignore everything except bottom:
     # a below b unless b is the bottom while a is not.
     expected = np.array([[True, True, True], [False, True, True], [False, True, True]])
-    assert (pre.minus == expected).all()
+    assert (pre == expected).all()
     sb4 = symmetric_dframe(B4)
-    pre4 = ConPreorder(sb4)
-    assert (pre4.minus == B4.leq).all() and (pre4.plus == B4.leq).all()
+    assert (con_preorder(sb4) == B4.leq).all() and (con_preorder(sb4.swap()) == B4.leq).all()
 
 
 def test_dense_core_named_examples():
@@ -152,10 +150,9 @@ def test_dense_core_of_three_three_is_the_boolean_pair():
 @pytest.mark.parametrize("df", SMALL_CORPUS, ids=lambda d: d.name)
 def test_core_membership_three_conditions_agree(df):
     core = dense_core(df)
-    pre = ConPreorder(df)
     for lat, order, sat, members in (
-        (df.minus, pre.minus, core.nu_minus.mapping, core.core.minus.members),
-        (df.plus, pre.plus, core.nu_plus.mapping, core.core.plus.members),
+        (df.minus, con_preorder(df), core.nu_minus.mapping, core.core.minus.members),
+        (df.plus, con_preorder(df.swap()), core.nu_plus.mapping, core.core.plus.members),
     ):
         for x in range(lat.n):
             in_core = x in members
@@ -226,9 +223,8 @@ def test_core_is_dually_subfit_everywhere():
     for df in SMALL_CORPUS:
         realized = dense_core(df).as_dframe
         assert is_dually_subfit(realized)
-        pre = ConPreorder(realized)
-        assert (pre.minus == realized.minus.leq).all()
-        assert (pre.plus == realized.plus.leq).all()
+        assert (con_preorder(realized) == realized.minus.leq).all()
+        assert (con_preorder(realized.swap()) == realized.plus.leq).all()
 
 
 def test_dually_subfit_isomorphic_to_core():
@@ -260,7 +256,7 @@ def test_spec_galois_chase_on_minimal_three_three():
     c = tt.minus.idx("c")
     assert pseudocomplement(tt, "minus", c) == tt.plus.idx("0")
     assert pseudocomplement(tt, "plus", tt.plus.idx("0")) == tt.minus.idx("1")
-    assert Pseudocomplements(tt).double_minus()[c] == tt.minus.idx("1")
+    assert double_pseudocomplements(tt)[c] == tt.minus.idx("1")
 
 
 def test_coreflection_report_on_fixtures():
@@ -278,16 +274,16 @@ def test_corrigible_means_double_negation_core():
 
 def test_dense_quotients_fix_pseudocomplements():
     tt = three_three()
-    pc = Pseudocomplements(tt)
+    to_plus, to_minus = pseudocomplements(tt), pseudocomplements(tt.swap())
     ds = enumerate_sub_d_locales(tt)
     for member in ds.members:
         if not is_dense_sub_d_locale(member):
             continue
         q_minus, q_plus = member.minus.quotient, member.plus.quotient
         for a in range(tt.minus.n):
-            assert q_plus[pc.to_plus[a]] == pc.to_plus[a]
+            assert q_plus[to_plus[a]] == to_plus[a]
         for p in range(tt.plus.n):
-            assert q_minus[pc.to_minus[p]] == pc.to_minus[p]
+            assert q_minus[to_minus[p]] == to_minus[p]
 
 
 def test_pairs_containing_double_sets_are_dense():
@@ -390,7 +386,7 @@ def double_transfers_by_search(df):
     """x con (a meet b) gives x con (a^.. meet b), one cell at a time.  The
     reference for the corrigibility condition "consistency transfers through
     the double"."""
-    lat, con, double = df.minus, df.con, pseudocomplements(df).double_minus()
+    lat, con, double = df.minus, df.con, double_pseudocomplements(df)
     return all(
         not (con[x, lat.meet[a, b]] and not con[x, lat.meet[double[a], b]])
         for a in range(lat.n) for b in range(lat.n) for x in range(df.plus.n)
@@ -443,13 +439,16 @@ MIRROR_CORPUS = SMALL_CORPUS + [
 def test_swap_exchanges_the_sides_of_the_density_layer():
     for df in MIRROR_CORPUS:
         assert df.swap().swap() is df
-        pc, pre, core, corr = pseudocomplements(df), con_preorder(df), dense_core(df), corrigibility(df)
-        # a fresh swap computes its own structure; df.swap() reads df's, mirrored
+        pc = pseudocomplements(df), pseudocomplements(df.swap())
+        pre = con_preorder(df), con_preorder(df.swap())
+        core, corr = dense_core(df), corrigibility(df)
+        # a fresh swap computes everything anew; df.swap() already holds df's
+        # plus side, and computes its own dense core here
         for sw in (DFrame(df.plus, df.minus, df.con.T, df.tot.T), df.swap()):
-            pc_sw = pseudocomplements(sw)
-            assert (pc_sw.to_plus == pc.to_minus).all() and (pc_sw.to_minus == pc.to_plus).all()
-            pre_sw = con_preorder(sw)
-            assert (pre_sw.minus == pre.plus).all() and (pre_sw.plus == pre.minus).all()
+            assert (pseudocomplements(sw) == pc[1]).all()
+            assert (pseudocomplements(sw.swap()) == pc[0]).all()
+            assert (con_preorder(sw) == pre[1]).all() and (con_preorder(sw.swap()) == pre[0]).all()
+            assert (saturation_nucleus(sw).mapping == core.nu_plus.mapping).all()
             core_sw = dense_core(sw)
             assert core_sw.core.minus == core.core.plus and core_sw.core.plus == core.core.minus
             assert (core_sw.nu_minus.mapping == core.nu_plus.mapping).all()
@@ -477,15 +476,15 @@ def test_pseudocomplements_reject_a_con_that_is_not_join_closed():
     scope = {}
     exec(BROKEN_CON, scope)
     with pytest.raises(BrokenInvariant, match="must stay consistent"):
-        Pseudocomplements(scope["broken"])
+        pseudocomplements(scope["broken"])
 
 
 def test_pseudocomplement_check_survives_optimised_python():
     script = BROKEN_CON + textwrap.dedent("""
-        from dframes.density import Pseudocomplements
+        from dframes.density import pseudocomplements
         from dframes.errors import BrokenInvariant
         try:
-            Pseudocomplements(broken)
+            pseudocomplements(broken)
         except BrokenInvariant:
             print("raised")
     """)
@@ -499,35 +498,39 @@ def test_pseudocomplement_check_survives_optimised_python():
 # -- the per-d-frame memo ------------------------------------------------------
 
 
+BUILDERS = ("_largest_consistent", "_consistency_preorder", "_saturation_nucleus",
+            "_dense_core")
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts, per d-frame, every Pseudocomplements and ConPreorder built and
-    every dense core computed, and lists the d-frames they were built for.
-    The d-frames are kept alive so that no id is reused while counting."""
+    """Counts, per d-frame object, every run of the memoised builders of the
+    pseudocomplements, the consistency preorder, the saturation nucleus and
+    the dense core, and keeps the d-frames they ran on, so that no id is
+    reused while counting."""
     counts = Counter()
-    seen = []
+    seen = {}
 
     def counted(name, build):
-        def wrapper(*args):
-            df = args[-1]  # (self, df) for a constructor, (df) for the core
-            seen.append(df)
+        def wrapper(df):
+            seen[id(df)] = df
             counts[name, id(df)] += 1
-            return build(*args)
+            return build(df)
         return wrapper
 
-    monkeypatch.setattr(Pseudocomplements, "__init__",
-                        counted("pc", Pseudocomplements.__init__))
-    monkeypatch.setattr(ConPreorder, "__init__", counted("pre", ConPreorder.__init__))
-    monkeypatch.setattr(density, "_dense_core", counted("core", density._dense_core))
+    for name in BUILDERS:
+        monkeypatch.setattr(density, name, counted(name, getattr(density, name)))
     return counts, seen
 
 
 def assert_built_once(builds):
     counts, seen = builds
-    assert {name for name, _ in counts} == {"pc", "pre", "core"}
+    assert {name for name, _ in counts} == set(BUILDERS)
     assert max(counts.values()) == 1
-    # a swap builds nothing: its structure is read from its parent's
-    assert not {id(df.swap()) for df in seen} & {id(df) for df in seen}
+    # the core runs on no swap; the plus side it reads is built on the swap
+    cores = [seen[key] for name, key in counts if name == "_dense_core"]
+    assert not {id(df.swap()) for df in cores} & {id(df) for df in cores}
+    assert all(("_saturation_nucleus", id(df.swap())) in counts for df in cores)
 
 
 def test_mine_builds_derived_structure_once_per_dframe(builds):
@@ -541,12 +544,34 @@ def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
     assert_built_once(builds)
 
 
+def test_classify_admits_the_core_pair_once(monkeypatch):
+    # corrigibility builds the dense core, so classify runs the core pair's
+    # nine-axiom admission, and only that one
+    from dframes import dframe as dframe_module, subdlocale
+
+    calls = []
+    for module in (dframe_module, subdlocale):
+        check = module.check_dframe
+        monkeypatch.setattr(module, "check_dframe",
+                            lambda df, check=check: calls.append(df) or check(df))
+    for make in (three_three, two_two, double_negation_without_excluded_middle,
+                 incorrigible_minimal):
+        df = make()
+        calls.clear()
+        classify(df)
+        assert calls == [dense_core(df).as_dframe]
+
+
 def test_dense_core_is_memoised():
     tt = three_three()
     core = dense_core(tt)
     assert dense_core(tt) is core
     assert pseudocomplements(tt) is pseudocomplements(tt)
     assert con_preorder(tt) is con_preorder(tt)
+    assert saturation_nucleus(tt) is saturation_nucleus(tt) is core.nu_minus
+    # the plus side is kept by the swap, which is built once
+    assert saturation_nucleus(tt.swap()) is core.nu_plus
+    assert pseudocomplements(tt.swap()) is pseudocomplements(tt.swap())
     assert double_pseudocomplement_sets(tt) is double_pseudocomplement_sets(tt)
     # an equal but distinct d-frame has its own memo
     assert dense_core(three_three()) is not core

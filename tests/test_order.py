@@ -261,13 +261,6 @@ def test_directed_join_closure_fixes_antichains():
     assert (directed_joins_bruteforce(b4, c3, antichain) == antichain).all()
 
 
-def test_membership_vector_down_closure_check():
-    c3 = Lattice.chain(3)
-    down = np.array([True, True, False])
-    assert c3.is_down_closed(down)
-    assert not c3.is_down_closed(np.array([False, True, False]))
-
-
 def test_order_isomorphism_search():
     assert are_order_isomorphic(Lattice.chain(3), Lattice.chain(3))
     assert not are_order_isomorphic(Lattice.chain(4), Lattice.boolean(2))

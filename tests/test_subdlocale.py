@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from dframes import cli, documents, subdlocale
-from dframes.density import Pseudocomplements, con_preorder, dense_core, pseudocomplements
+from dframes.density import (
+    con_preorder,
+    dense_core,
+    double_pseudocomplements,
+    pseudocomplements,
+    saturation_nucleus,
+)
 from dframes.dframe import (
     AxiomCheck,
     AxiomReport,
@@ -350,16 +356,23 @@ def test_handed_out_arrays_are_frozen():
     core = dense_core(tt)  # memoised: every caller on tt shares it
     tt.minus.implication, tt.minus.covers
     swapped = tt.swap()
-    for obj, count in ((sub, 2), (member, 2), (Pseudocomplements(tt), 2),
+    handed_out = [pseudocomplements(d) for d in (tt, swapped)]
+    handed_out += [con_preorder(d) for d in (tt, swapped)]
+    handed_out += [double_pseudocomplements(d) for d in (tt, swapped)]
+    swap_core = dense_core(swapped)  # computed on the swap, from its own memo
+    # a d-frame holds con, tot and, in its memo, its minus side's
+    # pseudocomplements and preorder
+    for obj, count in ((sub, 2), (member, 2),
                        (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
-                       (con_preorder(tt), 2), (pseudocomplements(tt), 2),
                        (member.quotient_hom().minus, 1), (tt.minus, 5),
-                       (tt, 2), (swapped, 2), (pseudocomplements(swapped), 2),
-                       (con_preorder(swapped), 2), (dense_core(swapped).core, 2),
-                       (dense_core(swapped).nu_minus, 1), (lazy, 2), (lazy.as_dframe, 2)):
+                       (tt, 4), (swapped, 4), (saturation_nucleus(swapped), 1),
+                       (swap_core.core, 2), (swap_core.nu_minus, 1), (lazy, 2),
+                       (lazy.as_dframe, 2)):
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == count
         assert not any(a.flags.writeable for a in arrays)
+    assert vars(swapped)["_pseudocomplements"] is handed_out[1]
+    assert not any(a.flags.writeable for a in handed_out)
 
 
 def test_constructive_join_standalone():
