@@ -25,17 +25,18 @@ from .subdlocale import enumerate_sub_d_locales
 from .sweeps import full_sweep
 
 
-def _add_common(parser, dot=False):
+def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument("--strict", action="store_true",
                         help="validate relation lists literally instead of closing generators")
+
+
+def _add_guards(parser):
+    """The size guards, for the subcommands that enumerate sub-d-locales."""
     parser.add_argument("--max-frame", type=int, default=12,
                         help="sublocale enumeration guard (elements per frame)")
     parser.add_argument("--max-pairs", type=int, default=400,
                         help="sub-d-locale enumeration guard (sublocale pairs)")
-    if dot:
-        parser.add_argument("--dot", metavar="PATH", default=None,
-                            help="also write the cover diagram as DOT")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dsub", help="enumerate the lattice of sub-d-locales")
     p.add_argument("path")
-    _add_common(p, dot=True)
+    _add_common(p)
+    _add_guards(p)
+    p.add_argument("--dot", metavar="PATH", default=None,
+                   help="also write the cover diagram as DOT")
 
     p = sub.add_parser("hat", help="compute the smallest dense sub-d-locale")
     p.add_argument("path")
     _add_common(p)
+    _add_guards(p)
 
     p = sub.add_parser("classify", help="decide the structural predicates")
     p.add_argument("path")
@@ -74,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-size", type=int, default=5,
                    help="lattice size bound for the generated corpus")
     _add_common(p)
+    _add_guards(p)
 
     p = sub.add_parser("mine", help="bounded-exhaustive search for finite witnesses")
     p.add_argument("--max-frame", type=int, default=3)

@@ -122,11 +122,11 @@ def _frozen_owner(a: np.ndarray) -> bool:
             and owner.flags.owndata and not owner.flags.writeable)
 
 
-def _memo(df: DFrame, key: str, build):
-    """build(df), run once per d-frame and kept in the d-frame's instance dict.
+def _memo(df, key: str, build):
+    """build(df), run once per d-frame or morphism and kept in its instance dict.
 
-    A DFrame's arrays are read-only, so whatever is derived from them stays
-    valid as long as the d-frame lives, and dies with it.  A build that
+    Its arrays are read-only, so whatever is derived from them stays
+    valid as long as it lives, and dies with it.  A build that
     raises stores nothing: the next call runs it, and fails, again.
     """
     memo = vars(df)

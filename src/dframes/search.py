@@ -88,15 +88,14 @@ def standard_corpus(max_size: int = 5) -> list[DFrame]:
     return out
 
 
-def random_dframe(rng, pool: list[Frame] | None = None, max_size: int = 4) -> DFrame:
-    """A seeded random d-frame: random frame pair plus random generator
-    pairs closed into valid relations.
+def random_dframe(rng, pool: list[Frame]) -> DFrame:
+    """A seeded random d-frame: random frame pair from the pool plus random
+    generator pairs closed into valid relations.
 
     The closure handles every axiom except con-tot; candidates violating it
     are rejected and retried, so the draw always terminates (the minimal
     relations are always valid).
     """
-    pool = pool or frame_pool(max_size)
     for attempt in range(64):
         minus = rng.choice(pool)
         plus = rng.choice(pool)
@@ -220,11 +219,11 @@ def _describe(df: DFrame) -> str:
     return f"{df.minus.name}x{df.plus.name} con=[{con}] tot=[{tot}]"
 
 
-def partnerless_sublocales(df: DFrame, max_frame: int = 12) -> list:
+def partnerless_sublocales(df: DFrame) -> list:
     """Component sublocales admitting no partner on the other side: the
     rows and columns of the admission matrix with no admitted pair."""
-    subs_minus = enumerate_sublocales(df.minus, max_frame=max_frame)
-    subs_plus = enumerate_sublocales(df.plus, max_frame=max_frame)
+    subs_minus = enumerate_sublocales(df.minus)
+    subs_plus = enumerate_sublocales(df.plus)
     admitted = admission_matrix(df, subs_minus, subs_plus)
     return ([("minus", sm) for sm, ok in zip(subs_minus, admitted.any(axis=1)) if not ok]
             + [("plus", sp) for sp, ok in zip(subs_plus, admitted.any(axis=0)) if not ok])

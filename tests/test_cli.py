@@ -75,6 +75,13 @@ def test_dsub_size_guard(run_cli, fixture_dir):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_commands_that_never_enumerate_take_no_size_guard(run_cli, fixture_dir, command):
+    code, out, _ = run_cli([command, str(fixture_dir / "three_three.json"),
+                            "--max-pairs", "3"])
+    assert code == 2 and out == ""
+
+
 def test_dsub_json_mode(run_cli, fixture_dir):
     code, out, _ = run_cli(["dsub", str(fixture_dir / "three_three.json"), "--json"])
     assert code == 0

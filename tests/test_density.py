@@ -6,6 +6,7 @@ import textwrap
 import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,14 @@ def test_coreflection_report_on_fixtures():
     assert report.ok, report.failures
 
 
+def test_coreflection_report_skips_non_skeletal_morphisms():
+    ds = enumerate_sub_d_locales(three_three())
+    q = ds.members[ds.labels.index("c(c).c(c)")].quotient_hom()
+    assert not is_skeletal(q) and is_dually_subfit(q.cod)
+    assert coreflection_report([], [q]).ok
+    assert vars(q)["_is_skeletal"] is False  # decided once, kept by the morphism
+
+
 def test_corrigible_means_double_negation_core():
     for df in SMALL_CORPUS:
         if is_corrigible(df):
@@ -305,10 +314,59 @@ def test_pseudocomplement_rejects_unknown_side():
 
 
 def test_galois_laws_on_a_large_boolean_frame():
-    # 16 elements per side: exercises the binary-subsets fallback sweep
+    # 16 elements per side: 2^16 subsets, past what the all-subsets oracle scans
     big = symmetric_dframe(Frame.boolean(4))
     assert galois_check(big).ok
     assert is_double_negation(big) and is_excluded_middle(big)
+
+
+def galois_check_by_all_subsets(df):
+    """The Galois laws with the join-to-meet law scanned over every subset of
+    each side, by size.  The reference for galois_check, whose empty-set and
+    pair scan must report the same failures."""
+    rep = density.GaloisReport()
+    for side, d in (("minus", df), ("plus", df.swap())):
+        lat, other = d.minus, d.plus
+        to_op, dbl = pseudocomplements(d), double_pseudocomplements(d)
+        for a in range(lat.n):
+            if not lat.leq[a, dbl[a]]:
+                rep.note(f"{side} below double", (lat.elements[a],))
+            if to_op[dbl[a]] != to_op[a]:
+                rep.note(f"{side} triple equals single", (lat.elements[a],))
+        for size in range(lat.n + 1):
+            bad = next((list(c) for c in combinations(range(lat.n), size)
+                        if to_op[lat.join_all(c)] != other.meet_all(to_op[list(c)])), None)
+            if bad is not None:
+                rep.note(f"{side} join to meet", tuple(lat.names(bad)))
+                break
+    Lm, Lp, con = df.minus, df.plus, df.con
+    to_plus, to_minus = pseudocomplements(df), pseudocomplements(df.swap())
+    dbl_m, dbl_p = double_pseudocomplements(df), double_pseudocomplements(df.swap())
+    for p in range(Lp.n):
+        for a in range(Lm.n):
+            c = bool(con[p, a])
+            if c != bool(Lm.leq[a, to_minus[p]]) or c != bool(Lp.leq[p, to_plus[a]]):
+                rep.note("consistency vs comparisons", (Lp.elements[p], Lm.elements[a]))
+            if c != bool(con[dbl_p[p], a]) or c != bool(con[p, dbl_m[a]]):
+                rep.note("consistency under double maps", (Lp.elements[p], Lm.elements[a]))
+    return rep
+
+
+def test_galois_pair_scan_matches_the_all_subsets_scan():
+    pool = frame_pool(4)
+    for df in standard_corpus(5) + [random_dframe(random.Random(seed), pool=pool)
+                                    for seed in range(200)]:
+        assert galois_check(df).failures == galois_check_by_all_subsets(df).failures, df.name
+    # a corrupted pseudocomplement map on each side makes both routes fail
+    witnesses = Counter()
+    for seed, df in enumerate(d for d in standard_corpus(5) if min(d.minus.n, d.plus.n) >= 3):
+        rng = np.random.default_rng(seed)
+        for d in (df, df.swap()):
+            vars(d)["_pseudocomplements"] = rng.integers(d.plus.n, size=d.minus.n)
+        failures = galois_check(df).failures
+        assert failures and failures == galois_check_by_all_subsets(df).failures, df.name
+        witnesses.update(len(w) for law, w in failures if law.endswith("join to meet"))
+    assert witnesses[0] and witnesses[2]
 
 
 # -- randomised law checks ----------------------------------------------------
@@ -542,6 +600,29 @@ def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
     corpus = standard_corpus(3) + [three_three()]
     assert full_sweep(corpus).ok
     assert_built_once(builds)
+
+
+def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):
+    from dframes import sweeps
+
+    homs, calls = {}, Counter()
+    decide, carries = density.is_skeletal, density._carries_preorder
+
+    def counted_decide(hom):
+        homs[id(hom)] = hom
+        return decide(hom)
+
+    def counted_carries(hom):
+        calls["carries"] += 1
+        return carries(hom)
+
+    for module in (density, sweeps):
+        monkeypatch.setattr(module, "is_skeletal", counted_decide)
+    monkeypatch.setattr(density, "_carries_preorder", counted_carries)
+    code, out, _ = run_cli(["props", "corpus", "--seed", "5"])
+    assert code == 0 and "result: ok" in out
+    # one decision per morphism, of at most one preorder test per component
+    assert homs and calls["carries"] <= 2 * len(homs)
 
 
 def test_classify_admits_the_core_pair_once(monkeypatch):

@@ -20,6 +20,7 @@ from dframes.frames import (
     whole_sublocale,
 )
 from dframes.order import Lattice
+from dframes.search import frame_pool
 
 
 C3 = Frame.chain(3)
@@ -180,6 +181,26 @@ def test_sublocale_join_meet():
     assert cc.meet_with(oc) == one
     with pytest.raises(CarrierMismatch):
         cc.meet_with(one_sublocale(B4))
+
+
+def join_by_frontier(s, t):
+    """All meets of subsets of the union, grown from the union one round of
+    binary meets at a time.  The reference for Sublocale.join_with."""
+    F = s.frame
+    pool = sorted(set(s.members) | set(t.members))
+    out = {F.top}
+    frontier = set(pool)
+    while frontier:
+        out |= frontier
+        frontier = {F.meet[x, y] for x in out for y in pool if F.meet[x, y] not in out}
+    return Sublocale(F, out)
+
+
+def test_join_with_matches_the_frontier_loop():
+    for frame in frame_pool(5) + [Frame.chain(6), Frame.boolean(3)]:
+        subs = enumerate_sublocales(frame)
+        for s, t in product(subs, subs):
+            assert s.join_with(t) is join_by_frontier(s, t)
 
 
 def test_enumerated_sublocales_form_a_lattice():

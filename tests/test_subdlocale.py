@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dframes import cli, documents, subdlocale
+from dframes import cli, documents, subdlocale, sweeps
 from dframes.density import (
     con_preorder,
     dense_core,
@@ -294,6 +294,21 @@ def test_index_of_rejects_non_members():
 
 BOUNDS_VERDICT = "3.3: constructive joins and meets realise the bounds"
 DENSE_MEET_VERDICT = "3.3: meets of dense members are dense intersections"
+
+
+def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch):
+    tt = three_three()
+    ds = enumerate_sub_d_locales(tt)
+    partial = SubDLocaleLattice(tt, ds.members[:-1])  # drops the whole pair 3.3
+    lbl = list(partial.labels)
+    i, j = lbl.index("3.c(c)"), lbl.index("3.o(c)")  # their join is 3.3
+    for join in (partial._componentwise_join, partial.join):
+        with pytest.raises(BrokenInvariant, match="not a member"):
+            join(i, j)
+    monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", lambda df, **guards: partial)
+    sweep = Sweep()
+    sweep_dframe(tt, sweep)
+    assert (BOUNDS_VERDICT, "") in sweep.failures()
 
 
 def test_sweep_records_a_wrong_join_index_as_a_failed_verdict(monkeypatch):
