@@ -31,12 +31,11 @@ def _add_common(parser):
                         help="validate relation lists literally instead of closing generators")
 
 
-def _add_guards(parser):
-    """The size guards, for the subcommands that enumerate sub-d-locales."""
-    parser.add_argument("--max-frame", type=int, default=12,
-                        help="sublocale enumeration guard (elements per frame)")
+def _add_guard(parser):
+    """The size guard, for the subcommands that enumerate sub-d-locales."""
     parser.add_argument("--max-pairs", type=int, default=400,
-                        help="sub-d-locale enumeration guard (sublocale pairs)")
+                        help="sub-d-locale enumeration guard: sublocale pairs, "
+                             "2^(primes of minus + primes of plus)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dsub", help="enumerate the lattice of sub-d-locales")
     p.add_argument("path")
     _add_common(p)
-    _add_guards(p)
+    _add_guard(p)
     p.add_argument("--dot", metavar="PATH", default=None,
                    help="also write the cover diagram as DOT")
 
     p = sub.add_parser("hat", help="compute the smallest dense sub-d-locale")
     p.add_argument("path")
     _add_common(p)
-    _add_guards(p)
+    _add_guard(p)
 
     p = sub.add_parser("classify", help="decide the structural predicates")
     p.add_argument("path")
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-size", type=int, default=5,
                    help="lattice size bound for the generated corpus")
     _add_common(p)
-    _add_guards(p)
+    _add_guard(p)
 
     p = sub.add_parser("mine", help="bounded-exhaustive search for finite witnesses")
     p.add_argument("--max-frame", type=int, default=3)
@@ -150,7 +149,7 @@ def cmd_dsub(args, out) -> int:
     report = Report("dsub", {"path": args.path, "name": df.name})
     if not _validated(df, report, args, out):
         return 1
-    ds = enumerate_sub_d_locales(df, max_frame=args.max_frame, max_pairs=args.max_pairs)
+    ds = enumerate_sub_d_locales(df, max_pairs=args.max_pairs)
     report.section("members", [
         f"{i}: {label}" for i, label in enumerate(ds.labels)
     ])
@@ -192,7 +191,7 @@ def cmd_hat(args, out) -> int:
     report.verdict("core is dense", is_dense_sub_d_locale(core.core))
     report.verdict("core is dually subfit", is_dually_subfit(core.as_dframe))
     try:
-        ds = enumerate_sub_d_locales(df, max_frame=args.max_frame, max_pairs=args.max_pairs)
+        ds = enumerate_sub_d_locales(df, max_pairs=args.max_pairs)
         dense_members = [m for m in ds.members if is_dense_sub_d_locale(m)]
         report.verdict("core below every dense sub-d-locale",
                        all(core.core.leq(m) for m in dense_members),
@@ -242,7 +241,7 @@ def cmd_props(args, out) -> int:
         pool = frame_pool(4)
         corpus += [random_dframe(rng, pool=pool) for _ in range(6)]
 
-    sweep = full_sweep(corpus, max_frame=args.max_frame, max_pairs=args.max_pairs)
+    sweep = full_sweep(corpus, max_pairs=args.max_pairs)
     failures = sweep.failures()
     report.verdict("property suites", sweep.ok,
                    f"{len(sweep.verdicts)} checks" if sweep.ok else str(failures[0]))

@@ -363,9 +363,8 @@ def dense_core_map(hom: DFrameHom) -> DFrameHom:
 def _core_component(f: FrameHom, src: Sublocale, tgt: Sublocale, sat: Nucleus) -> FrameHom:
     """One component of the core map: src's members go by f into the
     codomain, then by its saturation into the core carrier tgt."""
-    return FrameHom(src.as_frame, tgt.as_frame, [
-        tgt.position(int(sat.mapping[f.mapping[a]])) for a in src.members
-    ])
+    image = sat.mapping[f.mapping[np.asarray(src.members)]]
+    return FrameHom(src.as_frame, tgt.as_frame, np.searchsorted(tgt.members, image))
 
 
 # -- classification -------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +37,11 @@ class Frame(Lattice):
     def is_trivial(self):
         return self.n == 1
 
+    @cached_property
+    def primes(self) -> tuple:
+        """The meet-irreducible (prime) elements: those with one upper cover."""
+        return tuple(np.flatnonzero(self.covers.sum(axis=1) == 1).tolist())
+
     @classmethod
     def from_covers(cls, elements, cover_pairs) -> "Frame":
         return cls(Lattice.from_covers(elements, cover_pairs))
@@ -64,14 +68,16 @@ class LawViolation:
 
 
 class FrameHom:
-    """A candidate map between frames, stored as an index array."""
+    """A candidate map between frames, stored as an index array.
+
+    The mapping is an integer array, a list of codomain indices, or a list
+    of codomain element names.
+    """
 
     def __init__(self, dom: Frame, cod: Frame, mapping):
-        if isinstance(mapping, dict):
-            mapping = [mapping[e] for e in dom.elements]
-        arr = np.asarray(
-            [cod.idx(m) if isinstance(m, str) else int(m) for m in mapping], dtype=np.int64
-        )
+        if not isinstance(mapping, np.ndarray) and any(isinstance(m, str) for m in mapping):
+            mapping = [cod.idx(m) for m in mapping]
+        arr = np.array(mapping, dtype=np.int64)  # a copy: never the caller's array
         if arr.shape != (dom.n,):
             raise DomainMismatch(f"map must be total on {dom.n} elements, got shape {arr.shape}")
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= cod.n:
@@ -230,14 +236,10 @@ class Sublocale:
     def label(self) -> str:
         return sublocale_label(self)
 
-    def position(self, parent_index: int) -> int:
-        """Index of a member inside as_frame."""
-        return self.members.index(parent_index)
-
     def quotient_hom(self) -> FrameHom:
         """The quotient map onto the member frame."""
         target = self.as_frame
-        return FrameHom(self.frame, target, [self.position(q) for q in self.quotient])
+        return FrameHom(self.frame, target, np.searchsorted(self.members, self.quotient))
 
     # -- lattice of sublocales ---------------------------------------------
 
@@ -352,26 +354,25 @@ def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
     star = frame.implication[:, frame.bottom]
     double = star[star]
     sub = Sublocale(frame, set(double.tolist()))
-    hom = FrameHom(frame, sub.as_frame, [sub.position(int(d)) for d in double])
+    hom = FrameHom(frame, sub.as_frame, np.searchsorted(sub.members, double))
     return sub, hom
 
 
-def enumerate_sublocales(frame: Frame, max_frame: int = 12) -> list[Sublocale]:
-    """All sublocales, by brute force over subsets containing the top.
+def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Sublocale]:
+    """All sublocales, ordered by (size, members) so outputs are reproducible.
 
-    Ordered by (size, membership vector) so outputs are reproducible.
+    A finite frame is spatial and T_D, so its sublocales are exactly the
+    meet-closures of the sets of its primes, 2^|primes| of them; more than
+    max_sublocales raises SizeGuardExceeded before any is built.
     """
-    if frame.n > max_frame:
-        raise SizeGuardExceeded(f"frame has {frame.n} > {max_frame} elements")
-    rest = [i for i in range(frame.n) if i != frame.top]
-    found = []
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            cand = Sublocale(frame, (frame.top,) + extra)
-            if cand.is_valid:
-                found.append(cand)
-    found.sort(key=lambda s: (len(s.members), s.members))
-    return found
+    count = 2 ** len(frame.primes)
+    if count > max_sublocales:
+        raise SizeGuardExceeded(f"{count} sublocales exceed the guard of {max_sublocales}")
+    closures = [{frame.top}]
+    for p in frame.primes:  # every closure so far, and the same with p added
+        closures += [c | set(frame.meet[list(c), p].tolist()) for c in closures]
+    return sorted((Sublocale(frame, c) for c in closures),
+                  key=lambda s: (len(s.members), s.members))
 
 
 def sublocale_label(s: Sublocale) -> str:

@@ -302,25 +302,24 @@ class SubDLocaleLattice:
         return f"SubDLocaleLattice({self.parent.name}: {self.n} members)"
 
 
-def enumerate_sub_d_locales(parent: DFrame, max_frame: int = 12,
-                            max_pairs: int = 400) -> SubDLocaleLattice:
+def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = 400) -> SubDLocaleLattice:
     """All sublocale pairs that induce valid quotients, in canonical order.
 
-    Canonical order is by total member count, then componentwise member
-    tuples, which makes reports and diagrams reproducible.  The lattice is
-    built once per d-frame and pair of guards; a refused size is not
-    remembered, so it raises on every call.
+    Each side has 2^|primes| sublocales, so more than max_pairs pairs are
+    refused before any is enumerated.  Canonical order is by total member
+    count, then componentwise member tuples, which makes reports and
+    diagrams reproducible.  The lattice is built once per d-frame; a
+    refused size is not remembered, so it raises on every call.
     """
-    return _memo(parent, f"_sub_d_locales_{max_frame}_{max_pairs}",
-                 lambda df: _enumerate(df, max_frame, max_pairs))
-
-
-def _enumerate(parent: DFrame, max_frame: int, max_pairs: int) -> SubDLocaleLattice:
-    subs_minus = enumerate_sublocales(parent.minus, max_frame=max_frame)
-    subs_plus = enumerate_sublocales(parent.plus, max_frame=max_frame)
-    pairs = len(subs_minus) * len(subs_plus)
+    pairs = 2 ** (len(parent.minus.primes) + len(parent.plus.primes))
     if pairs > max_pairs:
         raise SizeGuardExceeded(f"{pairs} sublocale pairs exceed the guard of {max_pairs}")
+    return _memo(parent, "_sub_d_locales", lambda df: _enumerate(df, max_pairs))
+
+
+def _enumerate(parent: DFrame, max_pairs: int) -> SubDLocaleLattice:
+    subs_minus = enumerate_sublocales(parent.minus, max_pairs)
+    subs_plus = enumerate_sublocales(parent.plus, max_pairs)
     found = [SubDLocale(parent, subs_minus[i], subs_plus[j])
              for i, j in np.argwhere(admission_matrix(parent, subs_minus, subs_plus))]
     found.sort(key=lambda s: (

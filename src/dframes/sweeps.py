@@ -59,7 +59,7 @@ class Sweep:
         return [(n, d) for n, ok, d in self.verdicts if not ok]
 
 
-def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
+def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
     """All per-d-frame law checks; enumeration-based ones are size-guarded."""
     name = df.name
     sweep.check(f"{name}: axioms", df.validate().ok)
@@ -104,7 +104,7 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
                 "" if cref.ok else str(cref.failures[0]))
 
     try:
-        ds = enumerate_sub_d_locales(df, max_frame=max_frame, max_pairs=max_pairs)
+        ds = enumerate_sub_d_locales(df, max_pairs=max_pairs)
     except SizeGuardExceeded:
         sweep.check(f"{name}: sub-d-locale sweep skipped (size guard)", True)
         return
@@ -131,8 +131,8 @@ def sweep_dframe(df, sweep: Sweep, max_frame: int = 12, max_pairs: int = 400):
     gen_p = sublocale_generated_by(df.plus, dbl_p.members)
     members = {(m.minus, m.plus): m for m in ds.members}
     admitted, ok_dense_pairs = set(), True
-    subs_plus = enumerate_sublocales(df.plus, max_frame=max_frame)
-    for sm in enumerate_sublocales(df.minus, max_frame=max_frame):
+    subs_plus = enumerate_sublocales(df.plus, max_pairs)
+    for sm in enumerate_sublocales(df.minus, max_pairs):
         for sp in subs_plus:
             # through the module, so a patched or traced binding sees it
             if subdlocale.build_sub_d_locale(df, sm, sp)[1].ok:
@@ -267,10 +267,10 @@ def standard_morphisms(dframes) -> tuple[list, list]:
     return morphisms, pairs
 
 
-def full_sweep(dframes, max_frame: int = 12, max_pairs: int = 400) -> Sweep:
+def full_sweep(dframes, max_pairs: int = 400) -> Sweep:
     sweep = Sweep()
     for df in dframes:
-        sweep_dframe(df, sweep, max_frame=max_frame, max_pairs=max_pairs)
+        sweep_dframe(df, sweep, max_pairs=max_pairs)
     morphisms, pairs = standard_morphisms(dframes)
     for hom in morphisms:
         sweep_morphism(hom, sweep)

@@ -131,12 +131,34 @@ def test_mine_json_is_deterministic(run_cli):
 
 def test_hat_skips_minimality_beyond_the_guard(run_cli, tmp_path):
     doc = tmp_path / "big.json"
-    code, _, _ = run_cli(["gen", "sym:bool:4", "-o", str(doc)])
+    # 2^(5+5) = 1,024 sublocale pairs, past the default guard of 400
+    code, _, _ = run_cli(["gen", "sym:bool:5", "-o", str(doc)])
     assert code == 0
     code, out, _ = run_cli(["hat", str(doc)])
     assert code == 0
     assert "skipped: enumeration exceeds the size guard" in out
     assert "[pass] core is dense" in out
+
+
+@pytest.mark.parametrize("spec, members", [("sym:bool:4", 16), ("min:bool:4:chain:5", 226)])
+def test_sixteen_element_carriers_pass_the_default_guard(run_cli, tmp_path, spec, members):
+    # B16 has 16 elements but 4 primes: 2^(4+4) = 256 sublocale pairs
+    doc = tmp_path / "doc.json"
+    assert run_cli(["gen", spec, "-o", str(doc)])[0] == 0
+    code, out, _ = run_cli(["dsub", str(doc)])
+    assert code == 0 and f"[pass] member count :: {members} members" in out
+    code, out, _ = run_cli(["hat", str(doc)])
+    assert code == 0 and "[pass] core below every dense sub-d-locale" in out
+    code, out, _ = run_cli(["props", str(doc)])
+    assert code == 0 and "[pass] property suites" in out
+    assert "sub-d-locale sweep skipped" not in out
+
+
+@pytest.mark.parametrize("command", ["dsub", "hat", "props"])
+def test_max_frame_is_not_a_guard_option(run_cli, fixture_dir, command):
+    code, out, _ = run_cli([command, str(fixture_dir / "three_three.json"),
+                            "--max-frame", "12"])
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("command", ["dsub", "hat", "classify", "props"])

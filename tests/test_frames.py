@@ -3,7 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from dframes.errors import CarrierMismatch, NotAFrame, SizeGuardExceeded
+from dframes.errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceeded
 from dframes.fixtures import componentwise_dense_counterexample
 from dframes.frames import (
     Frame,
@@ -63,6 +63,18 @@ def test_check_frame_hom_identity_and_constant():
     assert violations[0].law == "bottom"
 
 
+def test_frame_hom_takes_arrays_indices_and_names():
+    # the 3-chain 0 < c < 1 collapsed onto its top two elements
+    array = np.array([1, 1, 2])
+    homs = [FrameHom(C3, C3, array), FrameHom(C3, C3, [1, 1, 2]),
+            FrameHom(C3, C3, ["c", "c", "1"])]
+    assert homs[0] == homs[1] == homs[2]
+    assert array.flags.writeable  # the caller's array is copied, not frozen
+    for bad in (np.array([1, 2]), np.array([[0, 1, 2]]), [0, 1], [0, 1, 3], [-1, 0, 2]):
+        with pytest.raises(DomainMismatch):
+            FrameHom(C3, C3, bad)
+
+
 def test_collapse_map_is_a_hom():
     # the 4-chain-to-3-chain collapse used by the dense counterexample
     _, _, hom = componentwise_dense_counterexample()
@@ -101,9 +113,15 @@ def brute_force_sublocales(frame):
     return sorted(found, key=lambda m: (len(m), m))
 
 
-@pytest.mark.parametrize("frame", [C3, C4, B4, Frame.boolean(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "frame",
+    [C3, C4, B4, Frame.boolean(3)] + frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+    ids=lambda f: f.name,
+)
 def test_sublocale_enumeration_matches_bruteforce(frame):
-    assert [s.members for s in enumerate_sublocales(frame)] == brute_force_sublocales(frame)
+    subs = enumerate_sublocales(frame)
+    assert [s.members for s in subs] == brute_force_sublocales(frame)
+    assert len(subs) == 2 ** len(frame.primes)
 
 
 def test_sublocale_enumeration_matches_nucleus_fixpoints():
@@ -118,8 +136,13 @@ def test_sublocale_enumeration_matches_nucleus_fixpoints():
 
 
 def test_size_guard():
+    # the guard counts sublocales, 2^|primes|, and refuses before building one
     with pytest.raises(SizeGuardExceeded):
-        enumerate_sublocales(Frame.boolean(2), max_frame=3)
+        enumerate_sublocales(Frame.boolean(2), 3)  # 2^2 > 3
+    chain = Frame.chain(12)
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_sublocales(chain)  # 2^11 > 400
+    assert chain._sublocales == {}
 
 
 def test_open_and_closed_sublocales():

@@ -49,6 +49,7 @@ def answers(df) -> dict:
         lattice=(ds.n, ds.is_distributive, ds.is_modular),
         core=(len(core.minus.members), len(core.plus.members)),
         sublocales=(len(enumerate_sublocales(df.minus)), len(enumerate_sublocales(df.plus))),
+        primes=(len(df.minus.primes), len(df.plus.primes)),
         galois=galois_check(df).ok,
     )
     return out

@@ -138,10 +138,16 @@ def test_size_guard():
 
 
 def test_lattice_is_memoised_per_guard():
+    # 3.3 has 2^(2+2) = 16 sublocale pairs: any guard from 16 up passes and
+    # returns the one lattice; a smaller one raises on every call
     tt = three_three()
     ds = enumerate_sub_d_locales(tt)
-    assert enumerate_sub_d_locales(tt, max_frame=12, max_pairs=400) is ds
-    assert enumerate_sub_d_locales(tt, max_pairs=100) is not ds
+    assert enumerate_sub_d_locales(tt, max_pairs=400) is ds
+    assert enumerate_sub_d_locales(tt, max_pairs=16) is ds
+    for _ in range(2):
+        with pytest.raises(SizeGuardExceeded):
+            enumerate_sub_d_locales(tt, max_pairs=15)
+    assert enumerate_sub_d_locales(tt, max_pairs=100) is ds
     assert enumerate_sub_d_locales(three_three()) is not ds
 
 
@@ -195,7 +201,7 @@ def test_enumeration_refuses_an_invalid_parent(fixture_dir):
     bad = documents.load_path(str(fixture_dir / "bad_contot.json"), strict=True)
     assert not bad.validate().ok
     with pytest.raises(InvalidDFrame):
-        subdlocale._enumerate(bad, 12, 400)
+        subdlocale._enumerate(bad, 400)
     with pytest.raises(InvalidDFrame):
         enumerate_sub_d_locales(bad)
 
@@ -235,6 +241,17 @@ def test_dsub_checks_only_its_parent_and_builds_no_member_frame(monkeypatch, tmp
     assert cli.main(["dsub", str(path)], stdout=out) == 0
     assert "member count :: 226 members" in out.getvalue()
     assert len(checks) == 1 and builds == []
+
+
+def test_dsub_refuses_by_primes_before_enumerating_a_sublocale(monkeypatch, tmp_path):
+    # two 40-chains: 2^(39+39) sublocale pairs
+    path = tmp_path / "forty_forty.json"
+    path.write_text(documents.dumps(documents.dframe_from_spec("min:chain:40:chain:40")))
+    calls = _count_calls(monkeypatch, enumerate_sublocales)
+    err = io.StringIO()
+    assert cli.main(["dsub", str(path)], stdout=io.StringIO(), stderr=err) == 2
+    assert "sublocale pairs exceed the guard of 400" in err.getvalue()
+    assert calls == []
 
 
 def test_induced_tot_is_restriction_and_quotients_are_extremal():
