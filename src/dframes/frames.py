@@ -370,7 +370,8 @@ def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Subloc
         raise SizeGuardExceeded(f"{count} sublocales exceed the guard of {max_sublocales}")
     closures = [{frame.top}]
     for p in frame.primes:  # every closure so far, and the same with p added
-        closures += [c | set(frame.meet[list(c), p].tolist()) for c in closures]
+        meet_p = frame.meet[:, p].tolist()
+        closures += [c | {meet_p[s] for s in c} for c in closures]
     return sorted((Sublocale(frame, c) for c in closures),
                   key=lambda s: (len(s.members), s.members))
 
