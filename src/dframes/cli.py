@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-frame", type=int, default=3)
     p.add_argument("--max-candidates", type=int, default=20000,
                    help="stop after this many d-frames; a window holding a frame "
-                        "pair past the 2^18 relation cap is refused (exit 2) "
-                        "before this limit can stop the search")
+                        "pair with more than 2^18 con x tot candidates is refused "
+                        "(exit 2) before this limit can stop the search")
     p.add_argument("--json", action="store_true")
 
     return parser

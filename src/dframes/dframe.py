@@ -444,16 +444,6 @@ def _closure_step(minus: Frame, plus: Frame, rel: np.ndarray, order_closure) -> 
     return step
 
 
-def con_closure_step(minus: Frame, plus: Frame, con: np.ndarray) -> np.ndarray:
-    """One round of the con closure: the lower set, then the binary laws."""
-    return _closure_step(minus, plus, con, down_closure_pairs)
-
-
-def tot_closure_step(minus: Frame, plus: Frame, tot: np.ndarray) -> np.ndarray:
-    """One round of the tot closure: the upper set, then the binary laws."""
-    return _closure_step(minus, plus, tot.T, up_closure_pairs).T
-
-
 def _close(minus: Frame, plus: Frame, rel, order_closure) -> np.ndarray:
     rel = np.asarray(rel, dtype=bool).copy()
     rel[plus.bottom, minus.top] = True

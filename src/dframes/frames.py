@@ -42,6 +42,11 @@ class Frame(Lattice):
         """The meet-irreducible (prime) elements: those with one upper cover."""
         return tuple(np.flatnonzero(self.covers.sum(axis=1) == 1).tolist())
 
+    @cached_property
+    def join_irreducibles(self) -> tuple:
+        """The join-irreducible elements: those with one lower cover."""
+        return tuple(np.flatnonzero(self.covers.sum(axis=0) == 1).tolist())
+
     @classmethod
     def from_covers(cls, elements, cover_pairs) -> "Frame":
         return cls(Lattice.from_covers(elements, cover_pairs))

@@ -12,19 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .dframe import (
-    DFrame,
-    check_dframe,
-    close_con_generators,
-    close_tot_generators,
-    con_closure_step,
-    minimal_dframe,
-    symmetric_dframe,
-    tot_closure_step,
-)
+from .dframe import DFrame, close_con_generators, close_tot_generators, minimal_dframe, symmetric_dframe
 from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
-from .order import Lattice, _bool_matmul, are_order_isomorphic
+from .order import Lattice, _bool_matmul, _frozen, are_order_isomorphic
 # Nothing calls build_sub_d_locale through this binding; it stays because
 # benchmarks/test_benchmark.py checks that the tracer wraps it in this
 # module.
@@ -119,65 +110,128 @@ def random_dframe(rng, pool: list[Frame]) -> DFrame:
 
 
 # -- bounded-exhaustive relation enumeration -----------------------------------
+#
+# Fix a frame pair.  A valid con is fixed by f(a) = max{p : p con a}, which
+# sends 0 to 1 and joins to meets, hence by its values on the
+# join-irreducibles J(L-): each antitone map J(L-) -> L+ extends, by
+# f(a) = meet of f(j) over j <= a, to exactly one valid con, con[p, a] iff
+# p <= f(a).  Dually a valid tot is fixed by g(a) = min{p : a tot p} on the
+# primes of L-, extended by g(a) = join of g(k) over primes k >= a, and
+# tot[a, p] iff g(a) <= p (Birkhoff, Rings of sets, 1937; Davey and
+# Priestley, Introduction to Lattices and Order, ch. 5).  A con and a tot
+# make a d-frame iff f <= g on L- and f' <= g' on L+, where
+# f'(p) = max{a : p con a} and g'(p) = min{a : a tot p}.
 
 
-def forced_con(minus: Frame, plus: Frame, cap: int = 1 << 18) -> np.ndarray:
-    """The cells every consistency relation between two frames holds: the
-    closed empty generator set.
-
-    Raises SizeGuardExceeded when it leaves so many cells free that
-    enumerating their subsets would pass the cap.
-    """
-    empty = np.zeros((plus.n, minus.n), dtype=bool)
-    return _check_cap(close_con_generators(minus, plus, empty), cap)
-
-
-def forced_tot(minus: Frame, plus: Frame, cap: int = 1 << 18) -> np.ndarray:
-    """The cells every totality relation between two frames holds."""
-    empty = np.zeros((minus.n, plus.n), dtype=bool)
-    return _check_cap(close_tot_generators(minus, plus, empty), cap)
+def _irreducibles(minus: Frame, con: bool) -> tuple[list, list]:
+    """J(L-) for con, the primes for tot, in a linear extension of minus's
+    order, and for each the earlier positions it covers within that set."""
+    order = sorted(minus.join_irreducibles if con else minus.primes,
+                   key=lambda x: int(minus.leq[:, x].sum()))
+    covers = []
+    for i, x in enumerate(order):
+        below = [a for a in range(i) if minus.leq[order[a], x]]
+        covers.append([a for a in below
+                       if not any(minus.leq[order[a], order[c]] for c in below if c != a)])
+    return order, covers
 
 
-def _check_cap(forced: np.ndarray, cap: int) -> np.ndarray:
-    free = int((~forced).sum())
-    if 2 ** free > cap:
-        raise SizeGuardExceeded(f"2^{free} candidate relations exceed the cap of {cap}")
-    return forced
+def _count_antitone(covers: list, plus: Frame) -> int:
+    """How many antitone maps the positions of covers have into plus.
+
+    A dynamic program over the positions: its state is the values of the
+    positions that a later one still covers."""
+    states, live = {(): 1}, []
+    for i in range(len(covers)):
+        needed = [a for a in live + [i] if any(a in later for later in covers[i + 1:])]
+        grown: dict = {}
+        for state, ways in states.items():
+            value = dict(zip(live, state))
+            bound = plus.top
+            for a in covers[i]:
+                bound = plus.meet[bound, value[a]]
+            for v in np.flatnonzero(plus.leq[:, bound]).tolist():
+                value[i] = v
+                key = tuple(value[a] for a in needed)
+                grown[key] = grown.get(key, 0) + ways
+        states, live = grown, needed
+    return sum(states.values())
 
 
-def _enumerate_relations(minus: Frame, plus: Frame, forced: np.ndarray, step) -> list[np.ndarray]:
-    """The forced cells plus each subset of the free ones (bit k of the mask
-    sets the k-th free cell in row-major order) that the step leaves fixed."""
-    rows, cols = np.where(~forced)
-    shifts = np.arange(len(rows))
-    out = []
-    for mask in range(2 ** len(rows)):
-        rel = forced.copy()
-        rel[rows, cols] = (mask >> shifts) & 1
-        if (step(minus, plus, rel) == rel).all():
-            out.append(rel)
-    return out
+def _antitone_maps(covers: list, plus: Frame) -> np.ndarray:
+    """Every antitone map from the positions of covers into plus, one per row.
+
+    Backtracks position by position, all partial maps at once: each value is
+    bounded by the meet of the values at the positions it covers."""
+    maps = np.zeros((1, 0), dtype=np.intp)
+    for i in range(len(covers)):
+        bound = np.full(len(maps), plus.top)
+        for a in covers[i]:
+            bound = plus.meet[bound, maps[:, a]]
+        rows, values = np.nonzero(plus.leq[:, bound].T)
+        maps = np.column_stack([maps[rows], values])
+    return maps
+
+
+def count_candidates(minus: Frame, plus: Frame, cap: int = 1 << 18) -> int:
+    """The con x tot candidates of a frame pair, counted without building one.
+
+    Raises SizeGuardExceeded when there are more than cap."""
+    cons, tots = (_count_antitone(_irreducibles(minus, con)[1], plus) for con in (True, False))
+    if cons * tots > cap:
+        raise SizeGuardExceeded(
+            f"{cons} x {tots} = {cons * tots} con x tot candidates exceed the cap of {cap}")
+    return cons * tots
+
+
+def _relations(minus: Frame, plus: Frame, con: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid con (or tot) relation, stacked, and its map f (or g) on
+    minus, one row each.
+
+    They come in mask order: the bitmask over the free cells, bit k the k-th
+    free cell in row-major order.  The forced cells are held by every
+    relation, so the last cell in which two relations differ decides."""
+    order, covers = _irreducibles(minus, con)
+    maps = _antitone_maps(covers, plus)
+    op, start = (plus.meet, plus.top) if con else (plus.join, plus.bottom)
+    full = np.full((len(maps), minus.n), start)
+    for col, x in enumerate(order):
+        reach = minus.leq[x] if con else minus.leq[:, x]
+        full[:, reach] = op[full[:, reach], maps[:, col, None]]
+    rels = plus.leq[:, full].transpose(1, 0, 2) if con else plus.leq[full]
+    key = np.lexsort(rels.reshape(len(rels), -1).T)
+    return full[key], _frozen(rels[key])
 
 
 def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
     """Every valid consistency relation between two frames, in bitmask order
-    over the cells the nullary pairs leave free."""
-    return _enumerate_relations(minus, plus, forced_con(minus, plus, cap), con_closure_step)
+    over the cells the nullary pairs leave free; the pair's candidates must
+    not pass the cap."""
+    count_candidates(minus, plus, cap)
+    return list(_relations(minus, plus, True)[1])
 
 
 def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
-    return _enumerate_relations(minus, plus, forced_tot(minus, plus, cap), tot_closure_step)
+    count_candidates(minus, plus, cap)
+    return list(_relations(minus, plus, False)[1])
 
 
 def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """All valid d-frames on a fixed frame pair, con-major."""
-    cons = enumerate_con_relations(minus, plus, cap)
-    tots = enumerate_tot_relations(minus, plus, cap)
-    for con in cons:
-        for tot in tots:
-            candidate = DFrame(minus, plus, con, tot)
-            if check_dframe(candidate).ok:
-                yield candidate
+    """All valid d-frames on a fixed frame pair, con-major.
+
+    One array test takes every con x tot candidate at once.  Each row of a
+    con and each column of a tot is principal, so f' picks the row's member
+    with the most elements below it, and g' the column's with the fewest."""
+    count_candidates(minus, plus, cap)
+    f, cons = _relations(minus, plus, True)
+    g, tots = _relations(minus, plus, False)
+    height = minus.leq.sum(axis=0)
+    f_adj = np.where(cons, height, -1).argmax(axis=2)
+    g_adj = np.where(tots.transpose(0, 2, 1), height, minus.n + 1).argmin(axis=2)
+    valid = (plus.leq[f[:, None], g[None]].all(axis=2)
+             & minus.leq[f_adj[:, None], g_adj[None]].all(axis=2))
+    for i, k in zip(*np.nonzero(valid)):
+        yield DFrame(minus, plus, cons[i], tots[k])
 
 
 # -- the miner -------------------------------------------------------------------
@@ -238,11 +292,10 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
     pool = frame_pool(max_frame)
     pairs = [(minus, plus) for minus, plus in product(pool, pool)
              if minus.is_trivial == plus.is_trivial]
-    # the whole window passes the relation cap before any d-frame is
+    # the whole window passes the candidate cap before any d-frame is
     # searched, so max_candidates cannot hide an oversized pair
     for minus, plus in pairs:
-        forced_con(minus, plus)
-        forced_tot(minus, plus)
+        count_candidates(minus, plus)
     for minus, plus in pairs:
         for df in enumerate_dframes(minus, plus):
             report.searched += 1

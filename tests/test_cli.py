@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -213,26 +214,45 @@ def test_main_builds_one_parser_per_process(run_cli, fixture_dir, monkeypatch):
 
 
 def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
-    # 6x6 chains leave 25 free con cells, past the 2^18 candidate cap
-    monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])
-    code, out, err = run_cli(["mine", "--max-frame", "6"])
+    # 8x8 chains: 3,432 con maps x 3,432 tot maps, past the 2^18 candidate cap
+    monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(8)])
+    code, out, err = run_cli(["mine", "--max-frame", "8"])
     assert code == 2 and out == ""
-    assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
+    assert err == ("error: 3432 x 3432 = 11778624 con x tot candidates "
+                   "exceed the cap of 262144\n")
+
+
+def test_mine_searches_a_six_chain_pair_under_the_cap(run_cli, monkeypatch):
+    # 252 x 252 = 63,504 candidates pass the cap
+    monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])
+    code, out, _ = run_cli(["mine", "--max-frame", "6", "--max-candidates", "5"])
+    assert code == 0 and "searched 6 valid d-frames" in out
 
 
 @pytest.mark.parametrize("limit", [[], ["--max-candidates", "1"]])
 def test_mine_refuses_an_oversized_window_before_searching(run_cli, monkeypatch, limit):
-    # only the last pair (6-chain x 6-chain) is past the cap; the 2-chain
+    # only the last pair (8-chain x 8-chain) is past the cap; the 2-chain
     # pairs before it would be searched if the guard waited for the loop,
     # and the first of them alone would pass --max-candidates 1
     monkeypatch.setattr(search, "frame_pool",
-                        lambda max_size: [Frame.chain(2), Frame.chain(6)])
+                        lambda max_size: [Frame.chain(2), Frame.chain(8)])
     calls = []
-    monkeypatch.setattr(search, "check_dframe", lambda df: calls.append(df))
-    code, out, err = run_cli(["mine", "--max-frame", "6", *limit])
+    enumerate_dframes = search.enumerate_dframes
+    monkeypatch.setattr(search, "enumerate_dframes",
+                        lambda *args: calls.append(args) or enumerate_dframes(*args))
+    code, out, err = run_cli(["mine", "--max-frame", "8", *limit])
     assert code == 2 and out == ""
-    assert err == "error: 2^25 candidate relations exceed the cap of 262144\n"
+    assert err == ("error: 3432 x 3432 = 11778624 con x tot candidates "
+                   "exceed the cap of 262144\n")
     assert calls == []
+
+
+def test_mine_reaches_window_five(run_cli):
+    # the report recorded from the mask enumerator; no timing is asserted
+    code, out, _ = run_cli(["mine", "--max-frame", "5"])
+    assert code == 0 and "searched 2270 valid d-frames" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "04ec7900c07fe3f41f701933ce98f71ddb933e4da5632cec6d9ebab819fd7a24")
 
 
 C2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}

@@ -135,6 +135,22 @@ def test_sublocale_enumeration_matches_nucleus_fixpoints():
         assert fixpoint_sets == {s.members for s in enumerate_sublocales(frame)}
 
 
+def brute_force_join_irreducibles(frame):
+    """The elements other than bottom that are not the join of the elements
+    strictly below them."""
+    return tuple(
+        x for x in range(frame.n)
+        if x != frame.bottom
+        and frame.join_all([y for y in range(frame.n) if y != x and frame.leq[y, x]]) != x
+    )
+
+
+@pytest.mark.parametrize("frame", frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+                         ids=lambda f: f.name)
+def test_join_irreducibles_match_bruteforce(frame):
+    assert frame.join_irreducibles == brute_force_join_irreducibles(frame)
+
+
 def test_size_guard():
     # the guard counts sublocales, 2^|primes|, and refuses before building one
     with pytest.raises(SizeGuardExceeded):

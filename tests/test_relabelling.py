@@ -10,15 +10,25 @@ extension, and are caught here once they do not.
 
 import json
 import random
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dframes.density import are_isomorphic, classify, dense_core, galois_check
 from dframes.documents import load_path, loads, to_document
 from dframes.fixtures import double_negation_without_excluded_middle, incorrigible_minimal
-from dframes.frames import enumerate_sublocales
-from dframes.search import frame_pool, random_dframe, standard_corpus
+from dframes.frames import Frame, enumerate_sublocales
+from dframes.order import Lattice
+from dframes.search import (
+    enumerate_con_relations,
+    enumerate_dframes,
+    enumerate_tot_relations,
+    frame_pool,
+    random_dframe,
+    standard_corpus,
+)
 from dframes.subdlocale import enumerate_sub_d_locales
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,3 +117,35 @@ def test_answers_do_not_depend_on_any_permutation(case):
     df, order_minus, order_plus = case
     assert_same_answers(df, relabelled(df, order_minus, order_plus))
 
+
+
+def _permuted(frame, perm):
+    """frame with old element perm[i] listed i-th."""
+    return Frame(Lattice(frame.names(perm), frame.leq[np.ix_(perm, perm)]), name=frame.name)
+
+
+def _listed(rels, rows=slice(None), cols=slice(None)):
+    """The relations, each restricted to rows x cols, as a sorted list of keys."""
+    return sorted(rel[rows][:, cols].tobytes() for rel in rels)
+
+
+def test_miner_enumeration_does_not_depend_on_element_order():
+    """The con maps backtrack over a linear extension of the irreducibles;
+    frame_pool lists elements in one, so only a relabelling shows whether
+    the enumeration depends on it."""
+    rng = random.Random(14)
+    pool = frame_pool(4)
+    pairs = [(m, p) for m, p in product(pool, pool) if m.is_trivial == p.is_trivial]
+    for (minus, plus), _ in product(pairs, range(SHUFFLES)):
+        pm, pp = rng.sample(range(minus.n), minus.n), rng.sample(range(plus.n), plus.n)
+        other_minus, other_plus = _permuted(minus, pm), _permuted(plus, pp)
+
+        assert _listed(enumerate_con_relations(other_minus, other_plus)) == _listed(
+            enumerate_con_relations(minus, plus), pp, pm)
+        assert _listed(enumerate_tot_relations(other_minus, other_plus)) == _listed(
+            enumerate_tot_relations(minus, plus), pm, pp)
+        want = sorted((df.con[np.ix_(pp, pm)].tobytes(), df.tot[np.ix_(pm, pp)].tobytes())
+                      for df in enumerate_dframes(minus, plus))
+        got = sorted((df.con.tobytes(), df.tot.tobytes())
+                     for df in enumerate_dframes(other_minus, other_plus))
+        assert got == want, (minus.name, plus.name, pm, pp)

@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 
 from dframes.density import is_corrigible
-from dframes.dframe import DFrame, check_dframe, close_con_generators, close_tot_generators
+from dframes.dframe import (
+    DFrame,
+    _closure_step,
+    check_dframe,
+    close_con_generators,
+    close_tot_generators,
+)
 from dframes.errors import SizeGuardExceeded
-from dframes.order import are_order_isomorphic
+from dframes.order import are_order_isomorphic, down_closure_pairs, up_closure_pairs
 from dframes.search import (
     all_distributive_lattices,
     all_lattices,
+    count_candidates,
     enumerate_con_relations,
     enumerate_dframes,
     enumerate_tot_relations,
@@ -110,19 +117,39 @@ def test_incorrigible_witness_found_at_size_four():
     assert not is_corrigible(minimal_dframe(c2, b4))
 
 
-def _closed_relations_bruteforce(minus, plus, close, shape):
-    """Oracle: every mask over the free cells whose full closure is itself."""
-    forced = close(minus, plus, np.zeros(shape, dtype=bool))
-    free = [cell for cell in np.ndindex(shape) if not forced[cell]]
+def _con_closure_step(minus, plus, con):
+    """One round of the con closure: the lower set, then the binary laws."""
+    return _closure_step(minus, plus, con, down_closure_pairs)
+
+
+def _tot_closure_step(minus, plus, tot):
+    """One round of the tot closure: the upper set, then the binary laws."""
+    return _closure_step(minus, plus, tot.T, up_closure_pairs).T
+
+
+def _enumerate_relations(minus, plus, forced, step):
+    """Oracle: the forced cells plus each subset of the free ones (bit k of
+    the mask sets the k-th free cell in row-major order) that the step
+    leaves fixed."""
+    rows, cols = np.where(~forced)
+    shifts = np.arange(len(rows))
     out = []
-    for mask in range(2 ** len(free)):
+    for mask in range(2 ** len(rows)):
         rel = forced.copy()
-        for bit, cell in enumerate(free):
-            if mask >> bit & 1:
-                rel[cell] = True
-        if (close(minus, plus, rel) == rel).all():
+        rel[rows, cols] = (mask >> shifts) & 1
+        if (step(minus, plus, rel) == rel).all():
             out.append(rel)
     return out
+
+
+def _oracle_cons(minus, plus):
+    forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
+    return _enumerate_relations(minus, plus, forced, _con_closure_step)
+
+
+def _oracle_tots(minus, plus):
+    forced = close_tot_generators(minus, plus, np.zeros((minus.n, plus.n), dtype=bool))
+    return _enumerate_relations(minus, plus, forced, _tot_closure_step)
 
 
 def _small_pairs(max_size, max_cells):
@@ -134,30 +161,38 @@ def test_step_enumeration_matches_the_closure_oracle():
     pairs = _small_pairs(5, 20)
     total = 0
     for minus, plus in pairs:
-        for fast, close, shape in (
-            (enumerate_con_relations, close_con_generators, (plus.n, minus.n)),
-            (enumerate_tot_relations, close_tot_generators, (minus.n, plus.n)),
-        ):
+        sizes = []
+        for fast, oracle in ((enumerate_con_relations, _oracle_cons),
+                             (enumerate_tot_relations, _oracle_tots)):
             got = fast(minus, plus)
-            want = _closed_relations_bruteforce(minus, plus, close, shape)
+            want = oracle(minus, plus)
             assert len(got) == len(want), (minus.name, plus.name, fast.__name__)
             assert all((g == w).all() for g, w in zip(got, want))
-            total += len(got)
+            sizes.append(len(got))
+        assert count_candidates(minus, plus) == sizes[0] * sizes[1]
+        total += sum(sizes)
     assert (len(pairs), total) == (55, 1214)
 
 
 def test_enumerate_dframes_matches_the_double_loop():
-    for minus, plus in _small_pairs(4, 12):
-        want = [
-            (con, tot)
-            for con in enumerate_con_relations(minus, plus)
-            for tot in enumerate_tot_relations(minus, plus)
-            if check_dframe(DFrame(minus, plus, con, tot)).ok
-        ]
+    """The nine-axiom check of every con x tot candidate in the window,
+    against the one array test per frame pair."""
+    pool = frame_pool(4)
+    pairs = [(m, p) for m, p in product(pool, pool) if m.is_trivial == p.is_trivial]
+    candidates = valid = 0
+    for minus, plus in pairs:
+        want = []
+        for con in _oracle_cons(minus, plus):
+            for tot in _oracle_tots(minus, plus):
+                candidates += 1
+                if check_dframe(DFrame(minus, plus, con, tot)).ok:
+                    want.append((con, tot))
         got = list(enumerate_dframes(minus, plus))
         assert len(got) == len(want)
         assert all((df.con == con).all() and (df.tot == tot).all()
                    for df, (con, tot) in zip(got, want))
+        valid += len(got)
+    assert (len(pairs), candidates, valid) == (17, 1653, 136)
 
 
 def _partnerless_unmemoised(df):
@@ -217,11 +252,18 @@ def test_miner_at_size_four():
 
 def test_relation_cap_raises_a_size_guard():
     c2, b4 = Frame.chain(2), Frame.boolean(2)
-    # 8 cells, 5 forced by the nullary pairs: 2^3 candidates
-    assert len(enumerate_con_relations(c2, b4, cap=8)) >= 1
+    # 4 con maps (the one join-irreducible of c2 into b4) x 4 tot maps
+    assert count_candidates(c2, b4) == 16
+    assert len(enumerate_con_relations(c2, b4, cap=16)) == 4
     with pytest.raises(SizeGuardExceeded):
-        enumerate_con_relations(c2, b4, cap=7)
+        enumerate_con_relations(c2, b4, cap=15)
     with pytest.raises(SizeGuardExceeded):
-        enumerate_tot_relations(c2, b4, cap=7)
+        enumerate_tot_relations(c2, b4, cap=15)
     with pytest.raises(SizeGuardExceeded):
-        next(enumerate_dframes(c2, b4, cap=7))
+        next(enumerate_dframes(c2, b4, cap=15))
+    # antitone maps from the 5 (7) join-irreducibles of a 6-chain (8-chain)
+    # into it: C(10, 5) = 252 and C(14, 7) = 3,432
+    c6, c8 = Frame.chain(6), Frame.chain(8)
+    assert count_candidates(c6, c6) == 252 * 252
+    with pytest.raises(SizeGuardExceeded, match="3432 x 3432 = 11778624"):
+        count_candidates(c8, c8)
