@@ -142,6 +142,22 @@ def _enumerate_relations(minus, plus, forced, step):
     return out
 
 
+def _closed_relations_bruteforce(minus, plus, close, shape):
+    """Oracle for the oracle: every mask over the free cells whose full
+    closure is itself."""
+    forced = close(minus, plus, np.zeros(shape, dtype=bool))
+    free = [cell for cell in np.ndindex(shape) if not forced[cell]]
+    out = []
+    for mask in range(2 ** len(free)):
+        rel = forced.copy()
+        for bit, cell in enumerate(free):
+            if mask >> bit & 1:
+                rel[cell] = True
+        if (close(minus, plus, rel) == rel).all():
+            out.append(rel)
+    return out
+
+
 def _oracle_cons(minus, plus):
     forced = close_con_generators(minus, plus, np.zeros((plus.n, minus.n), dtype=bool))
     return _enumerate_relations(minus, plus, forced, _con_closure_step)
@@ -162,12 +178,15 @@ def test_step_enumeration_matches_the_closure_oracle():
     total = 0
     for minus, plus in pairs:
         sizes = []
-        for fast, oracle in ((enumerate_con_relations, _oracle_cons),
-                             (enumerate_tot_relations, _oracle_tots)):
+        for fast, oracle, close, shape in (
+            (enumerate_con_relations, _oracle_cons, close_con_generators, (plus.n, minus.n)),
+            (enumerate_tot_relations, _oracle_tots, close_tot_generators, (minus.n, plus.n)),
+        ):
             got = fast(minus, plus)
-            want = oracle(minus, plus)
-            assert len(got) == len(want), (minus.name, plus.name, fast.__name__)
-            assert all((g == w).all() for g, w in zip(got, want))
+            for want in (oracle(minus, plus),
+                         _closed_relations_bruteforce(minus, plus, close, shape)):
+                assert len(got) == len(want), (minus.name, plus.name, fast.__name__)
+                assert all((g == w).all() for g, w in zip(got, want))
             sizes.append(len(got))
         assert count_candidates(minus, plus) == sizes[0] * sizes[1]
         total += sum(sizes)
