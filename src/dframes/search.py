@@ -12,7 +12,13 @@ from itertools import product
 
 import numpy as np
 
-from .dframe import DFrame, close_con_generators, close_tot_generators, minimal_dframe, symmetric_dframe
+from .dframe import (
+    DFrame,
+    close_con_generators,
+    close_tot_generators,
+    minimal_dframe,
+    symmetric_dframe,
+)
 from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
 from .order import Lattice, _bool_matmul, _frozen, are_order_isomorphic

@@ -214,6 +214,19 @@ def test_enumerate_dframes_matches_the_double_loop():
     assert (len(pairs), candidates, valid) == (17, 1653, 136)
 
 
+def test_candidate_count_matches_the_enumeration_at_window_six():
+    pool = frame_pool(6)
+    pairs = [(m, p) for m, p in product(pool, pool) if m.is_trivial == p.is_trivial]
+    candidates = valid = 0
+    for minus, plus in pairs:
+        count = count_candidates(minus, plus)
+        assert count == len(enumerate_con_relations(minus, plus)) * len(
+            enumerate_tot_relations(minus, plus)), (minus.name, plus.name)
+        candidates += count
+        valid += sum(1 for _ in enumerate_dframes(minus, plus))
+    assert (len(pairs), candidates, valid) == (145, 1001667, 45311)
+
+
 def _partnerless_unmemoised(df):
     subs_minus = enumerate_sublocales(df.minus)
     subs_plus = enumerate_sublocales(df.plus)
