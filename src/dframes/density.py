@@ -186,12 +186,13 @@ def con_preorder(df: DFrame) -> np.ndarray:
 
 def _consistency_preorder(df: DFrame) -> np.ndarray:
     """The minus preorder: [a, b] iff every p consistent with b meet c, for
-    any c, is consistent with a meet c."""
-    Lm = df.minus
-    ctx = df.con[:, Lm.meet]            # (p, x, c) -> con[p, x /\ c]
-    out = np.zeros((Lm.n, Lm.n), dtype=bool)
-    for a in range(Lm.n):
-        out[a, :] = (~ctx | ctx[:, a, :][:, None, :]).all(axis=(0, 2))
+    any c, is consistent with a meet c.
+
+    The p consistent with x are the principal ideal of f(x), with f the
+    pseudocomplements, so [a, b] iff f(b meet c) <= f(a meet c) for every c.
+    """
+    F = pseudocomplements(df)[df.minus.meet]  # F[x, c] = f(x /\ c)
+    out = df.plus.leq[F[None], F[:, None]].all(axis=-1)
     out.flags.writeable = False
     return out
 

@@ -138,25 +138,32 @@ def _memo(df, key: str, build):
 def check_dframe(df: DFrame) -> AxiomReport:
     """Run the nine named axioms, each with a first-counterexample witness."""
     Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
-    checks = []
 
-    # (con-down): con is a lower set of plus x minus.
-    checks.append(_order_check("con-down", con, Lp, Lm, upper=False))
-    checks.append(_pairwise_check(
-        "con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
-        nullary=(Lp.bottom, Lm.top)))
-    checks.append(_pairwise_check(
-        "con-meet", con, Lp.meet, Lm.join, Lp.elements, Lm.elements,
-        nullary=(Lp.top, Lm.bottom)))
-
-    # (tot-up): tot is an upper set of minus x plus.
-    checks.append(_order_check("tot-up", tot, Lm, Lp, upper=True))
-    checks.append(_pairwise_check(
-        "tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
-        nullary=(Lm.bottom, Lp.top)))
-    checks.append(_pairwise_check(
-        "tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
-        nullary=(Lm.top, Lp.bottom)))
+    # Once a relation passed its order check, each binary law is a test on
+    # lines (one column or one row at a time):
+    # - con-join: con is a lower set, so (p, a) and (p', a') give (p, a/\a')
+    #   and (p', a/\a'); the law holds iff each column is closed under plus
+    #   joins.
+    # - con-meet: they give (p/\p', a) and (p/\p', a'); the law holds iff
+    #   each row is closed under minus joins.
+    # - tot-meet: tot is an upper set, so (a, p) and (a', p') give (a\/a', p)
+    #   and (a\/a', p'); the law holds iff each row is closed under plus meets.
+    # - tot-join: they give (a, p\/p') and (a', p\/p'); the law holds iff
+    #   each column is closed under minus meets.
+    con_down = _order_check("con-down", con, Lp, Lm, upper=False)
+    tot_up = _order_check("tot-up", tot, Lm, Lp, upper=True)
+    checks = [
+        con_down,
+        _pairwise_check("con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
+                        nullary=(Lp.bottom, Lm.top), lines="cols" if con_down.ok else None),
+        _pairwise_check("con-meet", con, Lp.meet, Lm.join, Lp.elements, Lm.elements,
+                        nullary=(Lp.top, Lm.bottom), lines="rows" if con_down.ok else None),
+        tot_up,
+        _pairwise_check("tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
+                        nullary=(Lm.bottom, Lp.top), lines="rows" if tot_up.ok else None),
+        _pairwise_check("tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
+                        nullary=(Lm.top, Lp.bottom), lines="cols" if tot_up.ok else None),
+    ]
 
     # (con-tot), plus side: phi con a and a tot psi force phi <= psi; the
     # minus side is the same law on the transposes: phi con a and b tot phi
@@ -174,20 +181,44 @@ def check_dframe(df: DFrame) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
-def _pairwise_check(name, rel, row_op, col_op, row_names, col_names, nullary):
+# The pair scan looks at this many pairs of members at a time.
+_SCAN_BLOCK = 1 << 20
+
+
+def _pairwise_check(name, rel, row_op, col_op, row_names, col_names, nullary, lines=None):
+    """rel(r, c) and rel(r', c') give rel(row_op[r, r'], col_op[c, c']), and
+    rel holds the nullary pair.
+
+    lines is set when rel passed its order check: "cols" when the law holds
+    iff each column is closed under row_op, "rows" when it holds iff each row
+    is closed under col_op (see check_dframe).  Otherwise, or when a line
+    test fails, every pair of members is scanned, a block of rows at a time;
+    the witness is the first failing pair in row-major order.
+    """
+    if lines is not None and rel[nullary] and (
+            _lines_closed(rel, row_op) if lines == "cols" else _lines_closed(rel.T, col_op)):
+        return AxiomCheck(name, True)
     rows, cols = np.where(rel)
-    if len(rows):
+    block = max(1, _SCAN_BLOCK // max(1, len(rows)))
+    for start in range(0, len(rows), block):
         # combined[i, j] = rel[row_op[r_i, r_j], col_op[c_i, c_j]]
-        combined = rel[row_op[rows[:, None], rows], col_op[cols[:, None], cols]]
+        r, c = rows[start:start + block, None], cols[start:start + block, None]
+        combined = rel[row_op[r, rows], col_op[c, cols]]
         if not combined.all():
             i, j = next(zip(*np.where(~combined)))
             return AxiomCheck(name, False, (
-                (row_names[rows[i]], col_names[cols[i]]),
+                (row_names[rows[start + i]], col_names[cols[start + i]]),
                 (row_names[rows[j]], col_names[cols[j]]),
             ))
     if not rel[nullary]:
         return AxiomCheck(name, False, ((row_names[nullary[0]], col_names[nullary[1]]), "missing"))
     return AxiomCheck(name, True)
+
+
+def _lines_closed(rel, op) -> bool:
+    """Each column of rel is closed under op: rel[i, c] and rel[j, c] give
+    rel[op[i, j], c]."""
+    return bool((rel[op] | ~(rel[:, None, :] & rel[None, :, :])).all())
 
 
 def _order_check(name, rel, rows, cols, upper):
@@ -432,24 +463,44 @@ def is_regular(df: DFrame) -> bool:
 #
 # Relation sets are convenient to author as generators; the loader closes
 # them under everything except con-tot, which no closure can repair.  The
-# transpose of tot obeys con's laws with upper sets for lower sets, so both
-# share one extensive step on (plus x minus), iterated to its fixpoint.
+# transpose of tot obeys con's laws for the reversed orders (upper sets for
+# lower sets, meets for joins), so both share one extensive step on
+# (plus x minus), iterated to its fixpoint.  A lower set obeys the binary
+# laws iff its lines are closed under joins (see check_dframe), that is, iff
+# each nonempty line is the principal ideal of its join.
 
 
-def _closure_step(minus: Frame, plus: Frame, rel: np.ndarray, order_closure) -> np.ndarray:
-    step = order_closure(plus, minus, rel)
-    ps, ms = np.where(step)
-    step[plus.join[ps[:, None], ps], minus.meet[ms[:, None], ms]] = True
-    step[plus.meet[ps[:, None], ps], minus.join[ms[:, None], ms]] = True
-    return step
+def _closure_step(plus_leq: np.ndarray, minus_leq: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The lower set of rel, then each nonempty column and each nonempty row
+    closed to the principal ideal of its join, all for the given orders (for
+    the reversed orders: the upper set, and principal filters of meets)."""
+    step = _bool_matmul(_bool_matmul(plus_leq, rel), minus_leq.T)
+    step = _principal_columns(step, plus_leq)
+    return _principal_columns(step.T, minus_leq).T
 
 
-def _close(minus: Frame, plus: Frame, rel, order_closure) -> np.ndarray:
+def _principal_columns(rel: np.ndarray, leq: np.ndarray) -> np.ndarray:
+    """Each nonempty column of rel replaced by the principal ideal of its
+    join, for the order leq of rel's rows.
+
+    The upper bounds of a column form an up-set, and its join is the bound
+    whose up-set has as many elements (as in Lattice.implication).
+    """
+    bounds = ~_bool_matmul(rel.T, ~leq)  # bounds[c, u]: u is above column c
+    ups = leq.sum(axis=1)
+    join = (bounds & (ups == bounds.sum(axis=1)[:, None])).argmax(axis=1)
+    return leq[:, join] & rel.any(axis=0)
+
+
+def _close(minus: Frame, plus: Frame, rel, upper: bool) -> np.ndarray:
+    """The least relation above rel holding the nullary pairs, a lower set
+    (an upper set when upper is set) obeying the binary laws."""
     rel = np.asarray(rel, dtype=bool).copy()
     rel[plus.bottom, minus.top] = True
     rel[plus.top, minus.bottom] = True
+    plus_leq, minus_leq = (plus.leq.T, minus.leq.T) if upper else (plus.leq, minus.leq)
     while True:
-        step = _closure_step(minus, plus, rel, order_closure)
+        step = _closure_step(plus_leq, minus_leq, rel)
         if (step == rel).all():
             return rel
         rel = step
@@ -458,10 +509,10 @@ def _close(minus: Frame, plus: Frame, rel, order_closure) -> np.ndarray:
 def close_con_generators(minus: Frame, plus: Frame, con: np.ndarray) -> np.ndarray:
     """Close a set of con generators under the nullary pairs, lower sets and
     the two binary combination laws."""
-    return _close(minus, plus, con, down_closure_pairs)
+    return _close(minus, plus, con, upper=False)
 
 
 def close_tot_generators(minus: Frame, plus: Frame, tot: np.ndarray) -> np.ndarray:
     """Close a set of tot generators under the nullary pairs, upper sets and
     the two binary combination laws."""
-    return _close(minus, plus, np.asarray(tot).T, up_closure_pairs).T
+    return _close(minus, plus, np.asarray(tot).T, upper=True).T

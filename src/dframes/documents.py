@@ -20,9 +20,21 @@ import json
 import numpy as np
 
 from .dframe import DFrame, close_con_generators, close_tot_generators
-from .errors import ParseError, UnknownSpec
+from .errors import ParseError, SizeGuardExceeded, UnknownSpec
 from .frames import Frame
 from .order import Lattice
+
+# Validation, the generator closure and the density kernels take about n^3
+# steps on the larger carrier of n elements, so carriers stop at 256.
+MAX_CARRIER = 256
+
+
+def _carrier_guard(n: int, what: str) -> None:
+    """Refuse a carrier of n elements past MAX_CARRIER, before it is built."""
+    if n > MAX_CARRIER:
+        raise SizeGuardExceeded(
+            f"{what} has more than {MAX_CARRIER} elements; the kernels take n^3 steps "
+            f"and stop at {MAX_CARRIER}^3 = {MAX_CARRIER ** 3}")
 
 
 def frame_to_block(frame: Frame) -> dict:
@@ -49,21 +61,24 @@ def _pairs(value, what: str) -> list[tuple[str, str]]:
     return out
 
 
-def frame_from_block(block: dict, default_name: str) -> Frame:
+def _parse_block(block, default_name: str):
+    """Check a frame block and pass its carrier through the guard; returns
+    the function that builds its frame."""
     if not isinstance(block, dict) or "elements" not in block:
         raise ParseError(f"frame block {default_name!r} needs an 'elements' list")
     elements = [str(e) for e in _list(block["elements"], f"{default_name} elements")]
     if len(set(elements)) != len(elements):
         dup = next(e for e in elements if elements.count(e) > 1)
         raise ParseError(f"frame block {default_name!r} repeats the element id {dup!r}")
+    _carrier_guard(len(elements), f"frame block {default_name!r}")
     for key in ("covers", "leq"):
         if key in block:
             pairs = _pairs(block[key], f"{default_name} {key}")
             break
     else:
         raise ParseError(f"frame block {default_name!r} needs 'covers' or 'leq'")
-    lattice = Lattice.from_covers(elements, pairs)
-    return Frame(lattice, name=str(block.get("name", default_name)))
+    name = str(block.get("name", default_name))
+    return lambda: Frame(Lattice.from_covers(elements, pairs), name=name)
 
 
 def to_document(df: DFrame) -> dict:
@@ -87,8 +102,8 @@ def from_document(doc: dict, strict: bool = False) -> DFrame:
     for key in ("minus", "plus"):
         if key not in doc:
             raise ParseError(f"document is missing the {key!r} frame block")
-    minus = frame_from_block(doc["minus"], "minus")
-    plus = frame_from_block(doc["plus"], "plus")
+    builds = [_parse_block(doc[key], key) for key in ("minus", "plus")]  # both guarded first
+    minus, plus = (build() for build in builds)
 
     con = np.zeros((plus.n, minus.n), dtype=bool)
     for p, m in _pairs(doc.get("con", []), "con"):
@@ -152,18 +167,24 @@ def dumps(df: DFrame) -> str:
 # -- generator specs ------------------------------------------------------------
 
 
-def _frame_from_spec(parts: list[str]) -> tuple[Frame, list[str]]:
+def _frame_from_spec(parts: list[str]):
+    """The function that builds the frame the leading parts name, once the
+    carrier passed the guard, and the parts after them."""
     if not parts:
         raise UnknownSpec("spec ended where a frame was expected")
     kind = parts[0]
     if kind == "chain":
         if len(parts) < 2 or not parts[1].isdigit():
             raise UnknownSpec("chain needs a size, e.g. chain:3")
-        return Frame.chain(int(parts[1])), parts[2:]
+        size = int(parts[1])
+        _carrier_guard(size, f"chain:{size}")
+        return lambda: Frame.chain(size), parts[2:]
     if kind == "bool":
         if len(parts) < 2 or not parts[1].isdigit():
             raise UnknownSpec("bool needs an atom count, e.g. bool:2")
-        return Frame.boolean(int(parts[1])), parts[2:]
+        atoms = int(parts[1])
+        _carrier_guard(2 ** min(atoms, 64), f"bool:{atoms}")  # capped: no huge int
+        return lambda: Frame.boolean(atoms), parts[2:]
     raise UnknownSpec(f"unknown frame kind {kind!r} (expected chain or bool)")
 
 
@@ -185,11 +206,11 @@ def dframe_from_spec(spec: str) -> DFrame:
         frame, rest = _frame_from_spec(rest)
         if rest:
             raise UnknownSpec(f"trailing spec parts {rest!r}")
-        return symmetric_dframe(frame)
+        return symmetric_dframe(frame())
     if head == "min":
         minus, rest = _frame_from_spec(rest)
         plus, rest = _frame_from_spec(rest)
         if rest:
             raise UnknownSpec(f"trailing spec parts {rest!r}")
-        return minimal_dframe(minus, plus)
+        return minimal_dframe(minus(), plus())
     raise UnknownSpec(f"unknown constructor {head!r} (expected min or sym)")

@@ -32,6 +32,7 @@ class Frame(Lattice):
         vars(self).update(vars(lattice))
         self.name = name if name is not None else f"F{lattice.n}"
         self._sublocales: dict = {}
+        self._all_sublocales: tuple | None = None
 
     @property
     def is_trivial(self):
@@ -368,17 +369,20 @@ def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Subloc
 
     A finite frame is spatial and T_D, so its sublocales are exactly the
     meet-closures of the sets of its primes, 2^|primes| of them; more than
-    max_sublocales raises SizeGuardExceeded before any is built.
+    max_sublocales raises SizeGuardExceeded before any is built.  They are
+    built once per frame; the guard is checked on every call.
     """
     count = 2 ** len(frame.primes)
     if count > max_sublocales:
         raise SizeGuardExceeded(f"{count} sublocales exceed the guard of {max_sublocales}")
-    closures = [{frame.top}]
-    for p in frame.primes:  # every closure so far, and the same with p added
-        meet_p = frame.meet[:, p].tolist()
-        closures += [c | {meet_p[s] for s in c} for c in closures]
-    return sorted((Sublocale(frame, c) for c in closures),
-                  key=lambda s: (len(s.members), s.members))
+    if frame._all_sublocales is None:
+        closures = [{frame.top}]
+        for p in frame.primes:  # every closure so far, and the same with p added
+            meet_p = frame.meet[:, p].tolist()
+            closures += [c | {meet_p[s] for s in c} for c in closures]
+        frame._all_sublocales = tuple(sorted((Sublocale(frame, c) for c in closures),
+                                             key=lambda s: (len(s.members), s.members)))
+    return list(frame._all_sublocales)
 
 
 def sublocale_label(s: Sublocale) -> str:

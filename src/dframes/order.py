@@ -16,7 +16,14 @@ from .errors import CyclicOrder, NotALattice, UnknownElement
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+    """The boolean product: out[i, j] iff a[i, k] and b[k, j] for some k.
+
+    Multiplied in float32, which has a BLAS path (int64 has none).  Every
+    term is 0 or 1 and adding a nonnegative float never lowers a sum, so a
+    sum is positive exactly when one of its terms is: `> 0` is exact at any
+    size.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -304,9 +304,9 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
         count_candidates(minus, plus)
     for minus, plus in pairs:
         for df in enumerate_dframes(minus, plus):
-            report.searched += 1
-            if report.searched > max_candidates:
+            if report.searched >= max_candidates:
                 return report
+            report.searched += 1
             if not is_corrigible(df):
                 report.incorrigible.append(_describe(df))
             if is_double_negation(df) and not is_excluded_middle(df):

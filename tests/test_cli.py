@@ -12,6 +12,7 @@ from dframes.cli import main as cli_main
 from dframes.documents import loads
 from dframes.fixtures import three_three
 from dframes.frames import Frame
+from dframes.order import Lattice
 
 
 def test_check_valid_document(run_cli, fixture_dir):
@@ -226,7 +227,7 @@ def test_mine_searches_a_six_chain_pair_under_the_cap(run_cli, monkeypatch):
     # 252 x 252 = 63,504 candidates pass the cap
     monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])
     code, out, _ = run_cli(["mine", "--max-frame", "6", "--max-candidates", "5"])
-    assert code == 0 and "searched 6 valid d-frames" in out
+    assert code == 0 and "searched 5 valid d-frames" in out
 
 
 @pytest.mark.parametrize("limit", [[], ["--max-candidates", "1"]])
@@ -315,3 +316,57 @@ def test_check_exits_cleanly_on_any_json_document(doc):
             code = cli_main(["check", str(path), *strict], stdout=io.StringIO(),
                             stderr=io.StringIO())
             assert code in (0, 1, 2)
+
+
+# -- 256-element carriers and the carrier guard -----------------------------------
+
+# sha256 of each report on `dframes gen sym:bool:8 -o b256.json`, recorded
+# from the n^4 preorder, the pairwise scans and the int64 products
+REACH_256 = {
+    "check": "48a118778dca320f496151de4656ea6535fe41755de110bbdfa6a99d1d8c7be6",
+    "classify": "09daa8e50e37188a98b6ffbf114e0a1626f838d2d6d9ae3a8fc781dc6704baba",
+    "hat": "dfdd9cd65a3bbd4135a5b385b66128d4d3c5bc14a709b6bbf4219c65916b32e7",
+}
+
+
+def test_check_classify_and_hat_reach_256_element_carriers(run_cli, tmp_path, monkeypatch):
+    # the reports name the document's path, so it is the recorded one; no
+    # timing is asserted
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["gen", "sym:bool:8", "-o", "b256.json"])[0] == 0
+    for command, digest in REACH_256.items():
+        code, out, _ = run_cli([command, "b256.json"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def _count_lattices(monkeypatch):
+    built = []
+    init = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    return built
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("sym:bool:9", "bool:9 has more than 256 elements"),
+    ("min:chain:3:chain:300", "chain:300 has more than 256 elements"),
+    ("sym:bool:4000", "bool:4000 has more than 256 elements"),
+])
+def test_gen_refuses_a_carrier_past_the_guard_before_building(run_cli, monkeypatch, spec,
+                                                             message):
+    built = _count_lattices(monkeypatch)
+    code, out, err = run_cli(["gen", spec])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}; the kernels take n^3 steps and stop at 256^3 = 16777216\n"
+    assert built == []
+
+
+def test_check_refuses_a_document_past_the_guard_before_building(run_cli, monkeypatch, tmp_path):
+    elements = [f"x{k}" for k in range(300)]
+    chain = {"elements": elements, "covers": [list(c) for c in zip(elements, elements[1:])]}
+    path = tmp_path / "chain300.json"
+    path.write_text(json.dumps({"minus": C2, "plus": chain}))
+    built = _count_lattices(monkeypatch)
+    code, out, err = run_cli(["check", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: frame block 'plus' has more than 256 elements")
+    assert built == []

@@ -460,6 +460,27 @@ def test_separation_matches_the_witness_search(oracle_corpus):
     assert verdicts[True] and verdicts[False]
 
 
+def consistency_preorder_by_contexts(df):
+    """[a, b] iff every p consistent with b meet c, for any c, is consistent
+    with a meet c, reduced over every (p, c) at once: n^4 work.  The
+    reference for density._consistency_preorder's map comparison."""
+    Lm = df.minus
+    ctx = df.con[:, Lm.meet]            # (p, x, c) -> con[p, x /\ c]
+    out = np.zeros((Lm.n, Lm.n), dtype=bool)
+    for a in range(Lm.n):
+        out[a, :] = (~ctx | ctx[:, a, :][:, None, :]).all(axis=(0, 2))
+    return out
+
+
+def test_map_preorder_matches_the_context_reduction(oracle_corpus):
+    differs = 0
+    for d in oracle_corpus:
+        preorder = density._consistency_preorder(d)
+        assert (preorder == consistency_preorder_by_contexts(d)).all(), d.name
+        differs += int((preorder != d.minus.leq).any())
+    assert 0 < differs < len(oracle_corpus)  # both preorders that are orders and ones that are not
+
+
 def test_double_transfer_condition_matches_the_cell_search(oracle_corpus):
     transfers = density._CONDITION_NAMES[5]
     verdicts = Counter()

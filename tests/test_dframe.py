@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dframes.dframe import (
     DFrame,
     DFrameHom,
+    _pairwise_check,
     check_dframe,
     check_dframe_hom,
     close_con_generators,
@@ -30,7 +32,7 @@ from dframes.fixtures import (
     two_two,
 )
 from dframes.frames import Frame, FrameHom
-from dframes.order import directed_joins_bruteforce
+from dframes.order import directed_joins_bruteforce, down_closure_pairs, up_closure_pairs
 from dframes.search import frame_pool, standard_corpus
 from dframes.subdlocale import enumerate_sub_d_locales
 
@@ -387,3 +389,62 @@ def test_failure_witnesses_are_pinned():
     assert failing == set(MIRRORED_AXIOM) - {"con-dirjoin"}
     text = "\n".join(str(r) for r in broken)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WITNESS_DIGEST
+
+
+# -- the line tests of the binary laws -------------------------------------------
+
+
+def _random_order_closed_pairs(seed, count):
+    """Seeded frame pairs from frame_pool(4), half of them with the Boolean
+    B4 on one side, whose con is a lower set and whose tot is an upper set:
+    the order closures of a few random cells, most often with the nullary
+    pairs, or fully closed generator sets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        minus, plus = rng.choice(POOL4), rng.choice(POOL4)
+        if rng.random() < 0.5:
+            minus, plus = rng.choice([(minus, B4), (B4, plus)])
+        con = np.zeros((plus.n, minus.n), dtype=bool)
+        tot = np.zeros((minus.n, plus.n), dtype=bool)
+        for rel in (con, tot):
+            for _ in range(rng.randrange(1, 7)):
+                rel[rng.randrange(rel.shape[0]), rng.randrange(rel.shape[1])] = True
+        if rng.random() < 0.8:
+            con[plus.bottom, minus.top] = con[plus.top, minus.bottom] = True
+            tot[minus.bottom, plus.top] = tot[minus.top, plus.bottom] = True
+        if rng.random() < 0.2:
+            con, tot = close_con_generators(minus, plus, con), close_tot_generators(minus, plus, tot)
+        yield DFrame(minus, plus, down_closure_pairs(plus, minus, con),
+                     up_closure_pairs(minus, plus, tot))
+
+
+def _scanned_binary_laws(df):
+    """The four binary laws by the pair scan alone, as check_dframe names them."""
+    Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
+    return {check.name: check for check in (
+        _pairwise_check("con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
+                        (Lp.bottom, Lm.top)),
+        _pairwise_check("con-meet", con, Lp.meet, Lm.join, Lp.elements, Lm.elements,
+                        (Lp.top, Lm.bottom)),
+        _pairwise_check("tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
+                        (Lm.bottom, Lp.top)),
+        _pairwise_check("tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
+                        (Lm.top, Lp.bottom)),
+    )}
+
+
+def test_line_tests_match_the_pair_scan():
+    """check_dframe's verdicts and witnesses for the binary laws equal the
+    pair scan's, on random lower and upper sets (where the line tests run)
+    and on random relations (where most fail their order check)."""
+    verdicts = Counter()
+    for df in chain(_random_order_closed_pairs(seed=3, count=1500),
+                    random_relation_pairs(seed=5, count=1000)):
+        report = {check.name: check for check in check_dframe(df).checks}
+        ordered = {"con": report["con-down"].ok, "tot": report["tot-up"].ok}
+        for name, scanned in _scanned_binary_laws(df).items():
+            assert report[name] == scanned, (df.con, df.tot, name)
+            if ordered[name[:3]] and scanned.witness[1:] != ("missing",):
+                verdicts[name, scanned.ok] += 1
+    # every law passes and fails its line test many times
+    assert len(verdicts) == 8 and min(verdicts.values()) > 50, verdicts

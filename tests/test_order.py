@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dframes.errors import CyclicOrder, NotALattice, UnknownElement
 from dframes.order import (
     Lattice,
+    _bool_matmul,
     _closure_from_pairs,
     are_order_isomorphic,
     bound_table,
@@ -268,3 +269,18 @@ def test_order_isomorphism_search():
         Lattice.boolean(2),
         Lattice.from_covers("0xy1", [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")]),
     )
+
+
+def test_float32_boolean_product_matches_int64():
+    """The float32 product's `> 0` is exact: it equals the int64 product's on
+    random boolean matrices of every density up to 64 x 64."""
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n, k, m = rng.integers(1, 65, size=3)
+        density = rng.random()
+        a, b = rng.random((n, k)) < density, rng.random((k, m)) < density
+        want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+        got = _bool_matmul(a, b)
+        assert got.dtype == bool and (got == want).all()
+    full = np.ones((64, 64), dtype=bool)
+    assert _bool_matmul(full, full).all() and not _bool_matmul(full, ~full).any()

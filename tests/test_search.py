@@ -7,7 +7,6 @@ import pytest
 from dframes.density import is_corrigible
 from dframes.dframe import (
     DFrame,
-    _closure_step,
     check_dframe,
     close_con_generators,
     close_tot_generators,
@@ -99,7 +98,7 @@ def test_miner_is_deterministic():
 
 def test_miner_respects_candidate_cap():
     report = mine(max_frame=3, max_candidates=2)
-    assert report.searched == 3  # stops right after crossing the cap
+    assert report.searched == 2  # stops at the cap, before counting the next d-frame
 
 
 def test_partnerless_report_shape():
@@ -117,6 +116,16 @@ def test_incorrigible_witness_found_at_size_four():
     assert not is_corrigible(minimal_dframe(c2, b4))
 
 
+def _closure_step(minus, plus, rel, order_closure):
+    """The oracle's own step on (plus x minus): the order closure, then the
+    two binary laws applied to every pair of members at once."""
+    step = order_closure(plus, minus, rel)
+    ps, ms = np.where(step)
+    step[plus.join[ps[:, None], ps], minus.meet[ms[:, None], ms]] = True
+    step[plus.meet[ps[:, None], ps], minus.join[ms[:, None], ms]] = True
+    return step
+
+
 def _con_closure_step(minus, plus, con):
     """One round of the con closure: the lower set, then the binary laws."""
     return _closure_step(minus, plus, con, down_closure_pairs)
@@ -125,6 +134,44 @@ def _con_closure_step(minus, plus, con):
 def _tot_closure_step(minus, plus, tot):
     """One round of the tot closure: the upper set, then the binary laws."""
     return _closure_step(minus, plus, tot.T, up_closure_pairs).T
+
+
+def _step_fixpoint(minus, plus, rel, step):
+    """The fixpoint of the oracle's step above rel."""
+    while True:
+        nxt = step(minus, plus, rel)
+        if (nxt == rel).all():
+            return rel
+        rel = nxt
+
+
+def test_loader_closure_matches_the_fixpoint_of_the_pairwise_step():
+    """close_con_generators and close_tot_generators, which close each line
+    to a principal ideal or filter, reach the same sets as the pairwise step
+    on seeded generator sets."""
+    rng = random.Random(13)
+    # the binary laws add cells only beside a frame that is not a chain, so
+    # the 8-element Boolean frame is drawn more often
+    pool = frame_pool(4) + [Frame.boolean(3)] * 3 + [Frame.chain(6)]
+    lawful = 0
+    for _ in range(300):
+        minus, plus = rng.choice(pool), rng.choice(pool)
+        for close, step, order, shape, nullary in (
+            (close_con_generators, _con_closure_step, lambda r: down_closure_pairs(plus, minus, r),
+             (plus.n, minus.n), ((plus.bottom, minus.top), (plus.top, minus.bottom))),
+            (close_tot_generators, _tot_closure_step, lambda r: up_closure_pairs(minus, plus, r),
+             (minus.n, plus.n), ((minus.bottom, plus.top), (minus.top, plus.bottom))),
+        ):
+            gens = np.zeros(shape, dtype=bool)
+            for _ in range(rng.randrange(7)):
+                gens[rng.randrange(shape[0]), rng.randrange(shape[1])] = True
+            start = gens.copy()
+            for cell in nullary:
+                start[cell] = True
+            want = _step_fixpoint(minus, plus, start, step)
+            assert (close(minus, plus, gens) == want).all(), (minus.name, plus.name, gens)
+            lawful += int((want != order(start)).any())
+    assert lawful > 50  # the binary laws, not the order closure alone, added cells
 
 
 def _enumerate_relations(minus, plus, forced, step):
