@@ -40,13 +40,11 @@ def cover_relation(leq: np.ndarray) -> np.ndarray:
 def bound_table(leq: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
     """(table, ok): the glb (lower) or lub table of a finite order.
 
-    The common lower bounds B of i and j form a down-set, so every k in B
-    has |down(k)| <= |B|, with equality exactly when k is the greatest
-    element of B.  Row i therefore looks, among the lower bounds of i, for
-    the one below j whose down-set size equals |B|; ok[i, j] is False where
-    there is none (B has no greatest element, or is empty), and table[i, j]
-    is then meaningless.  Upper bounds and up-set sizes give the lub.  Each
-    row's slab is n x |down(i)| booleans, so memory stays O(n^2).
+    Row i takes the lower bounds of i as candidates and, for each j, the
+    least-bound step over those also below j; ok[i, j] is False where the
+    common lower bounds have no greatest element (or there are none), and
+    table[i, j] is then meaningless.  Upper bounds give the lub.  Each row's
+    slab is n x |down(i)| booleans, so memory stays O(n^2).
     """
     rel = np.asarray(leq, dtype=bool)
     rel = np.ascontiguousarray(rel.T if lower else rel)  # x bounds k iff rel[k, x]
@@ -54,15 +52,37 @@ def bound_table(leq: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
     sizes = rel.sum(axis=1)
     table = np.zeros((n, n), dtype=np.int64)
     ok = np.zeros((n, n), dtype=bool)
-    rows = np.arange(n)
     for i in range(n):
         bounds = np.flatnonzero(rel[i])  # the candidates, bounds of i
-        common = rel[:, bounds]  # common[j, c]: candidate c also bounds j
-        hit = common & (sizes[bounds] == common.sum(axis=1)[:, None])
-        best = hit.argmax(axis=1)
+        best, ok[i] = _least_bound(rel[:, bounds], sizes[bounds])  # row j: those also bounding j
         table[i] = bounds[best]
-        ok[i] = hit[rows, best]
     return table, ok
+
+
+def _least_bound(bounds: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(best, ok) per row r of bounds, where bounds[r, u] says u is an upper
+    bound of row r's set and sizes[u] is |up(u)|.
+
+    The upper bounds U of a set in a finite order form an up-set, so every u
+    in U has |up(u)| <= |U|, with equality exactly when u is the least
+    element of U, the set's join.  best[r] is that u and ok[r] whether it
+    exists; where it does not, best[r] is meaningless.  Lower bounds and
+    down-set sizes give the meet.
+    """
+    hit = bounds & (sizes == bounds.sum(axis=1)[:, None])
+    best = hit.argmax(axis=1)  # 0 in a row without a hit
+    return best, (best > 0) | hit[:, 0]
+
+
+def _distributivity_witness(meet: np.ndarray, join: np.ndarray):
+    """The first index triple (a, b, c) in row-major order violating
+    a∧(b∨c) = (a∧b)∨(a∧c) in the given tables, or None."""
+    for a in range(len(meet)):
+        bad = meet[a, join] != join[np.ix_(meet[a], meet[a])]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return (a, int(b), int(c))
+    return None
 
 
 class Poset:
@@ -217,15 +237,7 @@ class Lattice(Poset):
     @cached_property
     def distributivity_witness(self):
         """A triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
-        meet, join = self.meet, self.join
-        for a in range(self.n):
-            lhs = meet[a, join]
-            rhs = join[np.ix_(meet[a, :], meet[a, :])]
-            bad = lhs != rhs
-            if bad.any():
-                b, c = next(zip(*np.where(bad)))
-                return (a, int(b), int(c))
-        return None
+        return _distributivity_witness(self.meet, self.join)
 
     @cached_property
     def is_distributive(self) -> bool:
@@ -239,16 +251,15 @@ class Lattice(Poset):
 
         Only meaningful on distributive lattices, where the join below
         itself satisfies a∧(a->b) <= b; elsewhere each cell is still the
-        join of its candidates.  Per row a, cand[b, c] holds iff a∧c <= b;
-        the upper bounds U of a candidate set form an up-set, and its join
-        is the member of U whose up-set has |U| elements (as in bound_table).
+        join of its candidates.  Per row a, cand[b, c] holds iff a∧c <= b,
+        and the least-bound step finds each candidate set's join.
         """
-        leq, ups = self.leq, self.leq.sum(axis=1)
+        leq, ups, not_leq = self.leq, self.leq.sum(axis=1), ~self.leq
         table = np.zeros((self.n, self.n), dtype=np.int64)
         for a in range(self.n):
             cand = leq[self.meet[a, :], :].T
-            bounds = ~_bool_matmul(cand, ~leq)  # bounds[b, u]: u is above every candidate
-            table[a] = (bounds & (ups == bounds.sum(axis=1)[:, None])).argmax(axis=1)
+            bounds = ~_bool_matmul(cand, not_leq)  # bounds[b, u]: u is above every candidate
+            table[a] = _least_bound(bounds, ups)[0]
         return _frozen(table)
 
     def implies(self, a: int, b: int) -> int:
@@ -281,10 +292,6 @@ def down_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
 def up_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Smallest upper set of the product containing the given pairs."""
     return _bool_matmul(_bool_matmul(a.leq.T, pairs), b.leq)
-
-
-def is_down_closed_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> bool:
-    return bool((down_closure_pairs(a, b, pairs) == pairs).all())
 
 
 def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:

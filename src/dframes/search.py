@@ -21,7 +21,7 @@ from .dframe import (
 )
 from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
-from .order import Lattice, _bool_matmul, _frozen, are_order_isomorphic
+from .order import Lattice, _frozen, are_order_isomorphic
 # Nothing calls build_sub_d_locale through this binding; it stays because
 # benchmarks/test_benchmark.py checks that the tracer wraps it in this
 # module.
@@ -31,9 +31,9 @@ from .subdlocale import admission_matrix, build_sub_d_locale  # noqa: F401
 def all_lattices(max_size: int) -> list[Lattice]:
     """All bounded lattices with at most max_size elements, up to isomorphism.
 
-    Posets are enumerated as transitive upper-triangular relations (every
-    finite poset admits a topological labelling), filtered to lattices and
-    deduplicated by isomorphism search.
+    Posets are enumerated as upper-triangular relations (every finite poset
+    admits a topological labelling); Lattice rejects those that are not
+    transitive or not lattices, and isomorphism search deduplicates the rest.
     """
     found: list[Lattice] = []
     for n in range(1, max_size + 1):
@@ -43,17 +43,9 @@ def all_lattices(max_size: int) -> list[Lattice]:
             for bit, (i, j) in enumerate(slots):
                 if mask >> bit & 1:
                     leq[i, j] = True
-            closed = leq
-            while True:
-                step = closed | _bool_matmul(closed, closed)
-                if (step == closed).all():
-                    break
-                closed = step
-            if (closed != leq).any():
-                continue  # not transitive as written; the closure shows up later
             try:
                 lat = Lattice([f"x{k}" for k in range(n)], leq)
-            except NotALattice:
+            except (ValueError, NotALattice):
                 continue
             if not any(lat.n == other.n and are_order_isomorphic(lat, other) for other in found):
                 found.append(lat)

@@ -16,7 +16,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, _memo, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, enumerate_sublocales
-from .order import _bool_matmul, bound_table, cover_relation
+from .order import _bool_matmul, _distributivity_witness, bound_table, cover_relation
 
 
 class SubDLocale:
@@ -262,13 +262,8 @@ class SubDLocaleLattice:
     def distributivity_witness(self):
         """The first triple (a, b, c) of labels, in row-major order, violating
         meet-over-join distribution, or None."""
-        meet, join = self.meet_table, self.join_table
-        for a in range(self.n):
-            bad = meet[a, join] != join[meet[a][:, None], meet[a]]
-            if bad.any():
-                b, c = np.argwhere(bad)[0]
-                return (self.labels[a], self.labels[b], self.labels[c])
-        return None
+        witness = _distributivity_witness(self.meet_table, self.join_table)
+        return None if witness is None else tuple(self.labels[k] for k in witness)
 
     def modularity_witness(self):
         """The first triple (a, b, x) of labels, in row-major order, with

@@ -30,7 +30,6 @@ from .density import (
     is_dually_subfit,
     is_skeletal,
     pseudocomplements,
-    sublocale_generated_by,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
 from .frames import enumerate_sublocales
@@ -127,8 +126,6 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
     # On every pair: the nine-axiom route admits exactly the members (its
     # induction checks tot), and pairs holding the double sets are dense.
     dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
-    gen_m = sublocale_generated_by(df.minus, dbl_m.members)
-    gen_p = sublocale_generated_by(df.plus, dbl_p.members)
     members = {(m.minus, m.plus): m for m in ds.members}
     admitted, ok_dense_pairs = set(), True
     subs_plus = enumerate_sublocales(df.plus, max_pairs)
@@ -137,7 +134,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
             # through the module, so a patched or traced binding sees it
             if subdlocale.build_sub_d_locale(df, sm, sp)[1].ok:
                 admitted.add((sm, sp))
-            if sm.contains(gen_m) and sp.contains(gen_p):
+            if sm.contains(dbl_m) and sp.contains(dbl_p):
                 m = members.get((sm, sp))
                 ok_dense_pairs &= (m is not None and is_dense_sub_d_locale(m)
                                    and bool((m.con == m.restricted_con()).all()))
@@ -252,16 +249,15 @@ def standard_morphisms(dframes) -> tuple[list, list]:
         q_again = again.core.quotient_hom()
         morphisms.append(q_again)
         pairs.append((q_again, q_core))
+        # A valid d-frame is trivial on both sides or on neither, and an
+        # n-element frame has at most n - 1 primes, so a product of at most
+        # 16 elements has at most 2 ** (1 + 7) = 256 sublocale pairs, inside
+        # the default guard.
         if df.minus.n * df.plus.n <= 16:
-            try:
-                ds = enumerate_sub_d_locales(df)
-            except SizeGuardExceeded:
-                ds = None
-            if ds is not None:
-                for member in ds.members:
-                    q = member.quotient_hom()
-                    morphisms.append(q)
-                    pairs.append((q, ident))
+            for member in enumerate_sub_d_locales(df).members:
+                q = member.quotient_hom()
+                morphisms.append(q)
+                pairs.append((q, ident))
     _, _, counterexample = componentwise_dense_counterexample()
     morphisms.append(counterexample)
     return morphisms, pairs

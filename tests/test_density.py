@@ -49,7 +49,7 @@ from dframes.fixtures import (
 from dframes.errors import BrokenInvariant, EquivalenceMismatch
 from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
-from dframes.sweeps import full_sweep
+from dframes.sweeps import full_sweep, standard_morphisms
 from dframes.subdlocale import enumerate_sub_d_locales
 
 C3, B4 = Frame.chain(3), Frame.boolean(2)
@@ -621,6 +621,18 @@ def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
     corpus = standard_corpus(3) + [three_three()]
     assert full_sweep(corpus).ok
     assert_built_once(builds)
+
+
+def test_standard_morphisms_hold_every_member_quotient_of_the_largest_product():
+    # 2 x 8 elements is the largest product standard_morphisms enumerates;
+    # its 1 + 7 primes give 256 sublocale pairs, inside the default guard
+    df = minimal_dframe(Frame.chain(2), Frame.chain(8))
+    assert len(df.minus.primes) + len(df.plus.primes) == 8
+    morphisms, pairs = standard_morphisms([df])
+    quotients = [m.quotient_hom() for m in enumerate_sub_d_locales(df).members]
+    assert len(quotients) == 128
+    assert morphisms[3:-1] == quotients
+    assert pairs[2:] == [(q, DFrameHom.identity(df)) for q in quotients]
 
 
 def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):

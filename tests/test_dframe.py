@@ -224,6 +224,15 @@ def test_image_factorization_of_quotient_is_the_sub_d_locale():
     assert fac.embedding.compose(fac.onto) == q
 
 
+def test_factorization_rejects_a_map_pair_that_is_no_homomorphism():
+    # c goes up to 1 on the plus side, so the con image is no lower set
+    tt = three_three()
+    hom = DFrameHom(tt, tt, FrameHom.identity(tt.minus), FrameHom(tt.plus, tt.plus, ["1", "c", "1"]))
+    with pytest.raises(InvalidDFrame) as err:
+        image_factorization(hom)
+    assert str(err.value) == "con-down: FAIL at ('c', 'c', 'below', '1', 'c')"
+
+
 def test_factorization_recomposes_everywhere():
     tt = three_three()
     for hom in all_dframe_homs(tt, symmetric_dframe(C2)):

@@ -49,9 +49,10 @@ def test_frame_from_a_lattice_shares_its_tables(monkeypatch):
 
 
 def test_non_distributive_constructors_raise_through_frame():
-    for build in (Frame.pentagon, Frame.diamond3):
-        with pytest.raises(NotAFrame):
+    for build, triple in ((Frame.pentagon, "('c', 'a', 'b')"), (Frame.diamond3, "('x', 'y', 'z')")):
+        with pytest.raises(NotAFrame) as err:
             build()
+        assert str(err.value) == f"not distributive; witness triple {triple}"
 
 
 def test_check_frame_hom_identity_and_constant():

@@ -124,7 +124,27 @@ def test_pentagon_is_a_lattice_but_not_distributive():
     assert n5.meet[a, n5.join[b, c]] != n5.join[n5.meet[a, b], n5.meet[a, c]]
 
 
+def loop_distributivity_witness(lat):
+    """The first index triple violating distributivity, in row-major order,
+    by a triple loop: the reference for distributivity_witness."""
+    meet, join = lat.meet.tolist(), lat.join.tolist()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            for c in range(lat.n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("lat", KERNEL_LATTICES + [Lattice.pentagon(), Lattice.diamond3()],
+                         ids=lambda lat: f"n{lat.n}-{lat.leq.sum()}")
+def test_distributivity_witness_is_the_first_row_major_violation(lat):
+    assert lat.distributivity_witness == loop_distributivity_witness(lat)
+
+
 def test_distributivity_verdicts():
+    # of the kernel lattices only N5 and M3 (up to isomorphism) are not
+    assert sum(not lat.is_distributive for lat in KERNEL_LATTICES) == 2
     assert Lattice.chain(3).is_distributive
     assert Lattice.boolean(2).is_distributive
     assert not Lattice.diamond3().is_distributive
