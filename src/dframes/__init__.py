@@ -23,6 +23,7 @@ from .frames import (
     enumerate_sublocales,
     one_sublocale,
     open_sublocale,
+    sublocale_generated_by,
     sublocale_label,
     whole_sublocale,
 )
@@ -74,7 +75,6 @@ from .density import (
     pseudocomplement,
     pseudocomplements,
     saturation_nucleus,
-    sublocale_generated_by,
 )
 from .search import all_distributive_lattices, all_lattices, mine, standard_corpus
 

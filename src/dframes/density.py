@@ -16,7 +16,7 @@ import numpy as np
 
 from .dframe import DFrame, DFrameHom, _memo, is_regular
 from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
-from .frames import FrameHom, Nucleus, Sublocale
+from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
 from .order import _bool_matmul, order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
@@ -149,25 +149,6 @@ def is_dense_sub_d_locale(s: SubDLocale) -> bool:
             f"restriction={definitional}, containment={characterized}"
         )
     return definitional
-
-
-def sublocale_generated_by(frame, seed) -> Sublocale:
-    """Smallest sublocale containing the seed: close under meets and
-    implications from arbitrary elements."""
-    members = set(int(i) for i in seed) | {frame.top}
-    imp = frame.implication
-    while True:
-        new = set()
-        mem = sorted(members)
-        for x in mem:
-            for y in mem:
-                new.add(int(frame.meet[x, y]))
-        for a in range(frame.n):
-            for s in mem:
-                new.add(int(imp[a, s]))
-        if new <= members:
-            return Sublocale(frame, members)
-        members |= new
 
 
 # -- the consistency preorder and the dense core ------------------------------

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceeded
-from .order import Lattice
+from .order import Lattice, _bool_matmul
 
 
 class Frame(Lattice):
@@ -42,6 +43,16 @@ class Frame(Lattice):
     def primes(self) -> tuple:
         """The meet-irreducible (prime) elements: those with one upper cover."""
         return tuple(np.flatnonzero(self.covers.sum(axis=1) == 1).tolist())
+
+    @cached_property
+    def prime_support(self) -> tuple:
+        """Per element, a Python int with bit k set when primes[k] is a minimal
+        prime above it; each such prime is an implication into the element."""
+        primes = list(self.primes)
+        above = self.leq[:, primes]
+        strictly_below = self.leq[np.ix_(primes, primes)] & ~np.eye(len(primes), dtype=bool)
+        rows = np.packbits(above & ~_bool_matmul(above, strictly_below), axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     @cached_property
     def join_irreducibles(self) -> tuple:
@@ -255,10 +266,9 @@ class Sublocale:
         return Sublocale(self.frame, set(self.members) & set(other.members))
 
     def join_with(self, other: "Sublocale") -> "Sublocale":
-        """The sublocale join: every s meet t, as each side is meet-closed with top."""
+        """The sublocale join: the sublocale generated by both member sets."""
         self._same_carrier(other)
-        meet = self.frame.meet
-        return Sublocale(self.frame, {meet[s, t] for s in self.members for t in other.members})
+        return sublocale_generated_by(self.frame, self.members + other.members)
 
     def _same_carrier(self, other):
         if self.frame is not other.frame and self.frame.elements != other.frame.elements:
@@ -351,24 +361,28 @@ def open_sublocale(frame: Frame, a) -> Sublocale:
     return Sublocale(frame, set(frame.implication[a, :].tolist()))
 
 
-def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
-    """The members fixed by double pseudocomplement, with the map into them.
+def sublocale_generated_by(frame: Frame, seed) -> Sublocale:
+    """The least sublocale holding the seed.  An element is the meet of the
+    minimal primes above it and a sublocale holds it exactly when it holds
+    them, so the members are those whose prime support lies in the seed's."""
+    support, primes = frame.prime_support, 0
+    for s in seed:
+        primes |= support[int(s)]
+    return Sublocale(frame, [x for x, mask in enumerate(support) if mask | primes == primes])
 
-    This is the least dense sublocale; joins in the image are recomputed as
-    the double pseudocomplement of the carrier join.
-    """
-    star = frame.implication[:, frame.bottom]
-    double = star[star]
-    sub = Sublocale(frame, set(double.tolist()))
-    hom = FrameHom(frame, sub.as_frame, np.searchsorted(sub.members, double))
-    return sub, hom
+
+def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
+    """The least dense sublocale, generated by the bottom, with the map onto
+    it: the double pseudocomplement."""
+    sub = sublocale_generated_by(frame, [frame.bottom])
+    return sub, sub.quotient_hom()
 
 
 def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Sublocale]:
     """All sublocales, ordered by (size, members) so outputs are reproducible.
 
-    A finite frame is spatial and T_D, so its sublocales are exactly the
-    meet-closures of the sets of its primes, 2^|primes| of them; more than
+    A finite frame is spatial and T_D, so its sublocales are exactly those
+    generated by the sets of its primes, 2^|primes| of them; more than
     max_sublocales raises SizeGuardExceeded before any is built.  They are
     built once per frame; the guard is checked on every call.
     """
@@ -376,12 +390,9 @@ def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Subloc
     if count > max_sublocales:
         raise SizeGuardExceeded(f"{count} sublocales exceed the guard of {max_sublocales}")
     if frame._all_sublocales is None:
-        closures = [{frame.top}]
-        for p in frame.primes:  # every closure so far, and the same with p added
-            meet_p = frame.meet[:, p].tolist()
-            closures += [c | {meet_p[s] for s in c} for c in closures]
-        frame._all_sublocales = tuple(sorted((Sublocale(frame, c) for c in closures),
-                                             key=lambda s: (len(s.members), s.members)))
+        subs = (sublocale_generated_by(frame, chosen) for size in range(len(frame.primes) + 1)
+                for chosen in combinations(frame.primes, size))
+        frame._all_sublocales = tuple(sorted(subs, key=lambda s: (len(s.members), s.members)))
     return list(frame._all_sublocales)
 
 

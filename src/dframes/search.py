@@ -34,7 +34,10 @@ def all_lattices(max_size: int) -> list[Lattice]:
     Posets are enumerated as upper-triangular relations (every finite poset
     admits a topological labelling); Lattice rejects those that are not
     transitive or not lattices, and isomorphism search deduplicates the rest.
+    It scans 2^(n(n-1)/2) masks per size n, so past 6 it raises SizeGuardExceeded.
     """
+    if max_size > 6:
+        raise SizeGuardExceeded(f"lattices of {max_size} elements exceed the pool guard of 6")
     found: list[Lattice] = []
     for n in range(1, max_size + 1):
         slots = [(i, j) for i in range(n) for j in range(i + 1, n)]

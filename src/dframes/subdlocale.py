@@ -15,7 +15,7 @@ import numpy as np
 
 from .dframe import DFrame, DFrameHom, _memo, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
-from .frames import Sublocale, enumerate_sublocales
+from .frames import Sublocale, enumerate_sublocales, sublocale_generated_by
 from .order import _bool_matmul, _distributivity_witness, bound_table, cover_relation
 
 
@@ -211,16 +211,18 @@ class SubDLocaleLattice:
             raise BrokenInvariant("sub-d-locales must have unique meets")
         return int(greatest[0])
 
-    def _componentwise_join(self, i: int, j: int) -> int:
-        """Index of the componentwise sublocale join of members i and j.
-
-        That join is always a sub-d-locale, so a lattice missing it was not
-        enumerated whole: BrokenInvariant.
-        """
-        a, b = self.members[i], self.members[j]
-        idx = self._index.get((a.minus.join_with(b.minus), a.plus.join_with(b.plus)))
+    def _componentwise_join(self, *ks: int) -> int:
+        """Index of the componentwise sublocale join of the members ks: on
+        each side, the sublocale generated by their members.  That join is
+        always a sub-d-locale, so a lattice missing it was not enumerated
+        whole: BrokenInvariant."""
+        minus = [x for k in ks for x in self.members[k].minus.members]
+        plus = [x for k in ks for x in self.members[k].plus.members]
+        idx = self._index.get((sublocale_generated_by(self.parent.minus, minus),
+                               sublocale_generated_by(self.parent.plus, plus)))
         if idx is None:
-            raise BrokenInvariant(f"the join of {a.label} and {b.label} is not a member")
+            labels = " and ".join(self.members[k].label for k in ks)
+            raise BrokenInvariant(f"the join of {labels} is not a member")
         return idx
 
     def join(self, i: int, j: int) -> int:
@@ -233,10 +235,7 @@ class SubDLocaleLattice:
 
     def meet(self, i: int, j: int) -> int:
         """Greatest lower bound, realised as the join of all lower bounds."""
-        idx = self.bottom
-        for k in range(self.n):
-            if self.leq[k, i] and self.leq[k, j]:
-                idx = self._componentwise_join(idx, k)
+        idx = self._componentwise_join(*np.flatnonzero(self.leq[:, i] & self.leq[:, j]))
         if idx != self.meet_index(i, j):
             raise BrokenInvariant("join of lower bounds must be the glb")
         return idx

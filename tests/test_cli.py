@@ -223,6 +223,14 @@ def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
                    "exceed the cap of 262144\n")
 
 
+@pytest.mark.parametrize("args", [["mine", "--max-frame", "7"],
+                                  ["props", "corpus", "--corpus-size", "7"]])
+def test_a_frame_pool_past_six_elements_exits_2(run_cli, args):
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err == "error: lattices of 7 elements exceed the pool guard of 6\n"
+
+
 def test_mine_searches_a_six_chain_pair_under_the_cap(run_cli, monkeypatch):
     # 252 x 252 = 63,504 candidates pass the cap
     monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])

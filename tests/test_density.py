@@ -162,6 +162,45 @@ def test_core_membership_three_conditions_agree(df):
             assert in_core == receptive == own_join
 
 
+def sublocale_generated_by_fixpoint(frame, seed) -> Sublocale:
+    """Smallest sublocale containing the seed: close under meets and
+    implications from arbitrary elements until nothing new appears.  The
+    reference for frames.sublocale_generated_by."""
+    members = set(int(i) for i in seed) | {frame.top}
+    imp = frame.implication
+    while True:
+        new = set()
+        mem = sorted(members)
+        for x in mem:
+            for y in mem:
+                new.add(int(frame.meet[x, y]))
+        for a in range(frame.n):
+            for s in mem:
+                new.add(int(imp[a, s]))
+        if new <= members:
+            return Sublocale(frame, members)
+        members |= new
+
+
+CLOSURE_FRAMES = frame_pool(6) + [Frame.boolean(4), Frame.chain(8)]
+
+
+@pytest.mark.parametrize("frame", CLOSURE_FRAMES, ids=lambda f: f.name)
+def test_generated_sublocale_matches_the_fixpoint_on_small_seeds(frame):
+    seeds = [seed for size in range(5) for seed in combinations(range(frame.n), size)]
+    for seed in seeds:
+        assert sublocale_generated_by(frame, seed) is sublocale_generated_by_fixpoint(frame, seed)
+
+
+def test_generated_sublocale_matches_the_fixpoint_past_bit_63():
+    chain = Frame.chain(80)  # 79 primes, so prime supports need more than 64 bits
+    rng = random.Random(17)
+    seeds = [(k,) for k in range(56, 80)] + [tuple(rng.sample(range(80), 4)) for _ in range(40)]
+    seeds += [(0, 64), (1, 65), (63, 64, 79)]
+    for seed in seeds:
+        assert sublocale_generated_by(chain, seed) is sublocale_generated_by_fixpoint(chain, seed)
+
+
 def test_generated_sublocale_matches_fixpoints():
     for df in (three_three(), symmetric_dframe(C3), symmetric_dframe(B4)):
         core = dense_core(df)

@@ -202,6 +202,17 @@ def test_booleanization_values():
     assert (bb.mapping == np.arange(B4.n)).all()
 
 
+@pytest.mark.parametrize("frame", frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+                         ids=lambda f: f.name)
+def test_booleanization_is_the_double_negation_image(frame):
+    sub, bmap = booleanization(frame)
+    star = frame.implication[:, frame.bottom]
+    double = star[star]
+    assert sub.members == tuple(sorted(set(double.tolist())))
+    assert bmap.cod is sub.as_frame
+    assert (np.asarray(sub.members)[bmap.mapping] == double).all()
+
+
 def test_booleanization_is_least_dense():
     for frame in (C3, C4, B4):
         bool_sub, bmap = booleanization(frame)

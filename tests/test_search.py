@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dframes import search
 from dframes.density import is_corrigible
 from dframes.dframe import (
     DFrame,
@@ -38,6 +39,17 @@ def test_lattice_counts_up_to_five():
         by_size[lat.n] = by_size.get(lat.n, 0) + 1
     assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}
     assert len(all_distributive_lattices(5)) == 8
+
+
+def test_all_lattices_refuses_a_pool_past_six_before_scanning(monkeypatch):
+    # seven elements would mean 2^21 order masks; none may be built
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(search, "Lattice", no_lattice)
+    for size in (7, 9):
+        with pytest.raises(SizeGuardExceeded, match="pool guard of 6"):
+            all_lattices(size)
 
 
 def test_lattices_pairwise_nonisomorphic():

@@ -5,7 +5,8 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,19 @@ def test_join_is_least_upper_bound_exhaustively():
             for u in range(ds.n):
                 if ds.leq[u, i] and ds.leq[u, j]:
                     assert ds.leq[u, m]
+
+
+@pytest.mark.parametrize("df", [three_three(), documents.dframe_from_spec("sym:chain:5")],
+                         ids=lambda d: d.name)
+def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
+    ds = enumerate_sub_d_locales(df)
+    if ds.n <= 10:  # every nonempty set of members
+        subsets = [ks for size in range(1, ds.n + 1) for ks in combinations(range(ds.n), size)]
+    else:
+        rng = random.Random(5)
+        subsets = [tuple(rng.sample(range(ds.n), rng.randint(2, 6))) for _ in range(200)]
+    for ks in subsets + [tuple(range(ds.n))]:
+        assert ds._componentwise_join(*ks) == reduce(ds.join, ks)
 
 
 def test_index_of_rejects_non_members():
