@@ -14,10 +14,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, _memo, is_regular
-from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
+from .dframe import DFrame, DFrameHom, _partner_bound, _memo, is_regular
+from .errors import CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
-from .order import _bool_matmul, order_isomorphisms
+from .order import _bool_matmul, _frozen, _joins, order_isomorphisms
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
@@ -38,21 +38,13 @@ def pseudocomplements(df: DFrame) -> np.ndarray:
 def _largest_consistent(df: DFrame) -> np.ndarray:
     """a |-> the join of the plus elements consistent with a, checked to be
     consistent with a itself."""
-    out = np.zeros(df.minus.n, dtype=np.int64)
-    for a in range(df.minus.n):
-        out[a] = df.plus.join_all(np.where(df.con[:, a])[0])
-        if not df.con[out[a], a]:
-            raise BrokenInvariant("join of consistent elements must stay consistent")
-    out.flags.writeable = False
-    return out
+    return _partner_bound(df.con.T, df.plus.leq, "join of consistent elements must stay consistent")
 
 
 def double_pseudocomplements(df: DFrame) -> np.ndarray:
     """a |-> the pseudocomplement of the pseudocomplement, on the minus side,
     read-only; double_pseudocomplements(df.swap()) is the plus side's."""
-    out = pseudocomplements(df.swap())[pseudocomplements(df)]
-    out.flags.writeable = False
-    return out
+    return _frozen(pseudocomplements(df.swap())[pseudocomplements(df)])
 
 
 def pseudocomplement(df: DFrame, side: str, x: int) -> int:
@@ -173,9 +165,7 @@ def _consistency_preorder(df: DFrame) -> np.ndarray:
     pseudocomplements, so [a, b] iff f(b meet c) <= f(a meet c) for every c.
     """
     F = pseudocomplements(df)[df.minus.meet]  # F[x, c] = f(x /\ c)
-    out = df.plus.leq[F[None], F[:, None]].all(axis=-1)
-    out.flags.writeable = False
-    return out
+    return _frozen(df.plus.leq[F[None], F[:, None]].all(axis=-1))
 
 
 def saturation_nucleus(df: DFrame) -> Nucleus:
@@ -191,7 +181,7 @@ def saturation_nucleus(df: DFrame) -> Nucleus:
 
 def _saturation_nucleus(df: DFrame) -> Nucleus:
     Lm, order = df.minus, con_preorder(df)
-    nu = Nucleus(Lm, [Lm.join_all(np.where(order[:, a])[0]) for a in range(Lm.n)])
+    nu = Nucleus(Lm, _joins(order.T, Lm.leq))
     bad = nu.violation()
     if bad is not None:
         raise EquivalenceMismatch(f"saturation on the minus side of {df.name} is not a "

@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CarrierMismatch, InvalidDFrame, TrivialMismatch
+from .errors import BrokenInvariant, CarrierMismatch, DomainMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import Lattice, _bool_matmul, _frozen, _least_bound, down_closure_pairs, up_closure_pairs
+from .order import _bool_matmul, _frozen, _joins, down_closure_pairs, up_closure_pairs
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,16 @@ def _memo(df, key: str, build):
     if key not in memo:
         memo[key] = build(df)
     return memo[key]
+
+
+def _partner_bound(rows: np.ndarray, leq: np.ndarray, law: str) -> np.ndarray:
+    """a |-> the join under leq of the elements rows[a] relates a to, checked
+    to be related to a itself: on con.T and the plus order the largest
+    consistent partner, on tot and the reversed order the least total one."""
+    out = _joins(rows, leq)
+    if not rows[np.arange(len(rows)), out].all():
+        raise BrokenInvariant(law)
+    return _frozen(out)
 
 
 def check_dframe(df: DFrame) -> AxiomReport:
@@ -329,7 +339,7 @@ class DFrameHom:
             out = np.zeros((self.cod.plus.n, self.cod.minus.n), dtype=bool)
             ps, ms = np.where(rel)
             out[self.plus.mapping[ps], self.minus.mapping[ms]] = True
-            return out
+            return _frozen(out)
         return image(self.dom.con), image(self.dom.tot.T).T
 
     def violations(self) -> list:
@@ -427,11 +437,15 @@ def _factor(f: FrameHom) -> tuple[FrameHom, FrameHom]:
 
     Subframes, not sublocales: the image keeps the codomain's joins, and is
     the codomain itself when f is onto.  The image of a frame hom is closed
-    under the codomain's meets and joins, so bounds and operations restrict.
+    under the codomain's meets and joins, so it is the restriction whose
+    closure is the identity; an image that is not raises DomainMismatch.
     """
+    if f.is_surjective:
+        return FrameHom(f.dom, f.cod, f.mapping), FrameHom.identity(f.cod)
     idx = np.asarray(f.image_indices())
-    image = f.cod if f.is_surjective else Frame(
-        Lattice(f.cod.names(idx), f.cod.leq[np.ix_(idx, idx)]), name=f"{f.cod.name}|{len(idx)}")
+    if not np.isin(np.stack([f.cod.meet, f.cod.join])[:, idx[:, None], idx], idx).all():
+        raise DomainMismatch(f"the image of {f!r} is not closed under meets and joins")
+    image = f.cod.restrict(idx, np.arange(f.cod.n), f"{f.cod.name}|{len(idx)}")
     return FrameHom(f.dom, image, np.searchsorted(idx, f.mapping)), FrameHom(image, f.cod, idx)
 
 
@@ -446,15 +460,13 @@ def rather_below(df: DFrame) -> tuple[np.ndarray, np.ndarray]:
     phi con a and a tot psi.  The con-tot axiom says both sit inside the
     lattice orders.
     """
-    return tuple(_bool_matmul(d.con.T, d.tot.T) for d in (df, df.swap()))
+    return tuple(_frozen(_bool_matmul(d.con.T, d.tot.T)) for d in (df, df.swap()))
 
 
 def is_regular(df: DFrame) -> bool:
     """Every element is the join of the elements rather below it."""
-    return all(
-        d.minus.join_all(np.where(rb[:, b])[0]) == b
-        for d, rb in zip((df, df.swap()), rather_below(df)) for b in range(d.minus.n)
-    )
+    return all((_joins(rb.T, d.minus.leq) == np.arange(d.minus.n)).all()
+               for d, rb in zip((df, df.swap()), rather_below(df)))
 
 
 # -- generator closure ---------------------------------------------------------
@@ -473,16 +485,8 @@ def _closure_step(plus_leq: np.ndarray, minus_leq: np.ndarray, rel: np.ndarray) 
     closed to the principal ideal of its join, all for the given orders (for
     the reversed orders: the upper set, and principal filters of meets)."""
     step = _bool_matmul(_bool_matmul(plus_leq, rel), minus_leq.T)
-    step = _principal_columns(step, plus_leq)
-    return _principal_columns(step.T, minus_leq).T
-
-
-def _principal_columns(rel: np.ndarray, leq: np.ndarray) -> np.ndarray:
-    """Each nonempty column of rel replaced by the principal ideal of its
-    join, for the order leq of rel's rows."""
-    bounds = ~_bool_matmul(rel.T, ~leq)  # bounds[c, u]: u is above column c
-    join = _least_bound(bounds, leq.sum(axis=1))[0]
-    return leq[:, join] & rel.any(axis=0)
+    step = plus_leq[:, _joins(step.T, plus_leq)] & step.any(axis=0)
+    return minus_leq[:, _joins(step, minus_leq)].T & step.any(axis=1)[:, None]
 
 
 def _close(minus: Frame, plus: Frame, rel, upper: bool) -> np.ndarray:
@@ -495,7 +499,7 @@ def _close(minus: Frame, plus: Frame, rel, upper: bool) -> np.ndarray:
     while True:
         step = _closure_step(plus_leq, minus_leq, rel)
         if (step == rel).all():
-            return rel
+            return _frozen(rel)
         rel = step
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceeded
-from .order import Lattice, _bool_matmul
+from .order import Lattice, _bool_matmul, _frozen, _joins
 
 
 class Frame(Lattice):
@@ -23,7 +23,8 @@ class Frame(Lattice):
 
     It is made from a built Lattice and adopts that lattice's frozen tables
     and cached views as they are, so nothing is rebuilt.  The Lattice
-    constructors reached through Frame return checked frames.
+    constructors reached through Frame return checked frames, and restrict
+    derives a sublocale's or a sub-frame's frame from its parent's tables.
     """
 
     def __init__(self, lattice: Lattice, name: str | None = None):
@@ -34,6 +35,23 @@ class Frame(Lattice):
         self.name = name if name is not None else f"F{lattice.n}"
         self._sublocales: dict = {}
         self._all_sublocales: tuple | None = None
+
+    def restrict(self, members, closure: np.ndarray, name: str) -> "Frame":
+        """The frame on members, sorted and closed under meets, where closure[x]
+        is the least member above x: leq and meets are the parent's, joins the
+        closure of the parent's.  A sublocale (closure its quotient) or a
+        sub-frame (closure the identity) of a frame is a frame, so nothing is
+        checked or rebuilt; the tests compare the result with the rebuild."""
+        sub = np.asarray(members)
+        block = np.ix_(sub, sub)
+        leq = _frozen(self.leq[block])
+        lattice = Lattice.__new__(Lattice)
+        vars(lattice).update(
+            elements=self.names(sub), leq=leq, n=len(sub), is_distributive=True,
+            meet=_frozen(np.searchsorted(sub, self.meet[block])),
+            join=_frozen(np.searchsorted(sub, closure[self.join[block]])),
+            bottom=int(leq.all(axis=1).argmax()), top=int(leq.all(axis=0).argmax()))
+        return Frame(lattice, name)
 
     @property
     def is_trivial(self):
@@ -206,8 +224,7 @@ class Sublocale:
     def member_vector(self) -> np.ndarray:
         vec = np.zeros(self.frame.n, dtype=bool)
         vec[list(self.members)] = True
-        vec.flags.writeable = False
-        return vec
+        return _frozen(vec)
 
     @cached_property
     def is_valid(self) -> bool:
@@ -231,13 +248,8 @@ class Sublocale:
 
     @cached_property
     def quotient(self) -> np.ndarray:
-        """q[a] = least member above a (total because members are meet-closed)."""
-        out = np.zeros(self.frame.n, dtype=np.int64)
-        for a in range(self.frame.n):
-            above = [s for s in self.members if self.frame.leq[a, s]]
-            out[a] = self.frame.meet_all(above)
-        out.flags.writeable = False
-        return out
+        """q[a] = least member above a: the meet of the members above a."""
+        return _frozen(_joins(self.frame.leq & self.member_vector, self.frame.leq.T))
 
     def nucleus(self) -> "Nucleus":
         return Nucleus(self.frame, self.quotient)
@@ -245,9 +257,7 @@ class Sublocale:
     @cached_property
     def as_frame(self) -> Frame:
         """The members as a frame: meets inherited, joins via the quotient."""
-        sub = np.asarray(self.members)
-        leq = self.frame.leq[np.ix_(sub, sub)]
-        return Frame(Lattice(self.frame.names(sub), leq), name=self.label)
+        return self.frame.restrict(self.members, self.quotient, self.label)
 
     @cached_property
     def label(self) -> str:

@@ -74,6 +74,13 @@ def _least_bound(bounds: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.
     return best, (best > 0) | hit[:, 0]
 
 
+def _joins(rows: np.ndarray, leq: np.ndarray) -> np.ndarray:
+    """The join under leq of each row's set, where rows[r, x] puts x in set r
+    (the bottom for an empty row); leq.T gives the meets.  The least-bound
+    step picks the least of the set's upper bounds."""
+    return _least_bound(~_bool_matmul(rows, ~leq), leq.sum(axis=1))[0]
+
+
 def _distributivity_witness(meet: np.ndarray, join: np.ndarray):
     """The first index triple (a, b, c) in row-major order violating
     a∧(b∨c) = (a∧b)∨(a∧c) in the given tables, or None."""
@@ -252,14 +259,11 @@ class Lattice(Poset):
         Only meaningful on distributive lattices, where the join below
         itself satisfies a∧(a->b) <= b; elsewhere each cell is still the
         join of its candidates.  Per row a, cand[b, c] holds iff a∧c <= b,
-        and the least-bound step finds each candidate set's join.
+        and the set-bound step finds each candidate set's join.
         """
-        leq, ups, not_leq = self.leq, self.leq.sum(axis=1), ~self.leq
         table = np.zeros((self.n, self.n), dtype=np.int64)
         for a in range(self.n):
-            cand = leq[self.meet[a, :], :].T
-            bounds = ~_bool_matmul(cand, not_leq)  # bounds[b, u]: u is above every candidate
-            table[a] = _least_bound(bounds, ups)[0]
+            table[a] = _joins(self.leq[self.meet[a, :], :].T, self.leq)
         return _frozen(table)
 
     def implies(self, a: int, b: int) -> int:
@@ -286,12 +290,12 @@ class Lattice(Poset):
 
 def down_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Smallest lower set of the product containing the given pairs."""
-    return _bool_matmul(_bool_matmul(a.leq, pairs), b.leq.T)
+    return _frozen(_bool_matmul(_bool_matmul(a.leq, pairs), b.leq.T))
 
 
 def up_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Smallest upper set of the product containing the given pairs."""
-    return _bool_matmul(_bool_matmul(a.leq.T, pairs), b.leq)
+    return _frozen(_bool_matmul(_bool_matmul(a.leq.T, pairs), b.leq))
 
 
 def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, _memo, check_dframe
+from .dframe import DFrame, DFrameHom, _partner_bound, _memo, check_dframe
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, enumerate_sublocales, sublocale_generated_by
-from .order import _bool_matmul, _distributivity_witness, bound_table, cover_relation
+from .order import _bool_matmul, _distributivity_witness, _frozen, bound_table, cover_relation
 
 
 class SubDLocale:
@@ -114,7 +114,7 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
 
 def _restrict(relation: np.ndarray, rows: Sublocale, cols: Sublocale) -> np.ndarray:
     """The relation on the members of two sublocales, in position space."""
-    return relation[np.asarray(rows.members)[:, None], np.asarray(cols.members)]
+    return _frozen(relation[np.asarray(rows.members)[:, None], np.asarray(cols.members)])
 
 
 def build_sub_d_locale(parent: DFrame, minus: Sublocale, plus: Sublocale):
@@ -247,16 +247,14 @@ class SubDLocaleLattice:
         table, ok = bound_table(self.leq, lower=False)
         if not ok.all():
             raise BrokenInvariant("sub-d-locales must have unique joins")
-        table.flags.writeable = False
-        return table
+        return _frozen(table)
 
     @cached_property
     def meet_table(self) -> np.ndarray:
         table, ok = bound_table(self.leq, lower=True)
         if not ok.all():
             raise BrokenInvariant("sub-d-locales must have unique meets")
-        table.flags.writeable = False
-        return table
+        return _frozen(table)
 
     def distributivity_witness(self):
         """The first triple (a, b, c) of labels, in row-major order, violating
@@ -330,7 +328,8 @@ def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     axioms can fail.  Con-tot-plus holds iff q+(f(a)) <= q+(g(q-(a))) for
     every minus element a: f(a) is the largest plus element consistent with
     a, so q+(f(a)) is the largest induced partner of q-(a), and g(a) is the
-    least one total with a.  Con-tot-minus is the same test on the swap.
+    least one total with a (the meet of all of them).  Con-tot-minus is the
+    same test on the swap.
     """
     from .density import pseudocomplements
 
@@ -338,17 +337,10 @@ def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     quotients = [np.array([s.quotient for s in subs]) for subs in (subs_minus, subs_plus)]
     sides = []
     for df, (q_minus, q_plus) in ((parent, quotients), (parent.swap(), quotients[::-1])):
-        f, g = pseudocomplements(df), _least_total(df)
+        f = pseudocomplements(df)
+        g = _partner_bound(df.tot, df.plus.leq.T, "meet of total elements must stay total")
         sides.append(df.plus.leq[q_plus[:, f][:, None, :], q_plus[:, g[q_minus]]].all(-1))
-    return sides[0].T & sides[1]
-
-
-def _least_total(df: DFrame) -> np.ndarray:
-    """a |-> the least plus element total with a (the meet of all of them)."""
-    g = np.array([df.plus.meet_all(np.where(row)[0]) for row in df.tot], dtype=np.int64)
-    if not df.tot[np.arange(df.minus.n), g].all():
-        raise BrokenInvariant("meet of total elements must stay total")
-    return g
+    return _frozen(sides[0].T & sides[1])
 
 
 def hasse_dot(labels, leq: np.ndarray) -> str:

@@ -31,10 +31,10 @@ from dframes.fixtures import (
     three_three,
     two_two,
 )
-from dframes.frames import Frame, FrameHom
+from dframes.frames import Frame, FrameHom, enumerate_sublocales
 from dframes.order import directed_joins_bruteforce, down_closure_pairs, up_closure_pairs
 from dframes.search import frame_pool, standard_corpus
-from dframes.subdlocale import enumerate_sub_d_locales
+from dframes.subdlocale import admission_matrix, enumerate_sub_d_locales
 
 
 C2, C3, B4 = Frame.chain(2), Frame.chain(3), Frame.boolean(2)
@@ -121,6 +121,35 @@ def test_dframe_keeps_frozen_owned_arrays_and_copies_the_rest():
     view = DFrame(tt.plus, tt.minus, frozen.T, loose)
     assert view.con.base is frozen
     assert view.tot.flags.owndata and not np.shares_memory(view.tot, writeable)
+
+
+READ_ONLY_RESULTS = {
+    "rather_below": lambda df: rather_below(df)[0],
+    "rather_below swap": lambda df: rather_below(df)[1],
+    "restricted_con": lambda df: enumerate_sub_d_locales(df).members[1].restricted_con(),
+    "restricted_tot": lambda df: enumerate_sub_d_locales(df).members[1].restricted_tot(),
+    "images con": lambda df: DFrameHom.identity(df).images()[0],
+    "images tot": lambda df: DFrameHom.identity(df).images()[1],
+    "admission_matrix": lambda df: admission_matrix(
+        df, enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)),
+    "down_closure_pairs": lambda df: down_closure_pairs(df.plus, df.minus, df.con),
+    "up_closure_pairs": lambda df: up_closure_pairs(df.minus, df.plus, df.tot),
+    "close_con_generators": lambda df: close_con_generators(df.minus, df.plus, df.con),
+    "close_tot_generators": lambda df: close_tot_generators(df.minus, df.plus, df.tot),
+}
+
+
+@pytest.mark.parametrize("name", READ_ONLY_RESULTS)
+def test_returned_arrays_are_read_only(name):
+    assert not READ_ONLY_RESULTS[name](three_three()).flags.writeable
+
+
+def test_dframe_keeps_closed_generators_without_a_copy():
+    tt = three_three()
+    con = close_con_generators(tt.minus, tt.plus, tt.con)
+    tot = close_tot_generators(tt.minus, tt.plus, tt.tot)
+    df = DFrame(tt.minus, tt.plus, con, tot)
+    assert df.con is con and df.tot is tot
 
 
 def test_validation_runs_once_per_dframe():

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from dframes.dframe import DFrameHom, image_factorization, symmetric_dframe
 from dframes.errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceeded
 from dframes.fixtures import componentwise_dense_counterexample
 from dframes.frames import (
@@ -26,6 +27,8 @@ from dframes.search import frame_pool
 C3 = Frame.chain(3)
 C4 = Frame.chain(4)
 B4 = Frame.boolean(2)
+# every frame of up to 6 elements, B16 and the 8-chain
+POOL6 = frame_pool(6) + [Frame.boolean(4), Frame.chain(8)]
 
 
 def test_frame_requires_distributivity():
@@ -116,7 +119,7 @@ def brute_force_sublocales(frame):
 
 @pytest.mark.parametrize(
     "frame",
-    [C3, C4, B4, Frame.boolean(3)] + frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+    [C3, C4, B4, Frame.boolean(3)] + POOL6,
     ids=lambda f: f.name,
 )
 def test_sublocale_enumeration_matches_bruteforce(frame):
@@ -146,7 +149,7 @@ def brute_force_join_irreducibles(frame):
     )
 
 
-@pytest.mark.parametrize("frame", frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+@pytest.mark.parametrize("frame", POOL6,
                          ids=lambda f: f.name)
 def test_join_irreducibles_match_bruteforce(frame):
     assert frame.join_irreducibles == brute_force_join_irreducibles(frame)
@@ -202,7 +205,7 @@ def test_booleanization_values():
     assert (bb.mapping == np.arange(B4.n)).all()
 
 
-@pytest.mark.parametrize("frame", frame_pool(6) + [Frame.boolean(4), Frame.chain(8)],
+@pytest.mark.parametrize("frame", POOL6,
                          ids=lambda f: f.name)
 def test_booleanization_is_the_double_negation_image(frame):
     sub, bmap = booleanization(frame)
@@ -305,3 +308,56 @@ def test_sublocale_as_frame_round_trip():
     assert frame.elements == ("c", "1")
     q = cc.quotient_hom()
     assert q.is_hom and q.is_surjective
+
+
+# -- sub-frames by restriction -------------------------------------------------
+
+
+def rebuilt_frame(frame, members):
+    """The frame on members rebuilt from their order alone: the poset checks,
+    both bound tables and the distributivity scan that Frame.restrict skips."""
+    ix = np.asarray(members)
+    lattice = Lattice(frame.names(ix), frame.leq[np.ix_(ix, ix)])
+    assert lattice.is_distributive
+    return Frame(lattice)
+
+
+def assert_same_frame(derived, rebuilt):
+    assert derived.elements == rebuilt.elements
+    for table in ("leq", "meet", "join", "implication", "covers"):
+        assert (getattr(derived, table) == getattr(rebuilt, table)).all(), table
+    assert (derived.bottom, derived.top) == (rebuilt.bottom, rebuilt.top)
+
+
+# indexed top first too: a parent join outside the members then lies below
+# members of higher index, so only the closure finds the least member above it
+@pytest.mark.parametrize("frame", POOL6 + [
+    Frame(Lattice(f.elements[::-1], f.leq[::-1, ::-1]), name=f"{f.name}-top-first") for f in POOL6
+], ids=lambda f: f.name)
+def test_sublocale_frames_are_the_rebuilt_frames(frame):
+    for sub in enumerate_sublocales(frame):
+        assert_same_frame(sub.as_frame, rebuilt_frame(frame, sub.members))
+
+
+@pytest.mark.parametrize("dom, cod, mapping", [
+    (Frame.chain(3), Frame.boolean(2), ["0", "a", "1"]),
+    (Frame.chain(3), Frame.boolean(3), ["0", "ab", "1"]),
+    (Frame.chain(4), Frame.boolean(3), ["0", "a", "ab", "1"]),
+    (Frame.boolean(2), Frame.boolean(3), ["0", "a", "bc", "1"]),
+], ids=["C3-B4", "C3-B8", "C4-B8", "B4-B8"])
+def test_image_frames_are_the_rebuilt_sub_frames(dom, cod, mapping):
+    f = FrameHom(dom, cod, mapping)
+    assert f.is_hom and not f.is_surjective and len(f.image_indices()) >= 3
+    hom = DFrameHom(symmetric_dframe(dom), symmetric_dframe(cod), f, f)
+    fac = image_factorization(hom)
+    for incl in (fac.embedding.minus, fac.embedding.plus):
+        assert_same_frame(incl.dom, rebuilt_frame(cod, incl.mapping))
+    assert fac.embedding.compose(fac.onto) == hom
+
+
+def test_factorization_refuses_an_image_that_is_no_sub_frame():
+    # a and b are in the image, their join 1 is not
+    f = FrameHom(C3, B4, ["0", "a", "b"])
+    hom = DFrameHom(symmetric_dframe(C3), symmetric_dframe(B4), f, f)
+    with pytest.raises(DomainMismatch, match="not closed under meets and joins"):
+        image_factorization(hom)

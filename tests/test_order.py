@@ -6,6 +6,7 @@ from dframes.errors import CyclicOrder, NotALattice, UnknownElement
 from dframes.order import (
     Lattice,
     _bool_matmul,
+    _joins,
     _closure_from_pairs,
     are_order_isomorphic,
     bound_table,
@@ -206,6 +207,21 @@ def test_implication_table_matches_the_per_cell_joins():
     reversed_ = [Lattice(lat.elements[::-1], lat.leq[::-1, ::-1]) for lat in lattices[-3:]]
     for lat in lattices + reversed_:
         assert (lat.implication == implication_by_joins(lat)).all(), lat
+
+
+@pytest.mark.parametrize("lat", frame_pool(6) + [Frame.boolean(4), Frame.chain(8),
+                                                 Lattice.chain(80)],
+                         ids=lambda lat: f"{lat.n}-{int(lat.leq.sum())}")
+def test_set_bound_step_matches_the_folds(lat):
+    """_joins against join_all and meet_all on seeded masks of every density,
+    the empty row first."""
+    rng = np.random.default_rng(lat.n)
+    rows = rng.random((64, lat.n)) < rng.random((64, 1))
+    rows[0] = False
+    joins, meets = _joins(rows, lat.leq), _joins(rows, lat.leq.T)
+    for row, join, meet in zip(rows, joins, meets):
+        assert join == lat.join_all(np.flatnonzero(row))
+        assert meet == lat.meet_all(np.flatnonzero(row))
 
 
 def test_pseudocomplements():

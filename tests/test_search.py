@@ -131,7 +131,7 @@ def test_incorrigible_witness_found_at_size_four():
 def _closure_step(minus, plus, rel, order_closure):
     """The oracle's own step on (plus x minus): the order closure, then the
     two binary laws applied to every pair of members at once."""
-    step = order_closure(plus, minus, rel)
+    step = order_closure(plus, minus, rel).copy()  # the closure comes back read-only
     ps, ms = np.where(step)
     step[plus.join[ps[:, None], ps], minus.meet[ms[:, None], ms]] = True
     step[plus.meet[ps[:, None], ps], minus.join[ms[:, None], ms]] = True
