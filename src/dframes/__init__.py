@@ -76,7 +76,7 @@ from .density import (
     pseudocomplements,
     saturation_nucleus,
 )
-from .search import all_distributive_lattices, all_lattices, mine, standard_corpus
+from .search import mine, standard_corpus
 
 __version__ = "0.1.0"
 

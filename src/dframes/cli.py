@@ -97,11 +97,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load(args):
-    df = documents.load_path(args.path, strict=args.strict)
-    return df
-
-
 def _emit(report, args, out) -> int:
     """Write the report as asked; the exit code is 1 if a verdict failed."""
     out.write(report.render_json() if args.json else report.render_text())
@@ -119,7 +114,7 @@ def _validated(df, report, args, out) -> bool:
 
 
 def cmd_check(args, out) -> int:
-    df = _load(args)
+    df = documents.load_path(args.path, strict=args.strict)
     report = Report("check", {"path": args.path, "strict": args.strict, "name": df.name})
     axioms = df.validate()
     for check in axioms.checks:
@@ -145,7 +140,7 @@ def cmd_gen(args, out) -> int:
 
 
 def cmd_dsub(args, out) -> int:
-    df = _load(args)
+    df = documents.load_path(args.path, strict=args.strict)
     report = Report("dsub", {"path": args.path, "name": df.name})
     if not _validated(df, report, args, out):
         return 1
@@ -170,7 +165,7 @@ def cmd_dsub(args, out) -> int:
 
 
 def cmd_hat(args, out) -> int:
-    df = _load(args)
+    df = documents.load_path(args.path, strict=args.strict)
     report = Report("hat", {"path": args.path, "name": df.name})
     if not _validated(df, report, args, out):
         return 1
@@ -204,7 +199,7 @@ def cmd_hat(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
-    df = _load(args)
+    df = documents.load_path(args.path, strict=args.strict)
     report = Report("classify", {"path": args.path, "name": df.name})
     if not _validated(df, report, args, out):
         return 1

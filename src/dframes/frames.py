@@ -257,6 +257,8 @@ class Sublocale:
     @cached_property
     def as_frame(self) -> Frame:
         """The members as a frame: meets inherited, joins via the quotient."""
+        if self.is_whole:
+            return self.frame
         return self.frame.restrict(self.members, self.quotient, self.label)
 
     @cached_property

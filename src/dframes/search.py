@@ -1,5 +1,5 @@
-"""Small-model enumeration: lattice pools, the standard d-frame corpus,
-seeded random d-frames, and the counterexample miner.
+"""Small-model enumeration: the frame pool, built from posets by Birkhoff
+duality, the standard d-frame corpus, seeded random d-frames, and the miner.
 
 Everything here is bounded-exhaustive and deterministic so corpus sweeps
 and miner reports replay byte-for-byte.
@@ -19,50 +19,52 @@ from .dframe import (
     minimal_dframe,
     symmetric_dframe,
 )
-from .errors import NotALattice, SizeGuardExceeded, TrivialMismatch
+from .errors import SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
-from .order import Lattice, _frozen, are_order_isomorphic
+from .order import Lattice, _frozen
 # Nothing calls build_sub_d_locale through this binding; it stays because
 # benchmarks/test_benchmark.py checks that the tracer wraps it in this
 # module.
 from .subdlocale import admission_matrix, build_sub_d_locale  # noqa: F401
 
 
-def all_lattices(max_size: int) -> list[Lattice]:
-    """All bounded lattices with at most max_size elements, up to isomorphism.
-
-    Posets are enumerated as upper-triangular relations (every finite poset
-    admits a topological labelling); Lattice rejects those that are not
-    transitive or not lattices, and isomorphism search deduplicates the rest.
-    It scans 2^(n(n-1)/2) masks per size n, so past 6 it raises SizeGuardExceeded.
-    """
-    if max_size > 6:
-        raise SizeGuardExceeded(f"lattices of {max_size} elements exceed the pool guard of 6")
-    found: list[Lattice] = []
-    for n in range(1, max_size + 1):
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for mask in range(2 ** len(slots)):
-            leq = np.eye(n, dtype=bool)
-            for bit, (i, j) in enumerate(slots):
-                if mask >> bit & 1:
-                    leq[i, j] = True
-            try:
-                lat = Lattice([f"x{k}" for k in range(n)], leq)
-            except (ValueError, NotALattice):
-                continue
-            if not any(lat.n == other.n and are_order_isomorphic(lat, other) for other in found):
-                found.append(lat)
-    found.sort(key=lambda lat: (lat.n, lat.leq.sum(), lat.leq.tobytes()))
-    return found
-
-
-def all_distributive_lattices(max_size: int) -> list[Lattice]:
-    return [lat for lat in all_lattices(max_size) if lat.is_distributive]
-
-
 def frame_pool(max_size: int) -> list[Frame]:
-    """All finite frames up to max_size elements, up to isomorphism."""
-    return [Frame(lat, name=f"D{k}") for k, lat in enumerate(all_distributive_lattices(max_size))]
+    """All finite frames up to max_size elements, up to isomorphism.
+
+    A finite frame is the down-set lattice of a poset (Birkhoff): posets grow
+    a point at a time, each point above one down-set, while they have at most
+    max_size down-sets, and isomorphic ones meet under one labelling.
+    """
+    if max_size > 7:
+        raise SizeGuardExceeded(f"frames of {max_size} elements exceed the pool guard of 7")
+    found: dict = {}
+    posets = [(0,)]  # each poset as its down-sets, bitmasks over its points
+    for downsets in (d for d in posets if len(d) <= max_size):  # posets grows as it is read
+        leq = _least_labelling(downsets)
+        if found.setdefault(leq.tobytes(), leq) is leq:
+            point = downsets[-1] + 1  # the last down-set holds every point
+            posets += [downsets + tuple(s | point for s in downsets if s & d == d)
+                       for d in downsets]
+    leqs = sorted(found.values(), key=lambda leq: (len(leq), leq.sum(), leq.tobytes()))
+    return [Frame(Lattice([f"x{i}" for i in range(len(leq))], leq), name=f"D{k}")
+            for k, leq in enumerate(leqs)]
+
+
+def _least_labelling(downsets: tuple) -> np.ndarray:
+    """The inclusion order of downsets along its least-mask linear extension
+    (bit k: the k-th pair i < j, row-major, has i <= j), a mask scan's first copy."""
+    below = [[s & t == s for t in downsets] for s in downsets]
+
+    def extensions(order, left):
+        if not left:
+            yield order
+        for x in left:
+            if not any(below[y][x] for y in left - {x}):
+                yield from extensions(order + [x], left - {x})
+
+    best = min(extensions([], set(range(len(downsets)))), key=lambda order: [  # highest bit first
+        below[a][b] for i, a in enumerate(order) for b in order[i + 1:]][::-1])
+    return np.array([[below[a][b] for b in best] for a in best])
 
 
 def standard_corpus(max_size: int = 5) -> list[DFrame]:

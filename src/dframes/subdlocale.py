@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, _partner_bound, _memo, check_dframe
+from .dframe import DFrame, DFrameHom, _partner_bound, _memo
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, enumerate_sublocales, sublocale_generated_by
 from .order import _bool_matmul, _distributivity_witness, _frozen, bound_table, cover_relation
@@ -46,6 +46,8 @@ class SubDLocale:
 
     @cached_property
     def as_dframe(self) -> DFrame:
+        if self.is_whole:
+            return self.parent
         return DFrame(self.minus.as_frame, self.plus.as_frame, self.con, self.tot,
                       name=self.label)
 
@@ -120,8 +122,7 @@ def _restrict(relation: np.ndarray, rows: Sublocale, cols: Sublocale) -> np.ndar
 def build_sub_d_locale(parent: DFrame, minus: Sublocale, plus: Sublocale):
     """(SubDLocale, report): the candidate and its nine-axiom report."""
     candidate = SubDLocale(parent, minus, plus)
-    report = check_dframe(candidate.as_dframe)
-    return candidate, report
+    return candidate, candidate.as_dframe.validate()
 
 
 def try_sub_d_locale(parent: DFrame, minus: Sublocale, plus: Sublocale) -> SubDLocale:

@@ -223,12 +223,27 @@ def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
                    "exceed the cap of 262144\n")
 
 
-@pytest.mark.parametrize("args", [["mine", "--max-frame", "7"],
-                                  ["props", "corpus", "--corpus-size", "7"]])
-def test_a_frame_pool_past_six_elements_exits_2(run_cli, args):
+@pytest.mark.parametrize("args", [["mine", "--max-frame", "8"],
+                                  ["props", "corpus", "--corpus-size", "8"],
+                                  ["mine", "--max-frame", "9"],
+                                  ["props", "corpus", "--corpus-size", "9"]])
+def test_a_frame_pool_past_seven_elements_exits_2(run_cli, monkeypatch, args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset or a lattice was built")
+
+    monkeypatch.setattr(search, "_least_labelling", refuse)
+    monkeypatch.setattr(Lattice, "__init__", refuse)
     code, out, err = run_cli(args)
     assert code == 2 and out == ""
-    assert err == "error: lattices of 7 elements exceed the pool guard of 6\n"
+    assert err == f"error: frames of {args[-1]} elements exceed the pool guard of 7\n"
+
+
+def test_mine_over_the_seven_element_pool_exits_2_at_the_candidate_cap(run_cli):
+    # the pool of 7 is built, and a pair of its frames passes the candidate cap
+    code, out, err = run_cli(["mine", "--max-frame", "7"])
+    assert code == 2 and out == ""
+    assert err == ("error: 532 x 532 = 283024 con x tot candidates "
+                   "exceed the cap of 262144\n")
 
 
 def test_mine_searches_a_six_chain_pair_under_the_cap(run_cli, monkeypatch):

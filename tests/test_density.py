@@ -699,20 +699,24 @@ def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):
 
 def test_classify_admits_the_core_pair_once(monkeypatch):
     # corrigibility builds the dense core, so classify runs the core pair's
-    # nine-axiom admission, and only that one
-    from dframes import dframe as dframe_module, subdlocale
+    # nine-axiom admission, and only that one; a whole pair's d-frame is the
+    # parent, which is admitted by its own memoised report
+    from dframes import dframe as dframe_module
 
     calls = []
-    for module in (dframe_module, subdlocale):
-        check = module.check_dframe
-        monkeypatch.setattr(module, "check_dframe",
-                            lambda df, check=check: calls.append(df) or check(df))
+    check = dframe_module.check_dframe
+    monkeypatch.setattr(dframe_module, "check_dframe",
+                        lambda df: calls.append(df) or check(df))
     for make in (three_three, two_two, double_negation_without_excluded_middle,
                  incorrigible_minimal):
         df = make()
         calls.clear()
         classify(df)
-        assert calls == [dense_core(df).as_dframe]
+        core = dense_core(df)
+        if core.core.is_whole:
+            assert core.as_dframe is df and calls == []
+        else:
+            assert calls == [core.as_dframe]
 
 
 def test_dense_core_is_memoised():

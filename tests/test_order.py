@@ -15,7 +15,8 @@ from dframes.order import (
     up_closure_pairs,
 )
 from dframes.frames import Frame
-from dframes.search import all_lattices, frame_pool
+from dframes.search import frame_pool
+from mask_scan import all_lattices
 
 
 def brute_bound(leq, i, j, lower):

@@ -13,10 +13,8 @@ from dframes.dframe import (
     close_tot_generators,
 )
 from dframes.errors import SizeGuardExceeded
-from dframes.order import are_order_isomorphic, down_closure_pairs, up_closure_pairs
+from dframes.order import Lattice, are_order_isomorphic, down_closure_pairs, up_closure_pairs
 from dframes.search import (
-    all_distributive_lattices,
-    all_lattices,
     count_candidates,
     enumerate_con_relations,
     enumerate_dframes,
@@ -30,30 +28,56 @@ from dframes.search import (
 from dframes.fixtures import three_three
 from dframes.frames import Frame, enumerate_sublocales
 from dframes.subdlocale import build_sub_d_locale
+from mask_scan import all_lattices
+
+# the oracle's scan, run once: the lattices of up to n elements are its prefix
+SCANNED = all_lattices(6)
 
 
 def test_lattice_counts_up_to_five():
-    lats = all_lattices(5)
+    lats = [lat for lat in SCANNED if lat.n <= 5]
     by_size = {}
     for lat in lats:
         by_size[lat.n] = by_size.get(lat.n, 0) + 1
     assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}
-    assert len(all_distributive_lattices(5)) == 8
+    assert sum(lat.is_distributive for lat in lats) == 8
 
 
-def test_all_lattices_refuses_a_pool_past_six_before_scanning(monkeypatch):
-    # seven elements would mean 2^21 order masks; none may be built
-    def no_lattice(*args, **kwargs):
-        raise AssertionError("a lattice was built")
+@pytest.mark.parametrize("size", range(7))
+def test_frame_pool_is_the_mask_scan(size):
+    # the distributive lattices of the scan, in its order, under its labels
+    scanned = [lat for lat in SCANNED if lat.n <= size and lat.is_distributive]
+    pool = frame_pool(size)
+    assert [f.name for f in pool] == [f"D{k}" for k in range(len(scanned))]
+    assert [f.elements for f in pool] == [lat.elements for lat in scanned]
+    assert [f.leq.tobytes() for f in pool] == [lat.leq.tobytes() for lat in scanned]
 
-    monkeypatch.setattr(search, "Lattice", no_lattice)
-    for size in (7, 9):
-        with pytest.raises(SizeGuardExceeded, match="pool guard of 6"):
-            all_lattices(size)
+
+def test_frame_pool_of_seven_elements():
+    # OEIS A006982: 1, 1, 1, 2, 3, 5, 8 distributive lattices of 1 to 7 elements
+    pool = frame_pool(7)
+    sizes = [f.n for f in pool]
+    assert [sizes.count(n) for n in range(1, 8)] == [1, 1, 1, 2, 3, 5, 8]
+    assert all(f.is_distributive for f in pool)
+    for i, a in enumerate(pool):
+        for b in pool[i + 1:]:
+            assert not (a.n == b.n and are_order_isomorphic(a, b))
+
+
+@pytest.mark.parametrize("size", [8, 9])
+def test_frame_pool_refuses_more_than_seven_elements_before_building(monkeypatch, size):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset or a lattice was built")
+
+    monkeypatch.setattr(search, "_least_labelling", refuse)
+    monkeypatch.setattr(Lattice, "__init__", refuse)
+    with pytest.raises(SizeGuardExceeded) as err:
+        frame_pool(size)
+    assert str(err.value) == f"frames of {size} elements exceed the pool guard of 7"
 
 
 def test_lattices_pairwise_nonisomorphic():
-    lats = all_lattices(5)
+    lats = [lat for lat in SCANNED if lat.n <= 5]
     for i, a in enumerate(lats):
         for b in lats[i + 1:]:
             if a.n == b.n:
