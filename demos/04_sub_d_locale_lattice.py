@@ -24,11 +24,11 @@ lbl = list(ds.labels)
 oo, tc, to = lbl.index("o(c).o(c)"), lbl.index("3.c(c)"), lbl.index("3.o(c)")
 
 # The classic failure of distributivity, computed inside the lattice:
-meet_tc_to = ds.meet_index(tc, to)
+meet_tc_to = ds.meet(tc, to)
 print("\n3.c(c) ^ 3.o(c) =", ds.labels[meet_tc_to],
       " (the componentwise intersection (3, {1}) is not a sub-d-locale)")
-lhs = ds.join_index(oo, meet_tc_to)
-rhs = ds.meet_index(ds.join_index(oo, tc), ds.join_index(oo, to))
+lhs = ds.join(oo, meet_tc_to)
+rhs = ds.meet(ds.join(oo, tc), ds.join(oo, to))
 print("o(c).o(c) v (3.c(c) ^ 3.o(c)) =", ds.labels[lhs])
 print("(o(c).o(c) v 3.c(c)) ^ (o(c).o(c) v 3.o(c)) =", ds.labels[rhs])
 print("distributive?", ds.is_distributive, "| modular?", ds.is_modular)

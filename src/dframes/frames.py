@@ -415,15 +415,17 @@ def sublocale_label(s: Sublocale) -> str:
     are closed sublocales c(a); implication images are open sublocales o(a);
     anything else lists its members.
     """
-    F = s.frame
+    F, mem = s.frame, s.member_vector
     if s.is_whole:
         return F.name
     if s.is_one:
         return "1"
-    for a in range(F.n):
-        if s == closed_sublocale(F, a):
-            return f"c({F.elements[a]})"
-    for a in range(F.n):
-        if s == open_sublocale(F, a):
-            return f"o({F.elements[a]})"
+    closed = (F.leq == mem).all(axis=1)  # row a of leq is the up-set of a
+    if closed.any():
+        return f"c({F.elements[closed.argmax()]})"
+    images = np.zeros((F.n, F.n), dtype=bool)  # row a: the image of a -> (-)
+    images[np.arange(F.n)[:, None], F.implication] = True
+    opened = (images == mem).all(axis=1)
+    if opened.any():
+        return f"o({F.elements[opened.argmax()]})"
     return "{" + ",".join(F.names(s.members)) + "}"

@@ -7,8 +7,7 @@ joins and closure computations O(1) table lookups or small matrix products.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -272,12 +271,6 @@ class Lattice(Poset):
     def pseudocomplement(self, a: int) -> int:
         return int(self.implication[a, self.bottom])
 
-    def meet_all(self, idxs) -> int:
-        return int(reduce(lambda x, y: self.meet[x, y], idxs, self.top))
-
-    def join_all(self, idxs) -> int:
-        return int(reduce(lambda x, y: self.join[x, y], idxs, self.bottom))
-
     def names(self, idxs) -> tuple:
         return tuple(self.elements[i] for i in idxs)
 
@@ -296,38 +289,6 @@ def down_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
 def up_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Smallest upper set of the product containing the given pairs."""
     return _frozen(_bool_matmul(_bool_matmul(a.leq.T, pairs), b.leq))
-
-
-def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
-    """Definitional D operator: enumerate every nonempty directed subset.
-
-    Over a finite product order every directed subset contains an upper
-    bound of itself (chase internal upper bounds pairwise), hence contains
-    its own join, so D adds nothing and relations are never Scott-closed
-    explicitly.  Exponential in the number of pairs; the tests use it as the
-    oracle for that fact on small inputs.
-    """
-    members = list(zip(*np.where(pairs)))
-    if len(members) > 16:
-        raise ValueError("brute-force directed-join oracle is exponential; keep inputs small")
-    out = pairs.copy()
-    for size in range(1, len(members) + 1):
-        for subset in combinations(members, size):
-            if _is_directed(a, b, subset):
-                ja = a.join_all([p[0] for p in subset])
-                jb = b.join_all([p[1] for p in subset])
-                out[ja, jb] = True
-    return out
-
-
-def _is_directed(a: Lattice, b: Lattice, subset) -> bool:
-    for (x1, y1), (x2, y2) in combinations(subset, 2):
-        if not any(
-            a.leq[x1, x] and a.leq[x2, x] and b.leq[y1, y] and b.leq[y2, y]
-            for (x, y) in subset
-        ):
-            return False
-    return True
 
 
 def order_isomorphisms(a: Poset, b: Poset):
@@ -367,7 +328,3 @@ def order_isomorphisms(a: Poset, b: Poset):
                 image[i] = -1
 
     yield from backtrack(0)
-
-
-def are_order_isomorphic(a: Poset, b: Poset) -> bool:
-    return next(order_isomorphisms(a, b), None) is not None

@@ -1,8 +1,8 @@
 """Structured command reports rendered as text and JSON.
 
 Reports are deterministic for fixed inputs and seed: no timestamps, no
-timings, no unordered iteration.  Wall-clock timings, when wanted, go to
-stderr so report bytes stay reproducible.
+timings, no unordered iteration.  The CLI emits no timings; traced runs of
+the benchmark harness (benchmarks/run.py --trace 1) measure them outside.
 """
 
 from __future__ import annotations

@@ -192,25 +192,20 @@ class SubDLocaleLattice:
     def top(self) -> int:
         return int(np.where(self.leq.sum(axis=0) == self.n)[0][0])
 
-    def join_index(self, i: int, j: int) -> int:
-        """Least upper bound, located through the order matrix."""
-        uppers = np.where(self.leq[i, :] & self.leq[j, :])[0]
-        least = uppers[self.leq[np.ix_(uppers, uppers)].all(axis=1)]
-        if len(least) != 1:
-            raise BrokenInvariant("sub-d-locales must have unique joins")
-        return int(least[0])
+    def is_join(self, k: int, i: int, j: int) -> bool:
+        """Whether k is the least upper bound of i and j: above both, and
+        below every common upper bound."""
+        uppers = self.leq[i] & self.leq[j]
+        return bool(uppers[k] and self.leq[k, uppers].all())
 
-    def meet_index(self, i: int, j: int) -> int:
-        """Greatest lower bound through the order matrix.
+    def is_meet(self, k: int, i: int, j: int) -> bool:
+        """Whether k is the greatest lower bound of i and j.
 
         Generally NOT the componentwise intersection: the intersection pair
         may fail the axioms, in which case the meet drops further down.
         """
-        lowers = np.where(self.leq[:, i] & self.leq[:, j])[0]
-        greatest = lowers[self.leq[np.ix_(lowers, lowers)].all(axis=0)]
-        if len(greatest) != 1:
-            raise BrokenInvariant("sub-d-locales must have unique meets")
-        return int(greatest[0])
+        lowers = self.leq[:, i] & self.leq[:, j]
+        return bool(lowers[k] and self.leq[lowers, k].all())
 
     def _componentwise_join(self, *ks: int) -> int:
         """Index of the componentwise sublocale join of the members ks: on
@@ -227,24 +222,23 @@ class SubDLocaleLattice:
         return idx
 
     def join(self, i: int, j: int) -> int:
-        """Join by the componentwise construction, cross-checked against the
-        order-matrix least upper bound."""
+        """Join by the componentwise construction, checked against the
+        definition of the least upper bound."""
         idx = self._componentwise_join(i, j)
-        if idx != self.join_index(i, j):
+        if not self.is_join(idx, i, j):
             raise BrokenInvariant("constructive join must be the lub")
         return idx
 
     def meet(self, i: int, j: int) -> int:
         """Greatest lower bound, realised as the join of all lower bounds."""
         idx = self._componentwise_join(*np.flatnonzero(self.leq[:, i] & self.leq[:, j]))
-        if idx != self.meet_index(i, j):
+        if not self.is_meet(idx, i, j):
             raise BrokenInvariant("join of lower bounds must be the glb")
         return idx
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        """All least upper bounds from the order kernel; join_index gives
-        each one independently."""
+        """All least upper bounds from the order kernel."""
         table, ok = bound_table(self.leq, lower=False)
         if not ok.all():
             raise BrokenInvariant("sub-d-locales must have unique joins")

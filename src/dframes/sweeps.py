@@ -172,7 +172,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
         if not is_dense_sub_d_locale(ds.members[idx]):
             ok_dense_meet = False
             break
-        if ds.meet_index(ds.index_of(s), ds.index_of(t)) != idx:
+        if not ds.is_meet(idx, ds.index_of(s), ds.index_of(t)):
             ok_dense_meet = False
             break
     sweep.check(f"{name}: meets of dense members are dense intersections", ok_dense_meet)

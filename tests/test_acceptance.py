@@ -81,12 +81,12 @@ def test_criterion_2_nondistributivity_witness():
     ds = enumerate_sub_d_locales(three_three())
     lbl = list(ds.labels)
     oo, tc, to = lbl.index("o(c).o(c)"), lbl.index("3.c(c)"), lbl.index("3.o(c)")
-    lhs = ds.join_index(oo, ds.meet_index(tc, to))
-    rhs = ds.meet_index(ds.join_index(oo, tc), ds.join_index(oo, to))
+    lhs = ds.join(oo, ds.meet(tc, to))
+    rhs = ds.meet(ds.join(oo, tc), ds.join(oo, to))
     ok = (
-        ds.labels[ds.meet_index(tc, to)] == "1.1"
+        ds.labels[ds.meet(tc, to)] == "1.1"
         and ds.labels[lhs] == "o(c).o(c)"
-        and ds.labels[ds.join_index(oo, tc)] == "3.3"
+        and ds.labels[ds.join(oo, tc)] == "3.3"
         and ds.labels[rhs] == "3.o(c)"
     )
     assert record(2, ok, "o(c).o(c) v (3.c(c) ^ 3.o(c)) = o(c).o(c); "

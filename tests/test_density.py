@@ -51,6 +51,7 @@ from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
 from dframes.sweeps import full_sweep, standard_morphisms
 from dframes.subdlocale import enumerate_sub_d_locales
+from oracles import join_all, meet_all
 
 C3, B4 = Frame.chain(3), Frame.boolean(2)
 SMALL_CORPUS = standard_corpus(4)
@@ -374,7 +375,7 @@ def galois_check_by_all_subsets(df):
                 rep.note(f"{side} triple equals single", (lat.elements[a],))
         for size in range(lat.n + 1):
             bad = next((list(c) for c in combinations(range(lat.n), size)
-                        if to_op[lat.join_all(c)] != other.meet_all(to_op[list(c)])), None)
+                        if to_op[join_all(lat, c)] != meet_all(other, to_op[list(c)])), None)
             if bad is not None:
                 rep.note(f"{side} join to meet", tuple(lat.names(bad)))
                 break

@@ -32,9 +32,10 @@ from dframes.fixtures import (
     two_two,
 )
 from dframes.frames import Frame, FrameHom, enumerate_sublocales
-from dframes.order import directed_joins_bruteforce, down_closure_pairs, up_closure_pairs
+from dframes.order import down_closure_pairs, up_closure_pairs
 from dframes.search import frame_pool, standard_corpus
 from dframes.subdlocale import admission_matrix, enumerate_sub_d_locales
+from oracles import directed_joins_bruteforce
 
 
 C2, C3, B4 = Frame.chain(2), Frame.chain(3), Frame.boolean(2)

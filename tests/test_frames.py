@@ -22,6 +22,7 @@ from dframes.frames import (
 )
 from dframes.order import Lattice
 from dframes.search import frame_pool
+from oracles import join_all
 
 
 C3 = Frame.chain(3)
@@ -145,7 +146,7 @@ def brute_force_join_irreducibles(frame):
     return tuple(
         x for x in range(frame.n)
         if x != frame.bottom
-        and frame.join_all([y for y in range(frame.n) if y != x and frame.leq[y, x]]) != x
+        and join_all(frame, [y for y in range(frame.n) if y != x and frame.leq[y, x]]) != x
     )
 
 
@@ -300,6 +301,27 @@ def test_sublocale_labels():
     odd = Sublocale(C4, ["0", "b", "1"])
     assert odd.is_valid
     assert sublocale_label(odd) == "{0,b,1}"
+
+
+def label_by_construction(s):
+    """The label found by building c(a), then o(a), for each a in index
+    order until one equals s: the reference for sublocale_label."""
+    F = s.frame
+    if s.is_whole:
+        return F.name
+    if s.is_one:
+        return "1"
+    for make, kind in ((closed_sublocale, "c"), (open_sublocale, "o")):
+        for a in range(F.n):
+            if s == make(F, a):
+                return f"{kind}({F.elements[a]})"
+    return "{" + ",".join(F.names(s.members)) + "}"
+
+
+@pytest.mark.parametrize("frame", POOL6, ids=lambda f: f.name)
+def test_sublocale_labels_match_the_construction_search(frame):
+    for s in enumerate_sublocales(frame):
+        assert sublocale_label(s) == label_by_construction(s)
 
 
 def test_sublocale_as_frame_round_trip():

@@ -8,36 +8,28 @@ from dframes.order import (
     _bool_matmul,
     _joins,
     _closure_from_pairs,
-    are_order_isomorphic,
     bound_table,
-    directed_joins_bruteforce,
     down_closure_pairs,
     up_closure_pairs,
 )
 from dframes.frames import Frame
 from dframes.search import frame_pool
-from mask_scan import all_lattices
-
-
-def brute_bound(leq, i, j, lower):
-    """The glb (lower) or lub of i and j by a per-pair scan, over leq as
-    nested lists; None if there is none.  The reference for bound_table."""
-    n = len(leq)
-    if lower:
-        cand = [k for k in range(n) if leq[k][i] and leq[k][j]]
-        best = [k for k in cand if all(leq[x][k] for x in cand)]
-    else:
-        cand = [k for k in range(n) if leq[i][k] and leq[j][k]]
-        best = [k for k in cand if all(leq[k][x] for x in cand)]
-    return best[0] if len(best) == 1 else None
+from oracles import (
+    all_lattices,
+    are_order_isomorphic,
+    brute_bound,
+    directed_joins_bruteforce,
+    join_all,
+    meet_all,
+)
 
 
 def brute_glb(lat, i, j):
-    return brute_bound(lat.leq.tolist(), i, j, lower=True)
+    return brute_bound(lat.leq, i, j, lower=True)
 
 
 def brute_lub(lat, i, j):
-    return brute_bound(lat.leq.tolist(), i, j, lower=False)
+    return brute_bound(lat.leq, i, j, lower=False)
 
 
 SAMPLE_LATTICES = [
@@ -78,12 +70,11 @@ KERNEL_LATTICES = all_lattices(5) + [Lattice.boolean(3), Lattice.chain(8), Latti
 
 @pytest.mark.parametrize("lat", KERNEL_LATTICES, ids=lambda lat: f"n{lat.n}-{lat.leq.sum()}")
 def test_bound_kernel_matches_per_pair_scan(lat):
-    leq = lat.leq.tolist()
     for lower, built in ((True, lat.meet), (False, lat.join)):
         table, ok = bound_table(lat.leq, lower)
         assert ok.all()
         assert table.dtype == np.int64
-        expected = [[brute_bound(leq, i, j, lower) for j in range(lat.n)] for i in range(lat.n)]
+        expected = [[brute_bound(lat.leq, i, j, lower) for j in range(lat.n)] for i in range(lat.n)]
         assert table.tolist() == expected
         assert built.tolist() == expected
 
@@ -111,7 +102,7 @@ def test_non_lattices_name_the_first_missing_bound(elements, covers, message):
         table, ok = bound_table(leq, lower)
         for i in range(len(elements)):
             for j in range(len(elements)):
-                expected = brute_bound(leq.tolist(), i, j, lower)
+                expected = brute_bound(leq, i, j, lower)
                 assert ok[i, j] == (expected is not None)
                 if expected is not None:
                     assert table[i, j] == expected
@@ -172,7 +163,7 @@ def test_heyting_on_chain():
     c3 = Lattice.chain(3)
     c, zero, one = c3.idx("c"), c3.idx("0"), c3.idx("1")
     # brute force over all x with c /\ x <= 0
-    expected = c3.join_all([x for x in range(3) if c3.leq[c3.meet[c, x], zero]])
+    expected = join_all(c3, [x for x in range(3) if c3.leq[c3.meet[c, x], zero]])
     assert c3.implies(c, zero) == expected == zero
     for a in range(3):
         assert c3.implies(a, a) == one
@@ -197,7 +188,7 @@ def implication_by_joins(lat):
     table = np.zeros((lat.n, lat.n), dtype=np.int64)
     for a in range(lat.n):
         for b in range(lat.n):
-            table[a, b] = lat.join_all(np.where(lat.leq[lat.meet[a, :], b])[0])
+            table[a, b] = join_all(lat, np.where(lat.leq[lat.meet[a, :], b])[0])
     return table
 
 
@@ -221,8 +212,8 @@ def test_set_bound_step_matches_the_folds(lat):
     rows[0] = False
     joins, meets = _joins(rows, lat.leq), _joins(rows, lat.leq.T)
     for row, join, meet in zip(rows, joins, meets):
-        assert join == lat.join_all(np.flatnonzero(row))
-        assert meet == lat.meet_all(np.flatnonzero(row))
+        assert join == join_all(lat, np.flatnonzero(row))
+        assert meet == meet_all(lat, np.flatnonzero(row))
 
 
 def test_pseudocomplements():

@@ -13,7 +13,7 @@ from dframes.dframe import (
     close_tot_generators,
 )
 from dframes.errors import SizeGuardExceeded
-from dframes.order import Lattice, are_order_isomorphic, down_closure_pairs, up_closure_pairs
+from dframes.order import Lattice, down_closure_pairs, up_closure_pairs
 from dframes.search import (
     count_candidates,
     enumerate_con_relations,
@@ -28,7 +28,7 @@ from dframes.search import (
 from dframes.fixtures import three_three
 from dframes.frames import Frame, enumerate_sublocales
 from dframes.subdlocale import build_sub_d_locale
-from mask_scan import all_lattices
+from oracles import all_lattices, are_order_isomorphic
 
 # the oracle's scan, run once: the lattices of up to n elements are its prefix
 SCANNED = all_lattices(6)

@@ -52,6 +52,7 @@ from dframes.subdlocale import (
     try_sub_d_locale,
 )
 from dframes.sweeps import Sweep, standard_morphisms, sweep_dframe
+from oracles import brute_bound
 
 C3 = Frame.chain(3)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -302,6 +303,15 @@ def test_join_is_least_upper_bound_exhaustively():
                     assert ds.leq[u, m]
 
 
+def test_is_join_and_is_meet_accept_exactly_the_per_pair_bounds():
+    ds = enumerate_sub_d_locales(three_three())
+    for i in range(ds.n):
+        for j in range(ds.n):
+            lub, glb = brute_bound(ds.leq, i, j, lower=False), brute_bound(ds.leq, i, j, lower=True)
+            assert [ds.is_join(k, i, j) for k in range(ds.n)] == [k == lub for k in range(ds.n)]
+            assert [ds.is_meet(k, i, j) for k in range(ds.n)] == [k == glb for k in range(ds.n)]
+
+
 @pytest.mark.parametrize("df", [three_three(), documents.dframe_from_spec("sym:chain:5")],
                          ids=lambda d: d.name)
 def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
@@ -343,14 +353,16 @@ def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch
 
 
 def test_sweep_records_a_wrong_join_index_as_a_failed_verdict(monkeypatch):
-    monkeypatch.setattr(SubDLocaleLattice, "join_index", lambda self, i, j: self.bottom)
+    # the definition check takes the bottom for every join
+    monkeypatch.setattr(SubDLocaleLattice, "is_join", lambda self, k, i, j: k == self.bottom)
     sweep = Sweep()
     sweep_dframe(three_three(), sweep)
     assert (BOUNDS_VERDICT, "") in sweep.failures()
 
 
 def test_sweep_records_a_wrong_meet_index_as_a_failed_verdict(monkeypatch):
-    monkeypatch.setattr(SubDLocaleLattice, "meet_index", lambda self, i, j: self.top)
+    # the definition check takes the top for every meet
+    monkeypatch.setattr(SubDLocaleLattice, "is_meet", lambda self, k, i, j: k == self.top)
     sweep = Sweep()
     sweep_dframe(three_three(), sweep)
     assert (DENSE_MEET_VERDICT, "") in sweep.failures()
@@ -378,7 +390,7 @@ def test_bounds_check_survives_optimised_python():
         from dframes.fixtures import three_three
         from dframes.subdlocale import SubDLocaleLattice
         from dframes.sweeps import Sweep, sweep_dframe
-        SubDLocaleLattice.join_index = lambda self, i, j: self.bottom
+        SubDLocaleLattice.is_join = lambda self, k, i, j: k == self.bottom
         sweep = Sweep()
         sweep_dframe(three_three(), sweep)
         assert False, "asserts must be stripped under -O"
@@ -523,10 +535,9 @@ def loop_witness(ds, violations):
 def assert_matches_per_pair_routes(ds):
     members = ds.members
     assert ds.leq.tolist() == [[s.leq(t) for t in members] for s in members]
-    assert ds.join_table.tolist() == [[ds.join_index(i, j) for j in range(ds.n)]
-                                      for i in range(ds.n)]
-    assert ds.meet_table.tolist() == [[ds.meet_index(i, j) for j in range(ds.n)]
-                                      for i in range(ds.n)]
+    for table, lower in ((ds.join_table, False), (ds.meet_table, True)):
+        assert table.tolist() == [[brute_bound(ds.leq, i, j, lower) for j in range(ds.n)]
+                                  for i in range(ds.n)]
 
 
 def test_order_tables_and_witnesses_match_the_per_pair_routes_on_the_corpus():
