@@ -426,6 +426,9 @@ def image_factorization(hom: DFrameHom) -> Factorization:
     con_image, tot_image = hom.images()  # both vanish outside the image carriers
     image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[np.ix_(ip, im)]),
                    _frozen(tot_image[np.ix_(im, ip)]), name=f"im({hom.name})")
+    if (image.minus is hom.cod.minus and image.plus is hom.cod.plus
+            and (image.con == hom.cod.con).all() and (image.tot == hom.cod.tot).all()):
+        vars(image)["_axioms"] = hom.cod.validate()  # the codomain's quadruple: its report
     image.assert_valid()  # a map pair that is no homomorphism fails here
     onto = DFrameHom(hom.dom, image, onto_m, onto_p, name=f"{hom.name}-onto")
     embedding = DFrameHom(image, hom.cod, incl_m, incl_p, name=f"{hom.name}-incl")

@@ -4,7 +4,9 @@ A pair of component sublocales determines at most one d-frame quotient: the
 consistency relation is the Scott closure of the image of con under the
 quotient pair, and the totality relation is the restriction of tot.  A pair
 is admitted exactly when the induced quadruple passes the d-frame axioms:
-admission_matrix tests every pair at once, build_sub_d_locale one pair.
+admission_matrix tests every pair at once by one order test.  The sweeps
+check it against axiom_planes, which decides the nine axioms themselves for
+every pair at once; build_sub_d_locale decides them for one pair.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, _partner_bound, _memo
+from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _partner_bound, _memo
 from .errors import BrokenInvariant, CarrierMismatch, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, enumerate_sublocales, sublocale_generated_by
 from .order import _bool_matmul, _distributivity_witness, _frozen, bound_table, cover_relation
@@ -336,6 +338,74 @@ def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
         g = _partner_bound(df.tot, df.plus.leq.T, "meet of total elements must stay total")
         sides.append(df.plus.leq[q_plus[:, f][:, None, :], q_plus[:, g[q_minus]]].all(-1))
     return _frozen(sides[0].T & sides[1])
+
+
+def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
+    """[k, i, j]: whether the quotient onto (subs_minus[i], subs_plus[j])
+    passes check_dframe's k-th axiom, with none of admission_matrix's maps.
+
+    Each pair lives in the parent's index space: con and tot are images
+    under its quotients (BrokenInvariant where tot's is not the restriction)
+    and its frames keep the parent's order and meets and quotient its joins.
+    A chunk of pairs (one at least) keeps about four temporaries of at most
+    _SCAN_BLOCK / 16 cells alive, a quarter megabyte: large enough to
+    amortise the chunk's calls, small enough to add no measurable peak."""
+    qm, qp = (np.array([s.quotient for s in subs], dtype=np.intp).reshape(len(subs), lat.n)
+              for subs, lat in ((subs_minus, parent.minus), (subs_plus, parent.plus)))
+    i, j = (k.ravel() for k in np.indices((len(qm), len(qp))))
+    step = max(1, _SCAN_BLOCK // (16 * parent.con.size * max(parent.con.shape)))
+    planes = np.ones((9, len(i)), dtype=bool)  # con-dirjoin holds over finite carriers
+    for s in range(0, len(i), step):
+        planes[:8, s:s + step] = _pair_planes(parent, qm[i[s:s + step]], qp[j[s:s + step]])
+    return _frozen(planes.reshape(9, len(qm), len(qp)))
+
+
+def _pair_planes(parent: DFrame, qm: np.ndarray, qp: np.ndarray) -> list:
+    """The first eight planes of the pairs whose quotients are qm's and qp's rows."""
+    Lm, Lp, at = parent.minus, parent.plus, np.arange(len(qm))
+    con, tot = (np.zeros((len(qm), *rel.shape), dtype=bool) for rel in (parent.con, parent.tot))
+    for image, rel, q_rows, q_cols in ((con, parent.con, qp, qm), (tot, parent.tot, qm, qp)):
+        rows, cols = np.nonzero(rel)
+        image[at[:, None], q_rows[:, rows], q_cols[:, cols]] = True
+    box = (qm == np.arange(Lm.n))[:, :, None] & (qp == np.arange(Lp.n))[:, None, :]  # members
+    if (tot != (parent.tot & box)).any():
+        raise BrokenInvariant("quotient image of tot must equal its restriction")
+
+    def product(a, b):
+        return np.matmul(a, b, dtype=np.float32) > 0
+
+    def lower(rel, rows, cols, box):  # rel holds the members below its cells
+        return ~(product(product(rows, rel), cols.T) & box & ~rel).any(axis=(1, 2))
+
+    con_down = lower(con, Lp.leq, Lm.leq, box.transpose(0, 2, 1))
+    tot_up = lower(tot, Lm.leq.T, Lp.leq.T, box)
+    join_m, join_p = qm[:, Lm.join], qp[:, Lp.join]
+    meet_m, meet_p = (np.broadcast_to(lat.meet, (len(at), lat.n, lat.n)) for lat in (Lm, Lp))
+    return [con_down,
+            _law_plane(con_down, con, join_p, meet_m, True, con[at, qp[:, Lp.bottom], Lm.top]),
+            _law_plane(con_down, con, meet_p, join_m, False, con[at, Lp.top, qm[:, Lm.bottom]]),
+            tot_up,
+            _law_plane(tot_up, tot, join_m, meet_p, False, tot[at, qm[:, Lm.bottom], Lp.top]),
+            _law_plane(tot_up, tot, meet_m, join_p, True, tot[at, Lm.top, qp[:, Lp.bottom]]),
+            ~(product(con, tot) & ~Lp.leq).any(axis=(1, 2)),    # con-tot-plus
+            ~(product(tot, con) & ~Lm.leq.T).any(axis=(1, 2))]  # con-tot-minus, transposed
+
+
+def _law_plane(order_ok, rel, row_op, col_op, by_cols, nullary) -> np.ndarray:
+    """[t]: rel[t] holds its nullary cell, and rel[t][x, y] and rel[t][x', y']
+    give rel[t][row_op[t][x, x'], col_op[t][y, y']]: where order_ok[t], a
+    test on lines (see check_dframe), each column closed under row_op when
+    by_cols is set and each row under col_op if not; elsewhere a scan."""
+    lines, op = (rel, row_op) if by_cols else (rel.transpose(0, 2, 1), col_op)
+    combined = lines[np.arange(len(rel))[:, None, None], op]
+    ok = ~(lines[:, :, None] & lines[:, None] & ~combined).any(axis=(1, 2, 3))
+    for t in np.flatnonzero(~order_ok):  # every pair of rel[t]'s cells
+        xs, ys = np.nonzero(rel[t])
+        block = max(1, _SCAN_BLOCK // max(1, len(xs)))
+        ok[t] = all(rel[t][row_op[t][xs[s:s + block, None], xs],
+                           col_op[t][ys[s:s + block, None], ys]].all()
+                    for s in range(0, len(xs), block))
+    return ok & nullary
 
 
 def hasse_dot(labels, leq: np.ndarray) -> str:

@@ -35,9 +35,9 @@ from .errors import BrokenInvariant, SizeGuardExceeded
 from .frames import enumerate_sublocales
 from .order import _bool_matmul
 from . import subdlocale
-# Nothing calls build_sub_d_locale through this binding; it stays because
-# benchmarks/test_benchmark.py checks that the tracer wraps it in this
-# module.
+# Nothing calls build_sub_d_locale through this binding: the sweep's second
+# route is axiom_planes.  It stays because benchmarks/test_benchmark.py
+# checks that the tracer wraps it in this module.
 from .subdlocale import build_sub_d_locale, enumerate_sub_d_locales  # noqa: F401
 
 
@@ -123,23 +123,20 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
                 ok_fix = False
     sweep.check(f"{name}: dense quotients fix pseudocomplements", ok_fix)
 
-    # On every pair: the nine-axiom route admits exactly the members (its
-    # induction checks tot), and pairs holding the double sets are dense.
-    dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
+    # On every pair: the axiom planes (which check that induced tot is the
+    # restriction) admit exactly the members, and pairs holding the double sets are dense.
+    subs_minus, subs_plus = (enumerate_sublocales(f, max_pairs) for f in (df.minus, df.plus))
+    # through the module, so a patched or traced binding sees it
+    planes = subdlocale.axiom_planes(df, subs_minus, subs_plus)
     members = {(m.minus, m.plus): m for m in ds.members}
-    admitted, ok_dense_pairs = set(), True
-    subs_plus = enumerate_sublocales(df.plus, max_pairs)
-    for sm in enumerate_sublocales(df.minus, max_pairs):
-        for sp in subs_plus:
-            # through the module, so a patched or traced binding sees it
-            if subdlocale.build_sub_d_locale(df, sm, sp)[1].ok:
-                admitted.add((sm, sp))
-            if sm.contains(dbl_m) and sp.contains(dbl_p):
-                m = members.get((sm, sp))
-                ok_dense_pairs &= (m is not None and is_dense_sub_d_locale(m)
-                                   and bool((m.con == m.restricted_con()).all()))
     sweep.check(f"{name}: axiom route admits the members, induced tot equals restriction",
-                admitted == members.keys())
+                {(subs_minus[i], subs_plus[j]) for i, j in np.argwhere(planes.all(axis=0))}
+                == members.keys())
+    dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
+    above_dbl = [members.get((sm, sp)) for sm in subs_minus if sm.contains(dbl_m)
+                 for sp in subs_plus if sp.contains(dbl_p)]
+    ok_dense_pairs = all(m is not None and is_dense_sub_d_locale(m)
+                         and bool((m.con == m.restricted_con()).all()) for m in above_dbl)
     ok_epi = all(is_extremal_epi(m.quotient_hom()) for m in ds.members)
     sweep.check(f"{name}: quotient pairs are extremal epis", ok_epi)
 

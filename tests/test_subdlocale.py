@@ -21,8 +21,7 @@ from dframes.density import (
     saturation_nucleus,
 )
 from dframes.dframe import (
-    AxiomCheck,
-    AxiomReport,
+    DFrame,
     check_dframe,
     is_extremal_epi,
     minimal_dframe,
@@ -44,6 +43,7 @@ from dframes.subdlocale import (
     SubDLocale,
     SubDLocaleLattice,
     admission_matrix,
+    axiom_planes,
     build_sub_d_locale,
     enumerate_sub_d_locales,
     hasse_dot,
@@ -156,34 +156,53 @@ def test_lattice_is_memoised_per_guard():
 def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
     tt = three_three()
     dense_core(tt)  # the core admits its own pair as a cross-check
-    admitted = Counter()
+    planes, built, induced = [], Counter(), Counter()
 
-    def counted(parent, minus, plus):
+    def counted_planes(parent, subs_minus, subs_plus):
         if parent is tt:
-            admitted[minus, plus] += 1
-        return build_sub_d_locale(parent, minus, plus)
+            planes.append((len(subs_minus), len(subs_plus)))
+        return axiom_planes(parent, subs_minus, subs_plus)
 
-    monkeypatch.setattr(subdlocale, "build_sub_d_locale", counted)
+    def counter(original, calls):
+        def counted(parent, minus, plus):
+            if parent is tt:
+                calls[minus, plus] += 1
+            return original(parent, minus, plus)
+        return counted
+
+    monkeypatch.setattr(subdlocale, "axiom_planes", counted_planes)
+    monkeypatch.setattr(subdlocale, "build_sub_d_locale", counter(build_sub_d_locale, built))
+    monkeypatch.setattr(subdlocale, "induced_relations", counter(induced_relations, induced))
     sweep = Sweep()
     sweep_dframe(tt, sweep)
     standard_morphisms([tt])
     assert sweep.ok
-    assert len(admitted) == len(enumerate_sublocales(tt.minus)) * len(enumerate_sublocales(tt.plus))
-    assert max(admitted.values()) == 1
+    assert planes == [(len(enumerate_sublocales(tt.minus)), len(enumerate_sublocales(tt.plus)))]
+    assert not built
+    assert induced and max(induced.values()) == 1
 
+
+# check_dframe's axioms, in its order: the order of axiom_planes' planes.
+AXIOMS = tuple(c.name for c in check_dframe(three_three()).checks)
 
 # The parents of the dsub-lattice benchmark workload.
 LATTICE_SPECS = ("min:chain:5:chain:5", "sym:chain:5", "min:bool:2:chain:5",
                  "min:chain:5:bool:2", "sym:bool:2", "min:bool:3:chain:4")
 
 
-def test_admission_matrix_matches_the_axiom_route():
+def _valid_parents():
+    """3.3, sym:bool:4, the lattice parents, standard_corpus(5) and 200 seeded
+    random d-frames."""
     rng = random.Random(8)
     pool = frame_pool(4)
-    parents = ([three_three()] + [documents.dframe_from_spec(s) for s in LATTICE_SPECS]
-               + standard_corpus(5) + [random_dframe(rng, pool=pool) for _ in range(200)])
+    return ([three_three(), documents.dframe_from_spec("sym:bool:4")]
+            + [documents.dframe_from_spec(s) for s in LATTICE_SPECS]
+            + standard_corpus(5) + [random_dframe(rng, pool=pool) for _ in range(200)])
+
+
+def test_admission_matrix_matches_the_axiom_route():
     failures = Counter()
-    for df in parents:
+    for df in _valid_parents():
         subs_minus, subs_plus = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
         admitted = admission_matrix(df, subs_minus, subs_plus)
         assert admitted.shape == (len(subs_minus), len(subs_plus))
@@ -197,6 +216,78 @@ def test_admission_matrix_matches_the_axiom_route():
     assert set(failures) == {(), ("con-tot-plus",), ("con-tot-minus",),
                              ("con-tot-plus", "con-tot-minus")}
     assert sum(failures.values()) > 6000
+
+
+def _oracle_planes(df, subs_minus, subs_plus) -> np.ndarray:
+    """axiom_planes from build_sub_d_locale's per-pair reports."""
+    return np.array([[[c.ok for c in build_sub_d_locale(df, sm, sp)[1].checks]
+                      for sp in subs_plus] for sm in subs_minus]).transpose(2, 0, 1)
+
+
+def test_axiom_planes_match_the_axiom_route_per_axiom_and_pair():
+    mismatches, pairs = [], 0
+    for df in _valid_parents():
+        subs_minus, subs_plus = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
+        planes = axiom_planes(df, subs_minus, subs_plus)
+        assert planes.shape == (9, len(subs_minus), len(subs_plus))
+        assert not planes.flags.writeable
+        expected = _oracle_planes(df, subs_minus, subs_plus)
+        mismatches += [(df.name, *cell) for cell in np.argwhere(planes != expected)]
+        pairs += len(subs_minus) * len(subs_plus)
+    assert mismatches == [] and pairs > 7000
+
+
+def _single_cell_mutants(df):
+    """df with one cell of con, or one of tot, flipped: every such quadruple."""
+    for name in ("con", "tot"):
+        for cell in np.ndindex(getattr(df, name).shape):
+            rel = getattr(df, name).copy()
+            rel[cell] = not rel[cell]
+            con, tot = (rel, df.tot) if name == "con" else (df.con, rel)
+            yield DFrame(df.minus, df.plus, con, tot, name=f"{df.name} {name}{cell}")
+
+
+def test_axiom_planes_reject_what_the_axiom_route_rejects(fixture_dir):
+    # Over a valid parent only the con-tot planes ever reject (see above), so
+    # invalid quadruples show the other six rejecting: on the whole pair,
+    # whose induced relations are the quadruple's own, and on every other
+    # pair, where both routes raise or both give the same planes.
+    quads = [documents.load_path(str(fixture_dir / "bad_contot.json"), strict=True)]
+    quads += [*_single_cell_mutants(three_three()),
+              *_single_cell_mutants(documents.dframe_from_spec("sym:bool:2"))]
+    rejected, batched = Counter(), 0
+    for df in quads:
+        subs_minus, subs_plus = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
+        expected = {}
+        for sm in subs_minus:
+            for sp in subs_plus:
+                try:
+                    expected[sm, sp] = _oracle_planes(df, [sm], [sp])
+                except BrokenInvariant:
+                    with pytest.raises(BrokenInvariant):
+                        axiom_planes(df, [sm], [sp])
+                    continue
+                assert (axiom_planes(df, [sm], [sp]) == expected[sm, sp]).all(), (df.name, sm, sp)
+        whole = expected[subs_minus[-1], subs_plus[-1]][:, 0, 0]
+        rejected.update(AXIOMS[k] for k in np.flatnonzero(~whole))
+        if len(expected) == len(subs_minus) * len(subs_plus):
+            batched += 1
+            assert (axiom_planes(df, subs_minus, subs_plus)
+                    == _oracle_planes(df, subs_minus, subs_plus)).all(), df.name
+    assert set(rejected) == set(AXIOMS) - {"con-dirjoin"}
+    assert batched > 10
+
+
+def test_axiom_planes_agree_across_chunk_sizes(monkeypatch):
+    # two 7-chains: 4096 pairs of 7 * 7 * 7 cells span several chunks by default
+    df = documents.dframe_from_spec("min:chain:7:chain:7")
+    subs = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
+    assert 4096 * 7 ** 3 > 2 * subdlocale._SCAN_BLOCK // 16
+    planes = axiom_planes(df, *subs)
+    for block in (1, 16 * 61 * 7 ** 3, 1 << 40):  # one pair, 61 pairs, all pairs a chunk
+        monkeypatch.setattr(subdlocale, "_SCAN_BLOCK", block)
+        assert (axiom_planes(df, *subs) == planes).all(), block
+    assert planes.all(axis=0).sum() == enumerate_sub_d_locales(df, max_pairs=4096).n
 
 
 def test_enumeration_refuses_an_invalid_parent(fixture_dir):
@@ -370,15 +461,16 @@ def test_sweep_records_a_wrong_meet_index_as_a_failed_verdict(monkeypatch):
 
 def test_sweep_records_an_admission_disagreement_as_a_failed_verdict(monkeypatch):
     tt = three_three()
-    dense_core(tt)  # admits its own pair with the unpatched route
 
-    def rejects_the_whole_pair(parent, minus, plus):
-        candidate, report = build_sub_d_locale(parent, minus, plus)
-        if parent is tt and minus.is_whole and plus.is_whole:
-            report = AxiomReport((AxiomCheck("con-tot-plus", False),))
-        return candidate, report
+    def rejects_the_whole_pair(parent, subs_minus, subs_plus):
+        planes = axiom_planes(parent, subs_minus, subs_plus).copy()
+        if parent is tt:
+            i = next(i for i, s in enumerate(subs_minus) if s.is_whole)
+            j = next(j for j, s in enumerate(subs_plus) if s.is_whole)
+            planes[AXIOMS.index("con-tot-plus"), i, j] = False
+        return planes
 
-    monkeypatch.setattr(subdlocale, "build_sub_d_locale", rejects_the_whole_pair)
+    monkeypatch.setattr(subdlocale, "axiom_planes", rejects_the_whole_pair)
     sweep = Sweep()
     sweep_dframe(tt, sweep)
     assert sweep.failures() == [
