@@ -374,11 +374,6 @@ def is_excluded_middle(df: DFrame) -> bool:
     )
 
 
-def _dually_subfit_definitional(df: DFrame) -> bool:
-    """The separation condition on each side, by direct witness search."""
-    return all(_separates(d) for d in (df, df.swap()))
-
-
 def _separates(df: DFrame) -> bool:
     """Every a not below b on the minus side has a witness c, p: p is
     consistent with b meet c but not with a meet c.  With
@@ -391,13 +386,18 @@ def _separates(df: DFrame) -> bool:
 
 
 def is_dually_subfit(df: DFrame) -> bool:
-    """Dually subfit means the consistency preorder is the lattice order.
+    """Dually subfit means the consistency preorder is the lattice order,
+    decided once per d-frame.
 
     Checked both through the definitional witness search and through the
     preorder; the two must agree.
     """
+    return _memo(df, "_dually_subfit", _dually_subfit)
+
+
+def _dually_subfit(df: DFrame) -> bool:
     by_preorder = all((con_preorder(d) == d.minus.leq).all() for d in (df, df.swap()))
-    by_definition = _dually_subfit_definitional(df)
+    by_definition = all(_separates(d) for d in (df, df.swap()))
     if by_preorder != by_definition:
         raise EquivalenceMismatch(
             f"dual subfitness tests disagree on {df.name}: "

@@ -8,10 +8,11 @@ and miner reports replay byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
+from .density import is_corrigible, is_double_negation, is_excluded_middle
 from .dframe import (
     DFrame,
     close_con_generators,
@@ -19,13 +20,12 @@ from .dframe import (
     minimal_dframe,
     symmetric_dframe,
 )
-from .errors import SizeGuardExceeded, TrivialMismatch
+from .errors import EquivalenceMismatch, SizeGuardExceeded, TrivialMismatch
 from .frames import Frame, enumerate_sublocales
 from .order import Lattice, _frozen
 # Nothing calls build_sub_d_locale through this binding; it stays because
-# benchmarks/test_benchmark.py checks that the tracer wraps it in this
-# module.
-from .subdlocale import admission_matrix, build_sub_d_locale  # noqa: F401
+# benchmarks/test_benchmark.py checks that the tracer wraps it here.
+from .subdlocale import admission_matrix, admitted_pairs, build_sub_d_locale  # noqa: F401
 
 
 def frame_pool(max_size: int) -> list[Frame]:
@@ -238,6 +238,7 @@ def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
 
 
 # -- the miner -------------------------------------------------------------------
+_CHUNK = 256  # the d-frames of a frame pair that _verdicts decides at a time
 
 
 @dataclass
@@ -255,18 +256,12 @@ class MinerReport:
 
     def summary_lines(self) -> list[str]:
         lines = [f"searched {self.searched} valid d-frames"]
-        lines.append(f"incorrigible: {len(self.incorrigible)} found")
-        for name in self.incorrigible[:5]:
-            lines.append(f"  {name}")
-        lines.append(
-            "double negation without excluded middle: "
-            f"{len(self.double_negation_without_excluded_middle)} found"
-        )
-        for name in self.double_negation_without_excluded_middle[:5]:
-            lines.append(f"  {name}")
-        lines.append(f"one-sided sublocales with no partner: {len(self.partnerless)} found")
-        for name in self.partnerless[:5]:
-            lines.append(f"  {name}")
+        for title, names in (("incorrigible", self.incorrigible),
+                             ("double negation without excluded middle",
+                              self.double_negation_without_excluded_middle),
+                             ("one-sided sublocales with no partner", self.partnerless)):
+            lines.append(f"{title}: {len(names)} found")
+            lines += [f"  {name}" for name in names[:5]]
         return lines
 
 
@@ -279,18 +274,51 @@ def _describe(df: DFrame) -> str:
 def partnerless_sublocales(df: DFrame) -> list:
     """Component sublocales admitting no partner on the other side: the
     rows and columns of the admission matrix with no admitted pair."""
-    subs_minus = enumerate_sublocales(df.minus)
-    subs_plus = enumerate_sublocales(df.plus)
-    admitted = admission_matrix(df, subs_minus, subs_plus)
-    return ([("minus", sm) for sm, ok in zip(subs_minus, admitted.any(axis=1)) if not ok]
-            + [("plus", sp) for sp, ok in zip(subs_plus, admitted.any(axis=0)) if not ok])
+    subs = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
+    return _partnerless(admission_matrix(df, *subs), *subs)
+
+
+def _partnerless(admitted: np.ndarray, subs_minus, subs_plus) -> list:
+    return ([("minus", s) for s, ok in zip(subs_minus, admitted.any(axis=1).tolist()) if not ok]
+            + [("plus", s) for s, ok in zip(subs_plus, admitted.any(axis=0).tolist()) if not ok])
+
+
+def _verdicts(minus: Frame, plus: Frame, con: np.ndarray, tot: np.ndarray, subs) -> list:
+    """(corrigible, double negation, excluded middle, partnerless sublocales)
+    of each stacked con and tot, from its maps f, f', g and g' (as defined
+    before _irreducibles); two corrigibility conditions must agree per side."""
+    height_m, height_p = minus.leq.sum(axis=0), plus.leq.sum(axis=0)
+    f = np.where(con, height_p[:, None], -1).argmax(axis=1)
+    f_adj = np.where(con, height_m, -1).argmax(axis=2)
+    g = np.where(tot, height_p, plus.n + 1).argmin(axis=2)
+    g_adj = np.where(tot, height_m[:, None], minus.n + 1).argmin(axis=1)
+    corrigible = negation = True
+    for lat, rel, double in ((minus, con, np.take_along_axis(f_adj, f, 1)),
+                             (plus, con.transpose(0, 2, 1), np.take_along_axis(f, f_adj, 1))):
+        by_meets, by_consistency = _corrigibility_twice(lat, rel, double)
+        if (by_meets != by_consistency).any():
+            raise EquivalenceMismatch(f"corrigibility disagrees on {minus.name}x{plus.name}")
+        corrigible &= by_meets
+        negation &= (double == np.arange(lat.n)).all(axis=1)
+    excluded = plus.leq[g, f].all(axis=1) & minus.leq[g_adj, f_adj].all(axis=1)
+    admitted = admitted_pairs(minus, plus, *subs, (f, g), (f_adj, g_adj))
+    return list(zip(corrigible.tolist(), negation.tolist(), excluded.tolist(),
+                    (_partnerless(a, *subs) for a in admitted)))
+
+
+def _corrigibility_twice(lat: Frame, rel: np.ndarray, double: np.ndarray) -> tuple:
+    """[k], on lat's side: whether double[k] preserves binary meets, and
+    whether rel[k][x, a meet b] gives rel[k][x, double[k](a) meet b]."""
+    via = np.take_along_axis(rel, lat.meet[double].reshape(len(rel), 1, -1), 2)
+    return ((double[:, lat.meet] == lat.meet[double[:, :, None], double[:, None]]).all(axis=(1, 2)),
+            (~rel[:, :, lat.meet] | via.reshape(*rel.shape, lat.n)).all(axis=(1, 2, 3)))
 
 
 def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
     """Sweep all valid d-frames over small frame pairs for the phenomena the
-    infinite examples exhibit; record findings, never assert absences."""
-    from .density import is_corrigible, is_double_negation, is_excluded_middle
-
+    infinite examples exhibit; record findings, never assert absences.
+    _verdicts decides each frame pair's d-frames in chunks, and the pair's
+    first d-frame also goes through the per-d-frame route, which must agree."""
     report = MinerReport()
     pool = frame_pool(max_frame)
     pairs = [(minus, plus) for minus, plus in product(pool, pool)
@@ -300,15 +328,23 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
     for minus, plus in pairs:
         count_candidates(minus, plus)
     for minus, plus in pairs:
-        for df in enumerate_dframes(minus, plus):
-            if report.searched >= max_candidates:
-                return report
-            report.searched += 1
-            if not is_corrigible(df):
-                report.incorrigible.append(_describe(df))
-            if is_double_negation(df) and not is_excluded_middle(df):
-                report.double_negation_without_excluded_middle.append(_describe(df))
-            for side, sub in partnerless_sublocales(df):
-                members = ",".join(sub.frame.names(sub.members))
-                report.partnerless.append(f"{_describe(df)} {side} {{{members}}}")
+        subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
+        dframes, first = enumerate_dframes(minus, plus), True
+        while chunk := list(islice(dframes, max(0, min(_CHUNK, max_candidates - report.searched)))):
+            verdicts = _verdicts(minus, plus, np.stack([df.con for df in chunk]),
+                                 np.stack([df.tot for df in chunk]), subs)
+            df = chunk[0]
+            if first and verdicts[0] != (is_corrigible(df), is_double_negation(df),
+                                         is_excluded_middle(df), partnerless_sublocales(df)):
+                raise EquivalenceMismatch(f"the miner's verdicts on {_describe(df)} differ")
+            first = False
+            report.searched += len(chunk)
+            for df, (corrigible, negation, excluded, partnerless) in zip(chunk, verdicts):
+                if not corrigible:
+                    report.incorrigible.append(_describe(df))
+                if negation and not excluded:
+                    report.double_negation_without_excluded_middle.append(_describe(df))
+                for side, sub in partnerless:
+                    members = ",".join(sub.frame.names(sub.members))
+                    report.partnerless.append(f"{_describe(df)} {side} {{{members}}}")
     return report

@@ -319,25 +319,29 @@ def _enumerate(parent: DFrame, max_pairs: int) -> SubDLocaleLattice:
 
 
 def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
-    """[i, j]: whether (subs_minus[i], subs_plus[j]) induces a d-frame.
-
-    Over a valid parent (InvalidDFrame otherwise) only the two con-tot
-    axioms can fail.  Con-tot-plus holds iff q+(f(a)) <= q+(g(q-(a))) for
-    every minus element a: f(a) is the largest plus element consistent with
-    a, so q+(f(a)) is the largest induced partner of q-(a), and g(a) is the
-    least one total with a (the meet of all of them).  Con-tot-minus is the
-    same test on the swap.
-    """
+    """[i, j]: whether (subs_minus[i], subs_plus[j]) induces a d-frame: over a
+    valid parent (InvalidDFrame otherwise) admitted_pairs decides the only two
+    axioms that can fail, with its pseudocomplements and least total partners."""
     from .density import pseudocomplements
 
     parent.assert_valid()
-    quotients = [np.array([s.quotient for s in subs]) for subs in (subs_minus, subs_plus)]
-    sides = []
-    for df, (q_minus, q_plus) in ((parent, quotients), (parent.swap(), quotients[::-1])):
-        f = pseudocomplements(df)
-        g = _partner_bound(df.tot, df.plus.leq.T, "meet of total elements must stay total")
-        sides.append(df.plus.leq[q_plus[:, f][:, None, :], q_plus[:, g[q_minus]]].all(-1))
-    return _frozen(sides[0].T & sides[1])
+    maps = [(pseudocomplements(df),
+             _partner_bound(df.tot, df.plus.leq.T, "meet of total elements must stay total"))
+            for df in (parent, parent.swap())]
+    return _frozen(admitted_pairs(parent.minus, parent.plus, subs_minus, subs_plus, *maps))
+
+
+def admitted_pairs(minus, plus, subs_minus, subs_plus, minus_maps, plus_maps) -> np.ndarray:
+    """[..., i, j]: the con-tot axioms of the quotient onto (subs_minus[i],
+    subs_plus[j]), with maps (f, g) on minus and (f', g') on plus that may
+    share leading axes.  Con-tot-plus holds iff q+(f(a)) <= q+(g(q-(a))), or
+    f(a) <= q+(g(q-(a))) as q+ is a closure, for every minus element a: f(a)
+    is the largest plus element consistent with a, and g(a) the least one
+    total with a.  Con-tot-minus is the same test on plus."""
+    q = [np.array([s.quotient for s in subs]) for subs in (subs_minus, subs_plus)]
+    sides = [lat.leq[:, q_cod].transpose(1, 0, 2)[:, f[..., None, :], g[..., q_dom]].all(-1)
+             for lat, q_dom, q_cod, (f, g) in ((plus, *q, minus_maps), (minus, *q[::-1], plus_maps))]
+    return np.moveaxis(sides[0], 0, -1) & np.moveaxis(sides[1], 0, -2)
 
 
 def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:

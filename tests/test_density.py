@@ -779,3 +779,33 @@ def test_concurrent_first_calls_agree():
     assert len(results) == 8
     assert all(r == results[0] for r in results)
     assert results[0][0][0] == "o(c).o(c)"
+
+
+def test_dual_subfitness_is_decided_once_per_dframe(monkeypatch):
+    # classify and coreflection_report both ask; each side's witness search
+    # runs at most once (the second side only if the first separates): on the
+    # d-frame and its swap, and on its core's if that is another d-frame
+    calls = []
+    separates = density._separates
+    monkeypatch.setattr(density, "_separates", lambda d: calls.append(d) or separates(d))
+    for make in (three_three, two_two, double_negation_without_excluded_middle,
+                 incorrigible_minimal):
+        df = make()
+        calls.clear()
+        classify(df)
+        assert coreflection_report([df]).ok
+        realized = dense_core(df).as_dframe
+        sides = [df, df.swap()] + ([] if realized is df else [realized, realized.swap()])
+        assert calls[0] is df
+        assert Counter(map(id, calls)) <= Counter(map(id, sides)), df.name
+
+
+def test_dual_subfitness_routes_that_disagree_raise_every_time(monkeypatch):
+    tt = three_three()
+    separates = density._separates
+    monkeypatch.setattr(density, "_separates", lambda d: not separates(d))
+    for _ in range(2):
+        with pytest.raises(EquivalenceMismatch, match="dual subfitness tests disagree"):
+            is_dually_subfit(tt)
+    monkeypatch.undo()
+    assert is_dually_subfit(tt) == is_dually_subfit(three_three())

@@ -1,18 +1,26 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
 from dframes import search
-from dframes.density import is_corrigible
+from dframes.density import (
+    corrigibility,
+    dense_core,
+    is_corrigible,
+    is_double_negation,
+    is_excluded_middle,
+)
 from dframes.dframe import (
     DFrame,
     check_dframe,
     close_con_generators,
     close_tot_generators,
 )
-from dframes.errors import SizeGuardExceeded
+from dframes.errors import EquivalenceMismatch, SizeGuardExceeded
 from dframes.order import Lattice, down_closure_pairs, up_closure_pairs
 from dframes.search import (
     count_candidates,
@@ -27,7 +35,7 @@ from dframes.search import (
 )
 from dframes.fixtures import three_three
 from dframes.frames import Frame, enumerate_sublocales
-from dframes.subdlocale import build_sub_d_locale
+from dframes.subdlocale import admitted_pairs, axiom_planes, build_sub_d_locale
 from oracles import all_lattices, are_order_isomorphic
 
 # the oracle's scan, run once: the lattices of up to n elements are its prefix
@@ -382,3 +390,134 @@ def test_relation_cap_raises_a_size_guard():
     assert count_candidates(c6, c6) == 252 * 252
     with pytest.raises(SizeGuardExceeded, match="3432 x 3432 = 11778624"):
         count_candidates(c8, c8)
+
+
+# -- the miner's batched verdicts against the per-d-frame route -------------------
+
+
+def _window(max_frame):
+    pool = frame_pool(max_frame)
+    return [(m, p) for m, p in product(pool, pool) if m.is_trivial == p.is_trivial]
+
+
+def _batched(minus, plus, dframes):
+    """search._verdicts over the d-frames of one frame pair, all at once."""
+    subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
+    return search._verdicts(minus, plus, np.stack([df.con for df in dframes]),
+                            np.stack([df.tot for df in dframes]), subs)
+
+
+def _per_dframe(df):
+    """The miner's verdicts on one d-frame by the per-d-frame route: the
+    d-frame passes check_dframe, its dense core is admitted by the nine-axiom
+    route and checked dense, and corrigibility evaluates all seven
+    conditions, which must agree."""
+    assert check_dframe(df).ok
+    assert dense_core(df).core.as_dframe.validate().ok
+    report = corrigibility(df)
+    assert report.corrigible == is_corrigible(df)
+    return (report.corrigible, is_double_negation(df), is_excluded_middle(df),
+            partnerless_sublocales(df))
+
+
+def test_batched_verdicts_match_the_per_dframe_route_on_windows_four_and_five(monkeypatch):
+    """Every d-frame of window 5, which holds window 4's: the verdicts, the
+    admission matrices against the nine axioms (axiom_planes, which uses
+    none of the miner's maps), and the report that the per-d-frame miner
+    loop builds."""
+    admitted = []
+    monkeypatch.setattr(search, "admitted_pairs",
+                        lambda *args: admitted.append(admitted_pairs(*args)) or admitted[-1])
+    want = search.MinerReport()
+    kinds = Counter()
+    for minus, plus in _window(5):
+        dframes = list(enumerate_dframes(minus, plus))
+        subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
+        verdicts = _batched(minus, plus, dframes)
+        for df, verdict, matrix in zip(dframes, verdicts, admitted.pop(), strict=True):
+            corrigible, negation, excluded, partnerless = _per_dframe(df)
+            assert verdict == (corrigible, negation, excluded, partnerless), search._describe(df)
+            assert (matrix == axiom_planes(df, *subs).all(axis=0)).all()
+            kinds[corrigible, negation, excluded] += 1
+            want.searched += 1
+            if not corrigible:
+                want.incorrigible.append(search._describe(df))
+            if negation and not excluded:
+                want.double_negation_without_excluded_middle.append(search._describe(df))
+            assert partnerless == []  # none in the window
+    assert want.searched == 2270 and admitted == []
+    # each verdict both ways; no incorrigible d-frame has double negation
+    assert kinds == {(False, False, False): 1475, (True, False, False): 728,
+                     (True, True, False): 56, (True, True, True): 11}
+    monkeypatch.undo()
+    assert mine(max_frame=5) == want
+
+
+def test_batched_verdicts_match_the_per_dframe_route_on_a_window_six_sample():
+    rng = random.Random(22)
+    pairs = _window(6)
+    sampled = 0
+    for minus, plus in pairs:
+        dframes = list(enumerate_dframes(minus, plus))
+        verdicts = _batched(minus, plus, dframes)
+        # the first d-frame of every pair, and about 1 in 110 of the rest
+        for k in [0] + rng.sample(range(1, len(dframes)), (len(dframes) - 1) // 110):
+            assert verdicts[k] == _per_dframe(dframes[k]), search._describe(dframes[k])
+            sampled += 1
+    assert (len(pairs), sampled) == (145, 510)
+
+
+def test_miner_raises_when_the_batched_corrigibility_conditions_disagree(monkeypatch):
+    twice = search._corrigibility_twice
+
+    def flipped(lat, rel, double):
+        by_meets, by_consistency = twice(lat, rel, double)
+        if len(rel) > 1:  # one d-frame, not a pair's first, which is spot-checked
+            by_consistency = by_consistency.copy()
+            by_consistency[-1] = ~by_consistency[-1]
+        return by_meets, by_consistency
+
+    monkeypatch.setattr(search, "_corrigibility_twice", flipped)
+    with pytest.raises(EquivalenceMismatch, match="corrigibility disagrees on D2xD2"):
+        mine(max_frame=3)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("is_corrigible", lambda df: not is_corrigible(df)),
+    ("is_double_negation", lambda df: not is_double_negation(df)),
+    ("is_excluded_middle", lambda df: not is_excluded_middle(df)),
+    ("partnerless_sublocales", lambda df: [("minus", enumerate_sublocales(df.minus)[0])]),
+])
+def test_miner_raises_when_the_spot_check_disagrees(monkeypatch, name, wrong):
+    monkeypatch.setattr(search, name, wrong)
+    with pytest.raises(EquivalenceMismatch, match=r"the miner's verdicts on D0xD0 con=\[\(x0,x0\)\]"):
+        mine(max_frame=3)
+
+
+def test_miner_spot_checks_the_first_dframe_of_every_pair(monkeypatch):
+    seen = []
+    monkeypatch.setattr(search, "is_corrigible", lambda df: seen.append(df) or is_corrigible(df))
+    report = mine(max_frame=4)
+    firsts = [next(enumerate_dframes(m, p)) for m, p in _window(4)]
+    assert [search._describe(df) for df in seen] == [search._describe(df) for df in firsts]
+    assert report.searched == 136
+
+
+# the 6-chain pair's report, recorded from the per-d-frame miner
+CHAIN_SIX_DIGEST = "6b9dbeba264e59dec2b562125df25eb54734544fede498706159658a9efdcf23"
+
+
+@pytest.mark.parametrize("chunk", [1, 61, search._CHUNK])
+def test_miner_chunks_give_one_report(run_cli, monkeypatch, chunk):
+    # the 6-chain pair has 2,762 d-frames: 2,762, 46 or 11 chunks
+    monkeypatch.setattr(search, "frame_pool", lambda max_size: [Frame.chain(6)])
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    code, out, _ = run_cli(["mine", "--max-frame", "6"])
+    assert code == 0 and "searched 2762 valid d-frames" in out
+    assert "double negation without excluded middle: 41 found" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_SIX_DIGEST
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_miner_searches_nothing_at_a_cap_below_one(cap):
+    assert mine(max_frame=3, max_candidates=cap) == search.MinerReport()
