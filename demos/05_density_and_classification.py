@@ -54,8 +54,8 @@ for df in (symmetric_dframe(Frame.boolean(2)), tt,
     print(f"\n{df.name}: {classify(df).as_dict()}")
 
 # Coreflection behaviour at desk scale: cores are idempotent and dually
-# subfit; dually subfit d-frames are isomorphic to their cores; corrigible
-# ones have double-negation cores.
+# subfit; dually subfit d-frames are their own cores (the core is whole);
+# corrigible ones have double-negation cores.
 report = coreflection_report([tt, s3, double_negation_without_excluded_middle()])
 print("\ncoreflection facts verified:", report.ok)
 

@@ -55,14 +55,12 @@ from .subdlocale import (
 )
 from .density import (
     DenseCore,
-    are_isomorphic,
     classify,
     con_preorder,
     coreflection_report,
     corrigibility,
     dense_core,
     dense_core_map,
-    dframe_isomorphism,
     double_pseudocomplement_sets,
     double_pseudocomplements,
     galois_check,

@@ -16,7 +16,7 @@ import numpy as np
 from .dframe import DFrame, DFrameHom, _partner_bound, _memo, is_regular
 from .errors import CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
-from .order import _bool_matmul, _frozen, _joins, order_isomorphisms
+from .order import _bool_matmul, _frozen, _joins
 from .subdlocale import SubDLocale, try_sub_d_locale
 
 
@@ -422,23 +422,7 @@ def classify(df: DFrame) -> DFrameProperties:
     return props
 
 
-# -- isomorphism and the coreflection sweep -------------------------------------
-
-
-def dframe_isomorphism(a: DFrame, b: DFrame):
-    """A pair of component order isomorphisms carrying con to con and tot
-    to tot, or None."""
-    for fm in order_isomorphisms(a.minus, b.minus):
-        fm = np.asarray(fm)
-        for fp in order_isomorphisms(a.plus, b.plus):
-            fp = np.asarray(fp)
-            if (a.con == b.con[np.ix_(fp, fm)]).all() and (a.tot == b.tot[np.ix_(fm, fp)]).all():
-                return fm, fp
-    return None
-
-
-def are_isomorphic(a: DFrame, b: DFrame) -> bool:
-    return dframe_isomorphism(a, b) is not None
+# -- the coreflection sweep -----------------------------------------------------
 
 
 @dataclass
@@ -454,9 +438,11 @@ def coreflection_report(dframes, homs=()) -> CoreflectionReport:
     """Desk-scale verification of the coreflection facts.
 
     For each d-frame: the core of the core is the core; dually subfit
-    d-frames are isomorphic to their core; corrigible d-frames have a
-    double-negation core.  Of the morphisms, each skeletal one into a dually
-    subfit codomain factors through the core quotient as the core map.
+    d-frames are their own core; corrigible d-frames have a double-negation
+    core.  Over finite carriers a d-frame is isomorphic to its core exactly
+    when the core is whole, so that is the fact checked.  Of the morphisms,
+    each skeletal one into a dually subfit codomain factors through the core
+    quotient as the core map.
     """
     rep = CoreflectionReport()
     for df in dframes:
@@ -467,7 +453,7 @@ def coreflection_report(dframes, homs=()) -> CoreflectionReport:
             rep.failures.append((df.name, "core not idempotent"))
         if not is_dually_subfit(realized):
             rep.failures.append((df.name, "core not dually subfit"))
-        if is_dually_subfit(df) and not are_isomorphic(df, realized):
+        if is_dually_subfit(df) and not core.core.is_whole:
             rep.failures.append((df.name, "dually subfit but not isomorphic to its core"))
         if is_corrigible(df) and not is_double_negation(realized):
             rep.failures.append((df.name, "corrigible but core lacks double negation"))

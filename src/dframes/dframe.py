@@ -420,15 +420,17 @@ def image_factorization(hom: DFrameHom) -> Factorization:
 
     The image carries the sub-frames generated by the component images, the
     con image (already Scott closed over finite carriers) and the tot image.
+    The image of an extremal epi is its codomain.
     """
     (onto_m, incl_m), (onto_p, incl_p) = _factor(hom.minus), _factor(hom.plus)
     im, ip = incl_m.mapping, incl_p.mapping
     con_image, tot_image = hom.images()  # both vanish outside the image carriers
-    image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[np.ix_(ip, im)]),
-                   _frozen(tot_image[np.ix_(im, ip)]), name=f"im({hom.name})")
-    if (image.minus is hom.cod.minus and image.plus is hom.cod.plus
-            and (image.con == hom.cod.con).all() and (image.tot == hom.cod.tot).all()):
-        vars(image)["_axioms"] = hom.cod.validate()  # the codomain's quadruple: its report
+    if (onto_m is hom.minus and onto_p is hom.plus
+            and (con_image == hom.cod.con).all() and (tot_image == hom.cod.tot).all()):
+        image = hom.cod
+    else:
+        image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[np.ix_(ip, im)]),
+                       _frozen(tot_image[np.ix_(im, ip)]), name=f"im({hom.name})")
     image.assert_valid()  # a map pair that is no homomorphism fails here
     onto = DFrameHom(hom.dom, image, onto_m, onto_p, name=f"{hom.name}-onto")
     embedding = DFrameHom(image, hom.cod, incl_m, incl_p, name=f"{hom.name}-incl")

@@ -290,41 +290,3 @@ def up_closure_pairs(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:
     """Smallest upper set of the product containing the given pairs."""
     return _frozen(_bool_matmul(_bool_matmul(a.leq.T, pairs), b.leq))
 
-
-def order_isomorphisms(a: Poset, b: Poset):
-    """Generate order isomorphisms a -> b as index lists, by backtracking.
-
-    Candidates are pruned by (below-count, above-count) profiles; fine for
-    the desk-scale carriers this package works with.
-    """
-    if a.n != b.n:
-        return
-    profile_a = [(int(a.leq[:, i].sum()), int(a.leq[i, :].sum())) for i in range(a.n)]
-    profile_b = [(int(b.leq[:, i].sum()), int(b.leq[i, :].sum())) for i in range(b.n)]
-    if sorted(profile_a) != sorted(profile_b):
-        return
-    order = sorted(range(a.n), key=lambda i: profile_a[i])
-    image = [-1] * a.n
-    used = [False] * b.n
-
-    def backtrack(k):
-        if k == a.n:
-            yield list(image)
-            return
-        i = order[k]
-        for j in range(b.n):
-            if used[j] or profile_a[i] != profile_b[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                if a.leq[i, i2] != b.leq[j, image[i2]] or a.leq[i2, i] != b.leq[image[i2], j]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                yield from backtrack(k + 1)
-                used[j] = False
-                image[i] = -1
-
-    yield from backtrack(0)

@@ -3,8 +3,10 @@
 Each one computes by definition or by exhaustive search what the library
 computes with a table kernel or a construction: least and greatest bounds
 by a per-pair scan, set joins and meets by folds of the binary tables,
-directed-join closure by listing directed subsets, isomorphism by
-backtracking, and every bounded lattice by scanning order masks.
+directed-join closure by listing directed subsets, order and d-frame
+isomorphism by backtracking (the library checks "the dense core is whole"
+where these would compare a d-frame with its core), and every bounded
+lattice by scanning order masks.
 """
 
 from functools import reduce
@@ -13,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from dframes.errors import NotALattice
-from dframes.order import Lattice, order_isomorphisms
+from dframes.order import Lattice, Poset
 
 
 def brute_bound(leq: np.ndarray, i: int, j: int, lower: bool):
@@ -65,8 +67,63 @@ def is_directed(a: Lattice, b: Lattice, subset) -> bool:
     return True
 
 
+def order_isomorphisms(a: Poset, b: Poset):
+    """Generate order isomorphisms a -> b as index lists, by backtracking.
+
+    Candidates are pruned by (below-count, above-count) profiles; fine for
+    the desk-scale carriers the tests compare.
+    """
+    if a.n != b.n:
+        return
+    profile_a = [(int(a.leq[:, i].sum()), int(a.leq[i, :].sum())) for i in range(a.n)]
+    profile_b = [(int(b.leq[:, i].sum()), int(b.leq[i, :].sum())) for i in range(b.n)]
+    if sorted(profile_a) != sorted(profile_b):
+        return
+    order = sorted(range(a.n), key=lambda i: profile_a[i])
+    image = [-1] * a.n
+    used = [False] * b.n
+
+    def backtrack(k):
+        if k == a.n:
+            yield list(image)
+            return
+        i = order[k]
+        for j in range(b.n):
+            if used[j] or profile_a[i] != profile_b[j]:
+                continue
+            ok = True
+            for i2 in order[:k]:
+                if a.leq[i, i2] != b.leq[j, image[i2]] or a.leq[i2, i] != b.leq[image[i2], j]:
+                    ok = False
+                    break
+            if ok:
+                image[i] = j
+                used[j] = True
+                yield from backtrack(k + 1)
+                used[j] = False
+                image[i] = -1
+
+    yield from backtrack(0)
+
+
 def are_order_isomorphic(a, b) -> bool:
     return next(order_isomorphisms(a, b), None) is not None
+
+
+def dframe_isomorphism(a, b):
+    """A pair of component order isomorphisms carrying con to con and tot
+    to tot, or None."""
+    for fm in order_isomorphisms(a.minus, b.minus):
+        fm = np.asarray(fm)
+        for fp in order_isomorphisms(a.plus, b.plus):
+            fp = np.asarray(fp)
+            if (a.con == b.con[np.ix_(fp, fm)]).all() and (a.tot == b.tot[np.ix_(fm, fp)]).all():
+                return fm, fp
+    return None
+
+
+def are_isomorphic(a, b) -> bool:
+    return dframe_isomorphism(a, b) is not None
 
 
 def all_lattices(max_size: int) -> list[Lattice]:

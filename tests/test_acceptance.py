@@ -13,7 +13,6 @@ import conftest
 from dframes.dframe import DFrameHom, is_extremal_epi, is_monomorphism
 from dframes.dframe import is_dense_hom, image_factorization
 from dframes.density import (
-    are_isomorphic,
     classify,
     con_preorder,
     corrigibility,
@@ -40,6 +39,7 @@ from dframes.search import standard_corpus
 from dframes.subdlocale import enumerate_sub_d_locales
 from dframes.sweeps import standard_morphisms
 
+from oracles import are_isomorphic
 from test_subdlocale import FIGURE_COVERS, FIGURE_LABELS
 
 

@@ -5,7 +5,7 @@ import sys
 import textwrap
 import threading
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -17,14 +17,12 @@ from dframes import density
 from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.documents import dframe_from_spec
 from dframes.density import (
-    are_isomorphic,
     classify,
     con_preorder,
     coreflection_report,
     corrigibility,
     dense_core,
     dense_core_map,
-    dframe_isomorphism,
     double_pseudocomplement_sets,
     double_pseudocomplements,
     galois_check,
@@ -51,7 +49,7 @@ from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
 from dframes.sweeps import full_sweep, standard_morphisms
 from dframes.subdlocale import enumerate_sub_d_locales
-from oracles import join_all, meet_all
+from oracles import are_isomorphic, dframe_isomorphism, join_all, meet_all
 
 C3, B4 = Frame.chain(3), Frame.boolean(2)
 SMALL_CORPUS = standard_corpus(4)
@@ -269,9 +267,19 @@ def test_core_is_dually_subfit_everywhere():
 
 
 def test_dually_subfit_isomorphic_to_core():
-    for df in SMALL_CORPUS:
+    # coreflection_report checks "the core is whole"; the isomorphism search
+    # it stands for is the oracle here
+    pool = frame_pool(4)
+    corpus = standard_corpus(5) + [random_dframe(random.Random(seed), pool=pool)
+                                   for seed in range(200)]
+    whole = Counter()
+    for df in corpus:
+        core = dense_core(df)
+        assert core.core.is_whole == are_isomorphic(df, core.as_dframe), df.name
+        whole[core.core.is_whole] += 1
         if is_dually_subfit(df):
-            assert are_isomorphic(df, dense_core(df).as_dframe)
+            assert core.as_dframe is df, df.name
+    assert whole[True] and whole[False]
 
 
 def test_isomorphism_search():
@@ -313,6 +321,20 @@ def test_coreflection_report_skips_non_skeletal_morphisms():
     assert not is_skeletal(q) and is_dually_subfit(q.cod)
     assert coreflection_report([], [q]).ok
     assert vars(q)["_is_skeletal"] is False  # decided once, kept by the morphism
+
+
+def test_coreflection_report_sees_a_dually_subfit_dframe_with_a_proper_core(monkeypatch):
+    # a dense_core that hands sym:bool:2 an admitted core short of the whole
+    # pair: the report must name the broken coreflection fact
+    sb4, real = symmetric_dframe(B4), density.dense_core
+    assert is_dually_subfit(sb4)
+    proper = next(m for m in enumerate_sub_d_locales(sb4).members if not m.is_whole)
+    monkeypatch.setattr(density, "dense_core",
+                        lambda d: replace(real(d), core=proper) if d is sb4 else real(d))
+    failures = coreflection_report([sb4]).failures
+    assert (sb4.name, "dually subfit but not isomorphic to its core") in failures
+    monkeypatch.undo()
+    assert coreflection_report([sb4]).ok
 
 
 def test_corrigible_means_double_negation_core():

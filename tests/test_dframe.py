@@ -232,6 +232,7 @@ def test_mono_matches_left_cancellation():
 def test_image_factorization_identity():
     tt = three_three()
     fac = image_factorization(DFrameHom.identity(tt))
+    assert fac.image is tt
     assert fac.image.minus.elements == tt.minus.elements
     assert (fac.image.con == tt.con).all()
     assert fac.embedding.compose(fac.onto) == DFrameHom.identity(tt)
@@ -284,10 +285,21 @@ def test_image_keeps_the_relations_it_is_given(monkeypatch):
     tt, small = three_three(), two_two()
     inclusion = DFrameHom(small, tt, FrameHom(small.minus, tt.minus, ["0", "1"]),
                           FrameHom(small.plus, tt.plus, ["0", "1"]))
-    for hom in all_dframe_homs(tt, symmetric_dframe(C2)) + [inclusion]:
-        image = image_factorization(hom).image
-        con, tot = passed[image.name]
-        assert image.con is con and image.tot is tot
+    # onto on both sides, yet carrying less con and tot than the codomain
+    # holds: no extremal epi, so its image is a new d-frame
+    fewer = DFrameHom(minimal_dframe(B4, B4), symmetric_dframe(B4),
+                      FrameHom.identity(B4), FrameHom.identity(B4))
+    kinds = Counter()
+    for hom in all_dframe_homs(tt, symmetric_dframe(C2)) + [inclusion, fewer]:
+        image, epi = image_factorization(hom).image, is_extremal_epi(hom)
+        kinds[epi] += 1
+        if epi:  # the codomain itself: nothing is copied
+            assert image is hom.cod
+        else:
+            con, tot = passed[image.name]
+            assert image.con is con and image.tot is tot
+    assert kinds[True] and kinds[False] >= 2
+    assert (image_factorization(fewer).image.con == fewer.dom.con).all()
 
 
 def test_extremal_epi_characterisation():

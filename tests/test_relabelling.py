@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dframes.density import are_isomorphic, classify, dense_core, galois_check
+from dframes.density import classify, dense_core, galois_check
 from dframes.documents import load_path, loads, to_document
 from dframes.fixtures import double_negation_without_excluded_middle, incorrigible_minimal
 from dframes.frames import Frame, enumerate_sublocales
@@ -30,6 +30,7 @@ from dframes.search import (
     standard_corpus,
 )
 from dframes.subdlocale import enumerate_sub_d_locales
+from oracles import are_isomorphic
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 SHUFFLES = 3
