@@ -2,15 +2,15 @@
 
 A finite frame is exactly a finite distributive lattice, so Frame is a
 Lattice that has passed the distributivity check.  Sublocales are stored
-extensionally as member index sets; the associated quotient map and nucleus
-are derived views.
+as member index sets with prime masks, which meet and join by AND and OR;
+the associated quotient map and nucleus are derived views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def check_frame_hom(hom: FrameHom) -> tuple[bool, list[LawViolation]]:
 
 
 class Sublocale:
-    """A sublocale stored as its member set.
+    """A sublocale stored as its member set; its primes make its mask.
 
     Membership must contain the top, be closed under binary meets, and be
     closed under implication from arbitrary elements.
@@ -219,6 +219,11 @@ class Sublocale:
         self.frame = frame
         self.members = key
         return frame._sublocales.setdefault(key, self)
+
+    @cached_property
+    def mask(self) -> int:
+        """Bit k for frame.primes[k] in the sublocale the members generate."""
+        return reduce(or_, (self.frame.prime_support[x] for x in self.members), 0)
 
     @cached_property
     def member_vector(self) -> np.ndarray:
@@ -273,21 +278,22 @@ class Sublocale:
     # -- lattice of sublocales ---------------------------------------------
 
     def meet_with(self, other: "Sublocale") -> "Sublocale":
-        """Intersection of member sets (the sublocale meet)."""
+        """The sublocale meet, the intersection: the common primes."""
         self._same_carrier(other)
-        return Sublocale(self.frame, set(self.members) & set(other.members))
+        return sublocale_of_mask(self.frame, self.mask & other.mask)
 
     def join_with(self, other: "Sublocale") -> "Sublocale":
-        """The sublocale join: the sublocale generated by both member sets."""
+        """The sublocale join, generated by both member sets: either's primes."""
         self._same_carrier(other)
-        return sublocale_generated_by(self.frame, self.members + other.members)
+        return sublocale_of_mask(self.frame, self.mask | other.mask)
 
     def _same_carrier(self, other):
         if self.frame is not other.frame and self.frame.elements != other.frame.elements:
             raise CarrierMismatch("sublocales live over different frames")
 
     def contains(self, other: "Sublocale") -> bool:
-        return set(other.members) <= set(self.members)
+        """Whether other's members lie inside; other need not be a sublocale."""
+        return other.mask | self.mask == self.mask
 
     @property
     def is_whole(self) -> bool:
@@ -374,13 +380,15 @@ def open_sublocale(frame: Frame, a) -> Sublocale:
 
 
 def sublocale_generated_by(frame: Frame, seed) -> Sublocale:
-    """The least sublocale holding the seed.  An element is the meet of the
-    minimal primes above it and a sublocale holds it exactly when it holds
-    them, so the members are those whose prime support lies in the seed's."""
-    support, primes = frame.prime_support, 0
-    for s in seed:
-        primes |= support[int(s)]
-    return Sublocale(frame, [x for x, mask in enumerate(support) if mask | primes == primes])
+    """The least sublocale holding the seed: the one of the seed's primes."""
+    return sublocale_of_mask(frame, reduce(or_, (frame.prime_support[int(s)] for s in seed), 0))
+
+
+def sublocale_of_mask(frame: Frame, primes: int) -> Sublocale:
+    """The sublocale of the primes in the mask.  An element is the meet of
+    the minimal primes above it and a sublocale holds it exactly when it
+    holds them, so the members are those whose prime support lies inside."""
+    return Sublocale(frame, [x for x, mask in enumerate(frame.prime_support) if mask | primes == primes])
 
 
 def booleanization(frame: Frame) -> tuple[Sublocale, FrameHom]:
@@ -402,8 +410,7 @@ def enumerate_sublocales(frame: Frame, max_sublocales: int = 400) -> list[Subloc
     if count > max_sublocales:
         raise SizeGuardExceeded(f"{count} sublocales exceed the guard of {max_sublocales}")
     if frame._all_sublocales is None:
-        subs = (sublocale_generated_by(frame, chosen) for size in range(len(frame.primes) + 1)
-                for chosen in combinations(frame.primes, size))
+        subs = (sublocale_of_mask(frame, primes) for primes in range(count))
         frame._all_sublocales = tuple(sorted(subs, key=lambda s: (len(s.members), s.members)))
     return list(frame._all_sublocales)
 

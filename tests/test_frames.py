@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from dframes.density import double_pseudocomplement_sets
 from dframes.dframe import DFrameHom, image_factorization, symmetric_dframe
 from dframes.errors import CarrierMismatch, DomainMismatch, NotAFrame, SizeGuardExceeded
 from dframes.fixtures import componentwise_dense_counterexample
@@ -21,7 +22,7 @@ from dframes.frames import (
     whole_sublocale,
 )
 from dframes.order import Lattice
-from dframes.search import frame_pool
+from dframes.search import frame_pool, standard_corpus
 from oracles import join_all
 
 
@@ -252,10 +253,24 @@ def join_by_frontier(s, t):
 
 
 def test_join_with_matches_the_frontier_loop():
+    # joins against the frontier loop, and inclusion and meets, which go by
+    # prime masks, against Python sets
     for frame in frame_pool(5) + [Frame.chain(6), Frame.boolean(3)]:
         subs = enumerate_sublocales(frame)
         for s, t in product(subs, subs):
             assert s.join_with(t) is join_by_frontier(s, t)
+            assert s.contains(t) == (set(t.members) <= set(s.members))
+            assert s.meet_with(t) is Sublocale(frame, set(s.members) & set(t.members))
+    # a double-pseudocomplement image need not be a sublocale; containment
+    # in a sublocale still means inclusion of its members
+    pairs, not_sublocales = 0, 0
+    for df in standard_corpus(5):
+        for image, frame in zip(double_pseudocomplement_sets(df)[:2], (df.minus, df.plus)):
+            not_sublocales += not image.is_valid
+            for s in enumerate_sublocales(frame):
+                assert s.contains(image) == (set(image.members) <= set(s.members))
+                pairs += 1
+    assert (pairs, not_sublocales) == (804, 28)
 
 
 def test_enumerated_sublocales_form_a_lattice():

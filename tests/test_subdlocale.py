@@ -52,6 +52,7 @@ from dframes.subdlocale import (
     try_sub_d_locale,
 )
 from dframes.sweeps import Sweep, standard_morphisms, sweep_dframe
+from dframes.order import bound_table
 from oracles import brute_bound
 
 C3 = Frame.chain(3)
@@ -406,6 +407,7 @@ def test_is_join_and_is_meet_accept_exactly_the_per_pair_bounds():
 @pytest.mark.parametrize("df", [three_three(), documents.dframe_from_spec("sym:chain:5")],
                          ids=lambda d: d.name)
 def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
+    # the member at the OR of many mask pairs: members are closed under OR
     ds = enumerate_sub_d_locales(df)
     if ds.n <= 10:  # every nonempty set of members
         subsets = [ks for size in range(1, ds.n + 1) for ks in combinations(range(ds.n), size)]
@@ -413,7 +415,7 @@ def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
         rng = random.Random(5)
         subsets = [tuple(rng.sample(range(ds.n), rng.randint(2, 6))) for _ in range(200)]
     for ks in subsets + [tuple(range(ds.n))]:
-        assert ds._componentwise_join(*ks) == reduce(ds.join, ks)
+        assert ds.by_mask[np.bitwise_or.reduce(ds.masks[list(ks)])] == reduce(ds.join, ks)
 
 
 def test_index_of_rejects_non_members():
@@ -434,9 +436,12 @@ def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch
     partial = SubDLocaleLattice(tt, ds.members[:-1])  # drops the whole pair 3.3
     lbl = list(partial.labels)
     i, j = lbl.index("3.c(c)"), lbl.index("3.o(c)")  # their join is 3.3
-    for join in (partial._componentwise_join, partial.join):
-        with pytest.raises(BrokenInvariant, match="not a member"):
-            join(i, j)
+    with pytest.raises(BrokenInvariant, match="not a member"):
+        partial.join(i, j)
+    with pytest.raises(BrokenInvariant, match="not a member"):
+        partial.top
+    with pytest.raises(BrokenInvariant, match="not a member"):
+        SubDLocaleLattice(tt, ds.members[1:]).bottom  # drops the one-point pair 1.1
     monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", lambda df, **guards: partial)
     sweep = Sweep()
     sweep_dframe(tt, sweep)
@@ -721,11 +726,74 @@ def test_table_check_survives_optimised_python():
     assert done.stdout.strip() == "sub-d-locales must have unique joins"
 
 
+def test_tables_match_the_order_kernel():
+    # the order kernel, bound_table, on the sub-d-locale order is the oracle
+    # for the mask tables: on standard_corpus(6), whose D12.D12 is 6.6 (the
+    # 6-element chain is D12 in the pool), and on the parents of the
+    # dsub-lattice benchmark workload
+    parents = (standard_corpus(6) + [three_three()]
+               + [documents.dframe_from_spec(spec) for spec in LATTICE_SPECS])
+    sizes = []
+    for df in parents:
+        ds = enumerate_sub_d_locales(df, max_pairs=1024)
+        for table, lower in ((ds.join_table, False), (ds.meet_table, True)):
+            expected, ok = bound_table(ds.leq, lower)
+            assert ok.all() and (table == expected).all(), df.name
+        sizes.append(ds.n)
+    assert (len(parents), max(sizes)) == (165, 962)  # 6.6 has 962 members
+
+
+def certificate_mutant(ds, table, condition, lower):
+    """table with one condition of the table check broken and the others
+    kept: the extreme of the order everywhere (absorption), the column
+    where the row lies below it and the extreme elsewhere (symmetry), or
+    the extreme on one pair of incomparable members whose bound it is not
+    (monotonicity along the covers)."""
+    rel, extreme = (ds.leq.T, ds.bottom) if lower else (ds.leq, ds.top)
+    if condition == "absorption":
+        return np.full_like(table, extreme)
+    if condition == "symmetry":
+        return np.where(rel, np.arange(ds.n), extreme)
+    i, j = next((i, j) for i, j in np.argwhere(~rel & ~rel.T) if table[i, j] != extreme)
+    table = table.copy()
+    table[i, j] = table[j, i] = extreme
+    return table
+
+
+@pytest.mark.parametrize("condition", ["symmetry", "bounds", "absorption", "monotonicity"])
+@pytest.mark.parametrize("side", ["join", "meet"])
+def test_the_table_check_needs_each_of_its_conditions(monkeypatch, side, condition):
+    ds = enumerate_sub_d_locales(three_three())
+    lower = side == "meet"
+    if condition == "bounds":
+        # with the other extreme cut off, the mask table is still symmetric,
+        # absorbing and monotone, but no longer above both arguments
+        ds.leq = doctored(ds, "join" if lower else "meet")
+    else:
+        lookup = subdlocale._lookup_table
+        monkeypatch.setattr(subdlocale, "_lookup_table", lambda *args: certificate_mutant(
+            ds, lookup(*args), condition, lower))
+    with pytest.raises(BrokenInvariant, match=f"must have unique {side}s"):
+        getattr(ds, f"{side}_table")
+
+
+def test_a_join_cell_missing_from_a_partial_lattice_is_a_broken_invariant():
+    # 3.c(c), the join of c(c).c(c) and o(c).c(c), is left out; the lookup's
+    # -1, read as the last member, would pass the rest of the check, since
+    # 3.3 is the least upper bound left in the order
+    ds = enumerate_sub_d_locales(three_three())
+    keep = [ds.labels.index(label) for label in ("1.1", "c(c).c(c)", "o(c).c(c)", "3.3")]
+    partial = SubDLocaleLattice(ds.parent, [ds.members[k] for k in keep])
+    with pytest.raises(BrokenInvariant, match="must have unique joins"):
+        partial.join_table
+
+
 def test_lattice_arrays_are_frozen():
     ds = enumerate_sub_d_locales(three_three())
     ds.join_table, ds.meet_table, ds.covers  # materialise the cached arrays
+    # leq, the two tables, covers, the masks and the two mask lookups
     arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 4
+    assert len(arrays) == 7
     assert not any(a.flags.writeable for a in arrays)
 
 
