@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from . import documents
-from .density import classify, dense_core, is_dense_sub_d_locale, is_dually_subfit
+from .density import classify, dense_core, dense_members, is_dense_sub_d_locale, is_dually_subfit
 from .dframe import dense_hom_witness, is_dense_hom
 from .errors import DFramesError, InvalidDFrame, NotASubDLocale, SizeGuardExceeded
 from .fixtures import componentwise_dense_counterexample
@@ -187,10 +187,9 @@ def cmd_hat(args, out) -> int:
     report.verdict("core is dually subfit", is_dually_subfit(core.as_dframe))
     try:
         ds = enumerate_sub_d_locales(df, max_pairs=args.max_pairs)
-        dense_members = [m for m in ds.members if is_dense_sub_d_locale(m)]
+        dense = [ds.members[k] for k in np.flatnonzero(dense_members(ds))]
         report.verdict("core below every dense sub-d-locale",
-                       all(core.core.leq(m) for m in dense_members),
-                       f"{len(dense_members)} dense members")
+                       all(core.core.leq(m) for m in dense), f"{len(dense)} dense members")
     except SizeGuardExceeded:
         report.section("minimality", ["skipped: enumeration exceeds the size guard"])
     props = classify(df)

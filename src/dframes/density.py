@@ -17,7 +17,7 @@ from .dframe import DFrame, DFrameHom, _partner_bound, _memo, is_regular
 from .errors import CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
 from .order import _bool_matmul, _frozen, _joins
-from .subdlocale import SubDLocale, try_sub_d_locale
+from .subdlocale import SubDLocale, SubDLocaleLattice, _image, member_plane, try_sub_d_locale
 
 
 # -- pseudocomplements -------------------------------------------------------
@@ -131,12 +131,29 @@ def is_dense_sub_d_locale(s: SubDLocale) -> bool:
     containment; the two must agree, and a mismatch is surfaced loudly as a
     bug rather than a verdict.
     """
-    definitional = bool((s.con == s.restricted_con()).all())
     minus_set, plus_set, _, _ = double_pseudocomplement_sets(s.parent)
-    characterized = s.minus.contains(minus_set) and s.plus.contains(plus_set)
+    return _agreed(s.label, bool((s.con == s.restricted_con()).all()),
+                   s.minus.contains(minus_set) and s.plus.contains(plus_set))
+
+
+def dense_members(ds: SubDLocaleLattice) -> np.ndarray:
+    """[k]: whether member k is dense, decided for every member at once the two
+    ways is_dense_sub_d_locale decides one: the image of parent con under its
+    quotients is its restriction, and its mask pair contains the double sets'."""
+    con, dbl = ds.parent.con, ds.mask_of(*double_pseudocomplement_sets(ds.parent)[:2])
+    definitional = member_plane(ds, lambda at, qm, qp, box: (
+        _image(con, qp, qm) == con & box.transpose(0, 2, 1)).all(axis=(1, 2)))
+    characterized = (ds.masks & dbl) == dbl
+    for k in np.flatnonzero(definitional != characterized)[:1]:
+        _agreed(ds.labels[k], bool(definitional[k]), bool(characterized[k]))
+    return definitional
+
+
+def _agreed(label: str, definitional: bool, characterized: bool) -> bool:
+    """The density verdict; CharacterizationMismatch if the routes disagree."""
     if definitional != characterized:
         raise CharacterizationMismatch(
-            f"density tests disagree on {s.label}: "
+            f"density tests disagree on {label}: "
             f"restriction={definitional}, containment={characterized}"
         )
     return definitional

@@ -219,13 +219,15 @@ def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> li
     return list(_relations(minus, plus, False)[1])
 
 
-def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """All valid d-frames on a fixed frame pair, con-major.
+def enumerate_dframes(minus: Frame, plus: Frame, cap: int | None = 1 << 18):
+    """All valid d-frames on a fixed frame pair, con-major; a cap of None
+    skips the count, for a caller that has counted the pair against it.
 
     One array test takes every con x tot candidate at once.  Each row of a
     con and each column of a tot is principal, so f' picks the row's member
     with the most elements below it, and g' the column's with the fewest."""
-    count_candidates(minus, plus, cap)
+    if cap is not None:
+        count_candidates(minus, plus, cap)
     f, cons = _relations(minus, plus, True)
     g, tots = _relations(minus, plus, False)
     height = minus.leq.sum(axis=0)
@@ -329,7 +331,7 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
         count_candidates(minus, plus)
     for minus, plus in pairs:
         subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
-        dframes, first = enumerate_dframes(minus, plus), True
+        dframes, first = enumerate_dframes(minus, plus, cap=None), True
         while chunk := list(islice(dframes, max(0, min(_CHUNK, max_candidates - report.searched)))):
             verdicts = _verdicts(minus, plus, np.stack([df.con for df in chunk]),
                                  np.stack([df.tot for df in chunk]), subs)

@@ -1,14 +1,14 @@
 """Sub-d-locales and their complete lattice.
 
-A pair of component sublocales determines at most one d-frame quotient: the
-consistency relation is the Scott closure of the image of con under the
-quotient pair, and the totality relation is the restriction of tot.  A pair
-is admitted exactly when the induced quadruple passes the d-frame axioms:
-admission_matrix tests every pair at once by one order test.  The sweeps
-check it against axiom_planes, which decides the nine axioms themselves for
-every pair at once; build_sub_d_locale decides them for one pair.  The
-lattice of the admitted pairs works on pairs of prime masks: joins are ORs,
-and its join and meet tables are lookups checked against its order.
+A pair of component sublocales determines at most one d-frame quotient: con
+is the image of parent con under the quotient pair (its own Scott closure
+over finite carriers), and tot is the restriction of tot.  admission_matrix
+admits every pair at once by one order test; the sweeps check it against
+axiom_planes, which decides the nine axioms for every pair at once, and
+build_sub_d_locale decides them for one pair.  The lattice of the admitted
+pairs works on prime mask pairs (joins are ORs, and its join and meet tables
+are lookups checked against its order); member_plane decides a law for all
+its members at once in the parent's index space, as quotient_epis does.
 """
 
 from __future__ import annotations
@@ -154,12 +154,11 @@ class SubDLocaleLattice:
         self.parent = parent
         self.members = tuple(members)
         n, shift = len(members), len(parent.minus.primes)
-        self.masks = _frozen(np.array([s.minus.mask | s.plus.mask << shift for s in members], np.int64))
+        self.masks = _frozen(np.array([self.mask_of(s.minus, s.plus) for s in members], np.int64))
         self.by_mask = np.full(2 ** (shift + len(parent.plus.primes)), -1, dtype=np.int64)
         self.by_mask[self.masks] = np.arange(n)
         self.by_mask.flags.writeable = False
-        minus = np.array([s.minus.member_vector for s in members]).reshape(n, parent.minus.n)
-        plus = np.array([s.plus.member_vector for s in members]).reshape(n, parent.plus.n)
+        minus, plus = member_stacks(self, "member_vector")
         # componentwise inclusion, as SubDLocale.leq: no member of i lies outside j
         self.leq = ~_bool_matmul(minus, ~minus.T) & ~_bool_matmul(plus, ~plus.T)
         self.leq.flags.writeable = False
@@ -183,20 +182,22 @@ class SubDLocaleLattice:
             halves[:, 1] |= halves[:, 0]
         return _frozen(self.by_mask[inside])
 
-    def _member(self, lookup: np.ndarray, mask: int, what: str) -> int:
-        """lookup[mask]; BrokenInvariant if missing: the lattice is not whole."""
+    def _member(self, lookup: np.ndarray, mask: int, what: str, *ks) -> int:
+        """lookup[mask]; BrokenInvariant naming what, filled with ks' labels, if missing."""
         if lookup[mask] < 0:
+            what = what.format(*(self.labels[k] for k in ks))
             raise BrokenInvariant(f"the {what} is not a member")
         return int(lookup[mask])
 
-    def index_of(self, s: SubDLocale) -> int:
-        return self.pair_index(s.minus, s.plus)
+    def mask_of(self, minus: Sublocale, plus: Sublocale) -> int:
+        """The mask pair of two member sets, sublocales or not."""
+        return minus.mask | plus.mask << len(self.parent.minus.primes)
 
-    def pair_index(self, minus: Sublocale, plus: Sublocale) -> int:
-        """Index of the member with these components; KeyError if none."""
-        idx = int(self.by_mask[minus.mask | plus.mask << len(self.parent.minus.primes)])
+    def index_of(self, s: SubDLocale) -> int:
+        """Index of the member with s's components; KeyError if none."""
+        idx = int(self.by_mask[self.mask_of(s.minus, s.plus)])
         if idx < 0:
-            raise KeyError(f"({minus!r}, {plus!r}) is not a member")
+            raise KeyError(f"{s!r} is not a member")
         return idx
 
     @cached_property
@@ -224,8 +225,7 @@ class SubDLocaleLattice:
 
     def join(self, i: int, j: int) -> int:
         """The member at the OR of the masks, checked to be the lub."""
-        idx = self._member(self.by_mask, self.masks[i] | self.masks[j],
-                           f"join of {self.labels[i]} and {self.labels[j]}")
+        idx = self._member(self.by_mask, self.masks[i] | self.masks[j], "join of {} and {}", i, j)
         if not self.is_join(idx, i, j):
             raise BrokenInvariant("constructive join must be the lub")
         return idx
@@ -233,7 +233,7 @@ class SubDLocaleLattice:
     def meet(self, i: int, j: int) -> int:
         """The largest member inside the AND of the masks, checked to be the glb."""
         idx = self._member(self.below_mask, self.masks[i] & self.masks[j],
-                           f"join of the members below {self.labels[i]} and {self.labels[j]}")
+                           "join of the members below {} and {}", i, j)
         if not self.is_meet(idx, i, j):
             raise BrokenInvariant("constructive meet must be the glb")
         return idx
@@ -282,7 +282,7 @@ class SubDLocaleLattice:
         return cover_relation(self.leq)
 
     def dot(self) -> str:
-        return hasse_dot(self.labels, self.leq)
+        return _dot(self.labels, self.covers)
 
     def __repr__(self):
         return f"SubDLocaleLattice({self.parent.name}: {self.n} members)"
@@ -361,13 +361,48 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     return _frozen(planes.reshape(9, len(qm), len(qp)))
 
 
+def _image(rel: np.ndarray, q_rows: np.ndarray, q_cols: np.ndarray) -> np.ndarray:
+    """[t]: rel's image under q_rows[t] on its rows and q_cols[t] on its columns."""
+    image = np.zeros((len(q_rows), *rel.shape), dtype=bool)
+    rows, cols = np.nonzero(rel)
+    image[np.arange(len(q_rows))[:, None], q_rows[:, rows], q_cols[:, cols]] = True
+    return image
+
+
+def member_stacks(ds: SubDLocaleLattice, attr: str = "quotient") -> list:
+    """[minus, plus]: attr (quotient or member_vector) of the members'
+    components, one row per member."""
+    return [np.array([getattr(getattr(s, side), attr) for s in ds.members]).reshape(ds.n, lat.n)
+            for side, lat in (("minus", ds.parent.minus), ("plus", ds.parent.plus))]
+
+
+def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
+    """[k]: law(at, qm, qp, box) on member k, for chunks `at` of the members
+    as axiom_planes takes pairs: qm and qp stack the chunk's quotients, and
+    box[t] holds the minus x plus cells of the elements both fix."""
+    (qm, qp), Lm, Lp = member_stacks(ds), ds.parent.minus, ds.parent.plus
+    plane, step = np.empty(ds.n, dtype=bool), max(1, _SCAN_BLOCK // (16 * Lm.n * Lp.n))
+    for at in (slice(s, s + step) for s in range(0, ds.n, step)):
+        box = (qm[at] == np.arange(Lm.n))[:, :, None] & (qp[at] == np.arange(Lp.n))[:, None]
+        plane[at] = law(at, qm[at], qp[at], box)
+    return _frozen(plane)
+
+
+def quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
+    """[k]: is_extremal_epi(ds.members[k].quotient_hom()), decided in the
+    parent's index space: each quotient hits exactly its member set, and the
+    image of tot is its restriction (that of con is member k's con)."""
+    tot, (vm, vp) = ds.parent.tot, member_stacks(ds, "member_vector")
+    return member_plane(ds, lambda at, qm, qp, box: (
+        ((qm[:, :, None] == np.arange(ds.parent.minus.n)).any(axis=1) == vm[at]).all(axis=1)
+        & ((qp[:, :, None] == np.arange(ds.parent.plus.n)).any(axis=1) == vp[at]).all(axis=1)
+        & (_image(tot, qm, qp) == tot & box).all(axis=(1, 2))))
+
+
 def _pair_planes(parent: DFrame, qm: np.ndarray, qp: np.ndarray) -> list:
     """The first eight planes of the pairs whose quotients are qm's and qp's rows."""
     Lm, Lp, at = parent.minus, parent.plus, np.arange(len(qm))
-    con, tot = (np.zeros((len(qm), *rel.shape), dtype=bool) for rel in (parent.con, parent.tot))
-    for image, rel, q_rows, q_cols in ((con, parent.con, qp, qm), (tot, parent.tot, qm, qp)):
-        rows, cols = np.nonzero(rel)
-        image[at[:, None], q_rows[:, rows], q_cols[:, cols]] = True
+    con, tot = _image(parent.con, qp, qm), _image(parent.tot, qm, qp)
     box = (qm == np.arange(Lm.n))[:, :, None] & (qp == np.arange(Lp.n))[:, None, :]  # members
     if (tot != (parent.tot & box)).any():
         raise BrokenInvariant("quotient image of tot must equal its restriction")
@@ -442,15 +477,17 @@ def _certified(table: np.ndarray, leq: np.ndarray, covers: np.ndarray, kind: str
 
 
 def hasse_dot(labels, leq: np.ndarray) -> str:
-    """Deterministic DOT rendering of the cover relation of a finite order.
+    """Deterministic DOT rendering of the cover relation of a finite order: one
+    node per element with its display label, and one edge per cover pair,
+    drawn from the lower to the upper element (_dot, which dot() shares)."""
+    return _dot(labels, cover_relation(np.asarray(leq, dtype=bool)))
 
-    One node per element with its display label; one edge per cover pair,
-    drawn from the lower to the upper element.
-    """
+
+def _dot(labels, covers: np.ndarray) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, lab in enumerate(labels):
         lines.append(f'  n{i} [label="{lab}"];')
-    for i, j in np.argwhere(cover_relation(np.asarray(leq, dtype=bool))):
+    for i, j in np.argwhere(covers):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

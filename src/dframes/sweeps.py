@@ -1,8 +1,9 @@
 """Property sweeps: every structural law this package relies on, run over a
-corpus of d-frames and morphisms with first-witness reporting.
+corpus of d-frames and morphisms with first-witness reporting.  The laws of
+the members of a sub-d-locale lattice are decided for all members at once,
+and dense_members compares both density routes on every member.
 
-Shared by the props command and the test suite so both exercise the same
-checks.
+Shared by the props command and the test suite, which run the same checks.
 """
 
 from __future__ import annotations
@@ -11,25 +12,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .dframe import (
-    DFrameHom,
-    image_factorization,
-    is_dense_hom,
-    is_extremal_epi,
-    is_monomorphism,
-)
+from .dframe import DFrameHom, image_factorization, is_dense_hom, is_extremal_epi, is_monomorphism
 from .density import (
-    classify,
-    con_preorder,
-    coreflection_report,
-    dense_core,
-    dense_core_map,
-    double_pseudocomplement_sets,
-    galois_check,
-    is_dense_sub_d_locale,
-    is_dually_subfit,
-    is_skeletal,
-    pseudocomplements,
+    classify, con_preorder, coreflection_report, dense_core, dense_core_map, dense_members,
+    double_pseudocomplement_sets, galois_check, is_dense_sub_d_locale, is_dually_subfit,
+    is_skeletal, pseudocomplements,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
 from .frames import enumerate_sublocales
@@ -80,17 +67,11 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
     # The three characterisations of core membership agree elementwise, on
     # both sides: being a member, having no strict preorder-predecessors
     # above the order, and being one's own saturation.
-    ok_membership = True
-    for side_core, nu, (lat, order) in zip((core.core.minus, core.core.plus),
-                                           (core.nu_minus, core.nu_plus), orders):
-        for x in range(lat.n):
-            in_core = x in side_core.members
-            receptive = bool((~order[:, x] | lat.leq[:, x]).all())
-            own_join = nu.mapping[x] == x
-            if not (in_core == receptive == own_join):
-                ok_membership = False
-                break
-    sweep.check(f"{name}: core membership characterisations agree", ok_membership)
+    sweep.check(f"{name}: core membership characterisations agree", all(
+        (sub.member_vector == (~order | lat.leq).all(axis=0)).all()
+        and (sub.member_vector == (nu.mapping == np.arange(lat.n))).all()
+        for sub, nu, (lat, order) in zip((core.core.minus, core.core.plus),
+                                         (core.nu_minus, core.nu_plus), orders)))
 
     props = classify(df)  # raises on implication-chain violations
     sweep.check(f"{name}: implication chain", True, str(props.as_dict()))
@@ -108,37 +89,28 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
         sweep.check(f"{name}: sub-d-locale sweep skipped (size guard)", True)
         return
 
-    dense_members = [m for m in ds.members if is_dense_sub_d_locale(m)]
-    sweep.check(
-        f"{name}: dense core below every dense sub-d-locale",
-        all(core.core.leq(m) for m in dense_members),
-    )
-    sweep.check(f"{name}: dense core enumerated", any(m == core.core for m in ds.members))
-
-    ok_fix = True
-    for m in dense_members:
-        for d, q in ((df, m.plus.quotient), (df.swap(), m.minus.quotient)):
-            to_plus = pseudocomplements(d)
-            if not all(q[to_plus[a]] == to_plus[a] for a in range(d.minus.n)):
-                ok_fix = False
-    sweep.check(f"{name}: dense quotients fix pseudocomplements", ok_fix)
+    dense, (qm, qp) = dense_members(ds), subdlocale.member_stacks(ds)
+    core_mask = ds.mask_of(core.core.minus, core.core.plus)
+    sweep.check(f"{name}: dense core below every dense sub-d-locale",
+                ((ds.masks[dense] & core_mask) == core_mask).all())
+    sweep.check(f"{name}: dense core enumerated", ds.by_mask[core_mask] >= 0)
+    fixes = ((qp, pseudocomplements(df)), (qm, pseudocomplements(df.swap())))
+    sweep.check(f"{name}: dense quotients fix pseudocomplements",
+                all((q[dense][:, f] == f).all() for q, f in fixes))
 
     # On every pair: the axiom planes (which check that induced tot is the
     # restriction) admit exactly the members, and pairs holding the double sets are dense.
     subs_minus, subs_plus = (enumerate_sublocales(f, max_pairs) for f in (df.minus, df.plus))
     # through the module, so a patched or traced binding sees it
     planes = subdlocale.axiom_planes(df, subs_minus, subs_plus)
-    members = {(m.minus, m.plus): m for m in ds.members}
+    m_minus, m_plus = (np.array([s.mask for s in subs]) for subs in (subs_minus, subs_plus))
+    admitted = (m_minus[:, None] | m_plus << len(df.minus.primes))[planes.all(axis=0)]
     sweep.check(f"{name}: axiom route admits the members, induced tot equals restriction",
-                {(subs_minus[i], subs_plus[j]) for i, j in np.argwhere(planes.all(axis=0))}
-                == members.keys())
-    dbl_m, dbl_p = double_pseudocomplement_sets(df)[:2]
-    above_dbl = [members.get((sm, sp)) for sm in subs_minus if sm.contains(dbl_m)
-                 for sp in subs_plus if sp.contains(dbl_p)]
-    ok_dense_pairs = all(m is not None and is_dense_sub_d_locale(m)
-                         and bool((m.con == m.restricted_con()).all()) for m in above_dbl)
-    ok_epi = all(is_extremal_epi(m.quotient_hom()) for m in ds.members)
-    sweep.check(f"{name}: quotient pairs are extremal epis", ok_epi)
+                np.array_equal(np.sort(admitted), np.sort(ds.masks)))
+    dbl = ds.mask_of(*double_pseudocomplement_sets(df)[:2])
+    above_dbl = ds.by_mask[(np.arange(len(ds.by_mask)) & dbl) == dbl]
+    ok_dense_pairs = (above_dbl >= 0).all() and dense[above_dbl].all()
+    sweep.check(f"{name}: quotient pairs are extremal epis", subdlocale.quotient_epis(ds).all())
 
     # join() and meet() check the lub/glb facts internally; run them on all
     # pairs for small lattices and a deterministic sample for larger ones.
@@ -156,22 +128,12 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
             break
     sweep.check(f"{name}: constructive joins and meets realise the bounds", ok_bounds)
 
-    ok_dense_meet = True
-    dense_sample = dense_members if len(dense_members) <= 12 else dense_members[:12]
-    # ds holds exactly the pairs the axiom route admitted (checked above),
-    # so a pair is looked up, not re-admitted.
-    for s, t in combinations(dense_sample, 2):
-        try:
-            idx = ds.pair_index(s.minus.meet_with(t.minus), s.plus.meet_with(t.plus))
-        except KeyError:
-            ok_dense_meet = False
-            break
-        if not is_dense_sub_d_locale(ds.members[idx]):
-            ok_dense_meet = False
-            break
-        if not ds.is_meet(idx, ds.index_of(s), ds.index_of(t)):
-            ok_dense_meet = False
-            break
+    # ds holds exactly the pairs the axiom route admitted (checked above), so
+    # the intersection pair, the AND of the masks, is looked up, not re-admitted.
+    ij = np.array(list(combinations(np.flatnonzero(dense)[:12], 2)), dtype=np.intp).reshape(-1, 2)
+    meets = ds.by_mask[ds.masks[ij[:, 0]] & ds.masks[ij[:, 1]]]
+    ok_dense_meet = ((meets >= 0).all() and dense[meets].all()
+                     and all(ds.is_meet(k, i, j) for k, (i, j) in zip(meets, ij)))
     sweep.check(f"{name}: meets of dense members are dense intersections", ok_dense_meet)
 
     sweep.check(f"{name}: pairs containing the double sets are dense", ok_dense_pairs)

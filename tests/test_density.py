@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dframes import density
+from dframes import density, subdlocale
 from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.documents import dframe_from_spec
 from dframes.density import (
@@ -23,6 +23,7 @@ from dframes.density import (
     corrigibility,
     dense_core,
     dense_core_map,
+    dense_members,
     double_pseudocomplement_sets,
     double_pseudocomplements,
     galois_check,
@@ -44,7 +45,7 @@ from dframes.fixtures import (
     three_three,
     two_two,
 )
-from dframes.errors import BrokenInvariant, EquivalenceMismatch
+from dframes.errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
 from dframes.sweeps import full_sweep, standard_morphisms
@@ -107,6 +108,39 @@ def test_dense_sub_d_locale_verdicts():
     assert verdicts["1.1"] is False
     dense = {label for label, ok in verdicts.items() if ok}
     assert dense == {"3.3", "3.o(c)", "o(c).3", "o(c).o(c)"}
+
+
+def test_dense_members_raise_when_the_restriction_route_disagrees(monkeypatch):
+    # 1.1 is not dense; with the identities in place of its quotients the
+    # image of con is con itself, so the restriction route alone calls it dense
+    ds = enumerate_sub_d_locales(three_three())
+    k = ds.labels.index("1.1")
+    original = subdlocale.member_stacks
+
+    def whole_at_k(lattice, attr="quotient"):
+        stacks = original(lattice, attr)
+        if attr == "quotient":
+            for stack in stacks:
+                stack[k] = np.arange(stack.shape[1])
+        return stacks
+
+    monkeypatch.setattr(subdlocale, "member_stacks", whole_at_k)
+    with pytest.raises(CharacterizationMismatch,
+                       match=r"disagree on 1\.1: restriction=True, containment=False"):
+        dense_members(ds)
+
+
+def test_dense_members_raise_when_the_containment_route_disagrees(monkeypatch):
+    # with the whole frames for double sets only 3.3 contains them: the
+    # routes disagree on the other three dense members, and the first is named
+    tt = three_three()
+    ds = enumerate_sub_d_locales(tt)
+    whole = whole_sublocale(tt.minus), whole_sublocale(tt.plus), True, True
+    monkeypatch.setattr(density, "double_pseudocomplement_sets",
+                        lambda df: whole if df is tt else double_pseudocomplement_sets(df))
+    with pytest.raises(CharacterizationMismatch,
+                       match=r"disagree on o\(c\)\.o\(c\): restriction=True, containment=False"):
+        dense_members(ds)
 
 
 def test_con_preorder_contains_order_and_known_table():

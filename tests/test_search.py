@@ -503,6 +503,19 @@ def test_miner_spot_checks_the_first_dframe_of_every_pair(monkeypatch):
     assert report.searched == 136
 
 
+def test_miner_counts_each_pair_once(monkeypatch):
+    # the window is refused up front, so the search does not count again:
+    # one count per frame pair and side (con and tot)
+    counted = []
+    original = search._count_antitone
+    monkeypatch.setattr(search, "_count_antitone",
+                        lambda covers, plus: counted.append(plus.name) or original(covers, plus))
+    assert mine(max_frame=4).searched == 136
+    assert counted == [plus.name for _, plus in _window(4) for _side in range(2)]
+    with pytest.raises(SizeGuardExceeded):  # other callers keep the guard
+        next(enumerate_dframes(Frame.chain(8), Frame.chain(8)))
+
+
 # the 6-chain pair's report, recorded from the per-d-frame miner
 CHAIN_SIX_DIGEST = "6b9dbeba264e59dec2b562125df25eb54734544fede498706159658a9efdcf23"
 

@@ -16,7 +16,9 @@ from dframes import cli, documents, subdlocale, sweeps
 from dframes.density import (
     con_preorder,
     dense_core,
+    dense_members,
     double_pseudocomplements,
+    is_dense_sub_d_locale,
     pseudocomplements,
     saturation_nucleus,
 )
@@ -49,6 +51,8 @@ from dframes.subdlocale import (
     hasse_dot,
     induced_relations,
     join_sub_d_locales,
+    member_stacks,
+    quotient_epis,
     try_sub_d_locale,
 )
 from dframes.sweeps import Sweep, standard_morphisms, sweep_dframe
@@ -189,6 +193,11 @@ AXIOMS = tuple(c.name for c in check_dframe(three_three()).checks)
 # The parents of the dsub-lattice benchmark workload.
 LATTICE_SPECS = ("min:chain:5:chain:5", "sym:chain:5", "min:bool:2:chain:5",
                  "min:chain:5:bool:2", "sym:bool:2", "min:bool:3:chain:4")
+
+
+def _lattice_parents():
+    """3.3 and the other parents of the dsub-lattice benchmark workload."""
+    return [three_three()] + [documents.dframe_from_spec(s) for s in LATTICE_SPECS]
 
 
 def _valid_parents():
@@ -357,6 +366,75 @@ def test_induced_tot_is_restriction_and_quotients_are_extremal():
         rebuilt, report = build_sub_d_locale(member.parent, member.minus, member.plus)
         assert report.ok
         assert (rebuilt.con == member.con).all() and (rebuilt.tot == member.tot).all()
+
+
+def test_member_laws_match_the_per_member_routes():
+    # every member of every lattice: standard_corpus(6) at 1024 pairs, 200
+    # seeded random d-frames and the parents of the dsub-lattice workload
+    rng, pool = random.Random(25), frame_pool(4)
+    lattices = ([enumerate_sub_d_locales(df, max_pairs=1024) for df in standard_corpus(6)]
+                + [enumerate_sub_d_locales(random_dframe(rng, pool=pool)) for _ in range(200)]
+                + [enumerate_sub_d_locales(df) for df in _lattice_parents()])
+    verdicts, mismatches = Counter(), []
+    for ds in lattices:
+        dense, epis = dense_members(ds), quotient_epis(ds)
+        assert dense.shape == epis.shape == (ds.n,)
+        assert not dense.flags.writeable and not epis.flags.writeable
+        for k, m in enumerate(ds.members):
+            expected = (is_dense_sub_d_locale(m), is_extremal_epi(m.quotient_hom()))
+            if (dense[k], epis[k]) != expected:
+                mismatches.append((ds.parent.name, m.label))
+            verdicts[expected] += 1
+    assert mismatches == []
+    assert set(verdicts) == {(True, True), (False, True)}
+    assert sum(verdicts.values()) > 20000
+
+
+def test_quotient_epis_reject_a_tot_image_that_is_not_the_restriction():
+    # Over a single-cell mutant of tot the image of tot under a quotient pair
+    # can leave its restriction; the per-member route raises there.
+    verdicts = Counter()
+    for base in (three_three(), documents.dframe_from_spec("sym:bool:2")):
+        members = enumerate_sub_d_locales(base).members
+        for cell in np.ndindex(base.tot.shape):
+            tot = base.tot.copy()
+            tot[cell] = not tot[cell]
+            bad = DFrame(base.minus, base.plus, base.con, tot, name=f"{base.name} tot{cell}")
+            ds = SubDLocaleLattice(bad, [SubDLocale(bad, m.minus, m.plus) for m in members])
+            for m, batched in zip(ds.members, quotient_epis(ds)):
+                try:
+                    expected = is_extremal_epi(m.quotient_hom())
+                except BrokenInvariant:
+                    expected = False
+                assert batched == expected, (bad.name, m.label)
+                verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+EPI_VERDICT = "3.3: quotient pairs are extremal epis"
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_quotient_missing_a_member_element_fails_the_epi_verdict(monkeypatch, side):
+    # c(c).c(c) is not dense, so its quotients reach no density verdict
+    tt = three_three()
+    ds = enumerate_sub_d_locales(tt)
+    k = ds.labels.index("c(c).c(c)")
+    lat = (tt.minus, tt.plus)[side]
+    x = lat.idx("c")  # a member of c(c) on both sides, below the top
+
+    def missing(lattice, attr="quotient"):
+        stacks = member_stacks(lattice, attr)
+        if attr == "quotient" and lattice is ds:
+            stacks[side][k][stacks[side][k] == x] = lat.top  # nothing reaches x
+        return stacks
+
+    assert x in (ds.members[k].minus, ds.members[k].plus)[side].members
+    monkeypatch.setattr(subdlocale, "member_stacks", missing)
+    assert list(np.flatnonzero(~quotient_epis(ds))) == [k]
+    sweep = Sweep()
+    sweep_dframe(tt, sweep)
+    assert sweep.failures() == [(EPI_VERDICT, "")]
 
 
 def test_join_values():
@@ -596,6 +674,12 @@ def test_dot_matches_a_per_cell_scan():
         ds = enumerate_sub_d_locales(df)
         assert ds.dot() == scan(ds.labels, ds.leq.tolist())
     assert hasse_dot("abc", Frame.chain(3).leq) == scan("abc", Frame.chain(3).leq.tolist())
+
+
+def test_dot_renders_the_covers_it_holds():
+    for df in _lattice_parents():
+        ds = enumerate_sub_d_locales(df)
+        assert ds.dot() == hasse_dot(ds.labels, ds.leq), df.name
 
 
 # -- the vectorised order, tables and witnesses against per-pair routes -------
