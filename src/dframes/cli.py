@@ -187,9 +187,10 @@ def cmd_hat(args, out) -> int:
     report.verdict("core is dually subfit", is_dually_subfit(core.as_dframe))
     try:
         ds = enumerate_sub_d_locales(df, max_pairs=args.max_pairs)
-        dense = [ds.members[k] for k in np.flatnonzero(dense_members(ds))]
+        dense, core_mask = dense_members(ds), ds.mask_of(core.core.minus, core.core.plus)
         report.verdict("core below every dense sub-d-locale",
-                       all(core.core.leq(m) for m in dense), f"{len(dense)} dense members")
+                       ((ds.masks[dense] & core_mask) == core_mask).all(),
+                       f"{dense.sum()} dense members")
     except SizeGuardExceeded:
         report.section("minimality", ["skipped: enumeration exceeds the size guard"])
     props = classify(df)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dframe import DFrame, DFrameHom, _partner_bound, _memo, is_regular
+from .dframe import DFrame, DFrameHom, _image, _memo, _partner_bound, is_regular
 from .errors import CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
 from .order import _bool_matmul, _frozen, _joins
-from .subdlocale import SubDLocale, SubDLocaleLattice, _image, member_plane, try_sub_d_locale
+from .subdlocale import SubDLocale, SubDLocaleLattice, member_plane, try_sub_d_locale
 
 
 # -- pseudocomplements -------------------------------------------------------
@@ -142,7 +142,7 @@ def dense_members(ds: SubDLocaleLattice) -> np.ndarray:
     quotients is its restriction, and its mask pair contains the double sets'."""
     con, dbl = ds.parent.con, ds.mask_of(*double_pseudocomplement_sets(ds.parent)[:2])
     definitional = member_plane(ds, lambda at, qm, qp, box: (
-        _image(con, qp, qm) == con & box.transpose(0, 2, 1)).all(axis=(1, 2)))
+        _image(con, qp, qm, con.shape) == con & box.transpose(0, 2, 1)).all(axis=(1, 2)))
     characterized = (ds.masks & dbl) == dbl
     for k in np.flatnonzero(definitional != characterized)[:1]:
         _agreed(ds.labels[k], bool(definitional[k]), bool(characterized[k]))

@@ -330,17 +330,11 @@ class DFrameHom:
         return DFrameHom(self.dom.swap(), self.cod.swap(), self.plus, self.minus, name=self.name)
 
     def images(self) -> tuple[np.ndarray, np.ndarray]:
-        """The images of dom's con and tot inside cod's index space.
-
-        tot is imaged through its transpose, which lives in plus x minus
-        like con.
-        """
-        def image(rel):
-            out = np.zeros((self.cod.plus.n, self.cod.minus.n), dtype=bool)
-            ps, ms = np.where(rel)
-            out[self.plus.mapping[ps], self.minus.mapping[ms]] = True
-            return _frozen(out)
-        return image(self.dom.con), image(self.dom.tot.T).T
+        """The images of dom's con and tot inside cod's index space, built once."""
+        m, p = self.minus.mapping[None], self.plus.mapping[None]
+        return _memo(self, "_images", lambda hom: (
+            _frozen(_image(hom.dom.con, p, m, hom.cod.con.shape)[0]),
+            _frozen(_image(hom.dom.tot, m, p, hom.cod.tot.shape)[0])))
 
     def violations(self) -> list:
         """Frame-hom failures of both components plus relation preservation."""
@@ -371,6 +365,14 @@ class DFrameHom:
 
     def __repr__(self):
         return f"DFrameHom({self.name}: {self.dom.name} -> {self.cod.name})"
+
+
+def _image(rel: np.ndarray, q_rows: np.ndarray, q_cols: np.ndarray, shape) -> np.ndarray:
+    """[t]: rel's image, of the given shape, under q_rows[t] on rows and q_cols[t] on columns."""
+    image = np.zeros((len(q_rows), *shape), dtype=bool)
+    rows, cols = rel.nonzero()
+    image[np.arange(len(q_rows))[:, None], q_rows[:, rows], q_cols[:, cols]] = True
+    return image
 
 
 def check_dframe_hom(hom: DFrameHom) -> tuple[bool, list]:

@@ -131,7 +131,7 @@ class FrameHom:
 
     def compose(self, inner: "FrameHom") -> "FrameHom":
         """self after inner."""
-        if inner.cod is not self.dom and inner.cod.elements != self.dom.elements:
+        if not _same_frame(inner.cod, self.dom):
             raise CarrierMismatch("composition carriers do not line up")
         return FrameHom(inner.dom, self.cod, self.mapping[inner.mapping])
 
@@ -172,12 +172,8 @@ class FrameHom:
         return tuple(sorted(set(self.mapping.tolist())))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FrameHom)
-            and self.dom.elements == other.dom.elements
-            and self.cod.elements == other.cod.elements
-            and (self.mapping == other.mapping).all()
-        )
+        return (isinstance(other, FrameHom) and _same_frame(self.dom, other.dom)
+                and _same_frame(self.cod, other.cod) and (self.mapping == other.mapping).all())
 
     def __hash__(self):
         return hash((self.dom.elements, self.cod.elements, self.mapping.tobytes()))
@@ -187,6 +183,11 @@ class FrameHom:
             f"{d}->{self.cod.elements[self.mapping[i]]}" for i, d in enumerate(self.dom.elements)
         )
         return f"FrameHom({self.dom.name}->{self.cod.name}: {pairs})"
+
+
+def _same_frame(a: Frame, b: Frame) -> bool:
+    """a is b, or both have the same elements in the same order."""
+    return a is b or (a.elements == b.elements and np.array_equal(a.leq, b.leq))
 
 
 def check_frame_hom(hom: FrameHom) -> tuple[bool, list[LawViolation]]:
@@ -288,7 +289,7 @@ class Sublocale:
         return sublocale_of_mask(self.frame, self.mask | other.mask)
 
     def _same_carrier(self, other):
-        if self.frame is not other.frame and self.frame.elements != other.frame.elements:
+        if not _same_frame(self.frame, other.frame):
             raise CarrierMismatch("sublocales live over different frames")
 
     def contains(self, other: "Sublocale") -> bool:
@@ -304,11 +305,8 @@ class Sublocale:
         return self.members == (self.frame.top,)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Sublocale)
-            and self.frame.elements == other.frame.elements
-            and self.members == other.members
-        )
+        return (isinstance(other, Sublocale) and _same_frame(self.frame, other.frame)
+                and self.members == other.members)
 
     def __hash__(self):
         return hash((self.frame.elements, self.members))

@@ -5,10 +5,12 @@ is the image of parent con under the quotient pair (its own Scott closure
 over finite carriers), and tot is the restriction of tot.  admission_matrix
 admits every pair at once by one order test; the sweeps check it against
 axiom_planes, which decides the nine axioms for every pair at once, and
-build_sub_d_locale decides them for one pair.  The lattice of the admitted
-pairs works on prime mask pairs (joins are ORs, and its join and meet tables
-are lookups checked against its order); member_plane decides a law for all
-its members at once in the parent's index space, as quotient_epis does.
+build_sub_d_locale decides them for one pair.  The lattice holds the admitted
+pairs as positions in the two sublocale lists, and every per-member array
+is a gather from one row per sublocale.  It works on prime mask pairs (joins
+are ORs, and its join and meet tables are lookups checked against its
+order); member_plane decides a law for all its members at once in the
+parent's index space, as quotient_epis does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _partner_bound, _memo
+from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _image, _memo, _partner_bound
 from .errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, enumerate_sublocales
 from .order import _bool_matmul, _distributivity_witness, _frozen, cover_relation
@@ -35,14 +37,12 @@ class SubDLocale:
         self.plus = plus
 
     @cached_property
-    def con(self) -> np.ndarray:
-        self.con, self.tot = induced_relations(self.parent, self.minus, self.plus)
-        return self.con
+    def relations(self) -> tuple:
+        """(con, tot), from induced_relations."""
+        return induced_relations(self.parent, self.minus, self.plus)
 
-    @cached_property
-    def tot(self) -> np.ndarray:
-        self.con, self.tot = induced_relations(self.parent, self.minus, self.plus)
-        return self.tot
+    con = property(lambda self: self.relations[0])
+    tot = property(lambda self: self.relations[1])
 
     @cached_property
     def label(self) -> str:
@@ -94,23 +94,13 @@ def induced_relations(parent: DFrame, minus: Sublocale, plus: Sublocale):
     of parent tot, which always equals the restriction.  A failed check
     raises BrokenInvariant.  Both come back read-only.
     """
-    # a quotient value is a member, so its position is its rank among the
-    # sorted members
-    pos_m = np.searchsorted(minus.members, minus.quotient)
-    pos_p = np.searchsorted(plus.members, plus.quotient)
-
-    con = np.zeros((len(plus.members), len(minus.members)), dtype=bool)
-    ps, ms = np.where(parent.con)
-    con[pos_p[ps], pos_m[ms]] = True
-
-    tot = np.zeros((len(minus.members), len(plus.members)), dtype=bool)
-    ms, ps = np.where(parent.tot)
-    tot[pos_m[ms], pos_p[ps]] = True
-    restriction = _restrict(parent.tot, minus, plus)
-    if not (tot == restriction).all():
+    # a quotient value is a member, so each image lies on the member rows
+    # and columns, which it is gathered on
+    con = _image(parent.con, plus.quotient[None], minus.quotient[None], parent.con.shape)[0]
+    tot = _image(parent.tot, minus.quotient[None], plus.quotient[None], parent.tot.shape)[0]
+    if (tot != (parent.tot & minus.member_vector[:, None] & plus.member_vector)).any():
         raise BrokenInvariant("quotient image of tot must equal its restriction")
-    con.flags.writeable = tot.flags.writeable = False
-    return con, tot
+    return _restrict(con, plus, minus), _restrict(tot, minus, plus)
 
 
 def _restrict(relation: np.ndarray, rows: Sublocale, cols: Sublocale) -> np.ndarray:
@@ -144,32 +134,56 @@ def join_sub_d_locales(a: SubDLocale, b: SubDLocale) -> SubDLocale:
 
 class SubDLocaleLattice:
     """The enumerated lattice of sub-d-locales of one parent, in prime
-    coordinates: masks[k] holds member k's minus primes below its plus
-    primes, and by_mask[m] is the member with mask pair m, or -1.  Members
-    are closed under OR, so a join is the OR of two masks and a meet the
-    largest member inside their AND; leq, from the member sets, checks both.
+    coordinates.  pairs[k] holds member k's positions in the two sublocale
+    lists, and per-member arrays are gathers of per-sublocale rows: masks[k]
+    holds member k's minus primes below its plus primes, and by_mask[m] is
+    the member with mask pair m, or -1.  Members are closed under OR, so a
+    join is the OR of two masks and a meet the largest member inside their
+    AND; leq, from the member sets, checks both.
     """
 
-    def __init__(self, parent: DFrame, members: list[SubDLocale]):
+    def __init__(self, parent: DFrame, pairs):
         self.parent = parent
-        self.members = tuple(members)
-        n, shift = len(members), len(parent.minus.primes)
-        self.masks = _frozen(np.array([self.mask_of(s.minus, s.plus) for s in members], np.int64))
+        self.pairs = _frozen(np.array(pairs, dtype=np.intp).reshape(-1, 2))
+        # all of both sides: the pair guard has bounded their product
+        self.sublocales = tuple(enumerate_sublocales(lat, 2 ** len(lat.primes))
+                                for lat in (parent.minus, parent.plus))
+        minus, plus = self.stacks("mask")
+        shift = len(parent.minus.primes)
+        self.masks = _frozen(minus | plus << shift)
         self.by_mask = np.full(2 ** (shift + len(parent.plus.primes)), -1, dtype=np.int64)
-        self.by_mask[self.masks] = np.arange(n)
+        self.by_mask[self.masks] = np.arange(self.n)
         self.by_mask.flags.writeable = False
-        minus, plus = member_stacks(self, "member_vector")
-        # componentwise inclusion, as SubDLocale.leq: no member of i lies outside j
-        self.leq = ~_bool_matmul(minus, ~minus.T) & ~_bool_matmul(plus, ~plus.T)
-        self.leq.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.members)
+        return len(self.pairs)
+
+    def rows(self, attr: str) -> list:
+        """[minus, plus]: attr (quotient, member_vector, mask or label) of
+        every sublocale of that side, one row per sublocale, built once."""
+        return _memo(self, f"_{attr}_rows", lambda ds: [
+            _frozen(np.array([getattr(s, attr) for s in subs])) for subs in ds.sublocales])
+
+    def stacks(self, attr: str) -> list:
+        """[minus, plus]: attr of the members' components, one row per member."""
+        return [rows[at] for rows, at in zip(self.rows(attr), self.pairs.T)]
+
+    @cached_property
+    def members(self) -> tuple:
+        """The members as SubDLocales, built on first use."""
+        minus, plus = self.sublocales
+        return tuple(SubDLocale(self.parent, minus[i], plus[j]) for i, j in self.pairs.tolist())
 
     @cached_property
     def labels(self) -> tuple:
-        return tuple(s.label for s in self.members)
+        return tuple(f"{minus}.{plus}" for minus, plus in zip(*self.stacks("label")))
+
+    @cached_property
+    def leq(self) -> np.ndarray:
+        """Componentwise inclusion, as SubDLocale.leq: no member of i lies outside j."""
+        minus, plus = self.stacks("member_vector")
+        return _frozen(~_bool_matmul(minus, ~minus.T) & ~_bool_matmul(plus, ~plus.T))
 
     @cached_property
     def below_mask(self) -> np.ndarray:
@@ -304,15 +318,14 @@ def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = 400) -> SubDLocaleL
 
 
 def _enumerate(parent: DFrame, max_pairs: int) -> SubDLocaleLattice:
-    subs_minus = enumerate_sublocales(parent.minus, max_pairs)
-    subs_plus = enumerate_sublocales(parent.plus, max_pairs)
-    found = [SubDLocale(parent, subs_minus[i], subs_plus[j])
-             for i, j in np.argwhere(admission_matrix(parent, subs_minus, subs_plus))]
-    found.sort(key=lambda s: (
-        len(s.minus.members) + len(s.plus.members),
-        s.minus.members, s.plus.members,
-    ))
-    return SubDLocaleLattice(parent, found)
+    subs = [enumerate_sublocales(lat, max_pairs) for lat in (parent.minus, parent.plus)]
+    i, j = np.nonzero(admission_matrix(parent, *subs))
+    # per side, the member counts and the ranks of the member tuples (the
+    # inverse of the permutation that sorts them)
+    sizes = [np.array([len(s.members) for s in side]) for side in subs]
+    ranks = [np.argsort(sorted(range(len(side)), key=lambda k: side[k].members)) for side in subs]
+    order = np.lexsort((ranks[1][j], ranks[0][i], sizes[0][i] + sizes[1][j]))
+    return SubDLocaleLattice(parent, np.stack([i, j], axis=1)[order])
 
 
 def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
@@ -361,26 +374,11 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     return _frozen(planes.reshape(9, len(qm), len(qp)))
 
 
-def _image(rel: np.ndarray, q_rows: np.ndarray, q_cols: np.ndarray) -> np.ndarray:
-    """[t]: rel's image under q_rows[t] on its rows and q_cols[t] on its columns."""
-    image = np.zeros((len(q_rows), *rel.shape), dtype=bool)
-    rows, cols = np.nonzero(rel)
-    image[np.arange(len(q_rows))[:, None], q_rows[:, rows], q_cols[:, cols]] = True
-    return image
-
-
-def member_stacks(ds: SubDLocaleLattice, attr: str = "quotient") -> list:
-    """[minus, plus]: attr (quotient or member_vector) of the members'
-    components, one row per member."""
-    return [np.array([getattr(getattr(s, side), attr) for s in ds.members]).reshape(ds.n, lat.n)
-            for side, lat in (("minus", ds.parent.minus), ("plus", ds.parent.plus))]
-
-
 def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
     """[k]: law(at, qm, qp, box) on member k, for chunks `at` of the members
     as axiom_planes takes pairs: qm and qp stack the chunk's quotients, and
     box[t] holds the minus x plus cells of the elements both fix."""
-    (qm, qp), Lm, Lp = member_stacks(ds), ds.parent.minus, ds.parent.plus
+    (qm, qp), Lm, Lp = ds.stacks("quotient"), ds.parent.minus, ds.parent.plus
     plane, step = np.empty(ds.n, dtype=bool), max(1, _SCAN_BLOCK // (16 * Lm.n * Lp.n))
     for at in (slice(s, s + step) for s in range(0, ds.n, step)):
         box = (qm[at] == np.arange(Lm.n))[:, :, None] & (qp[at] == np.arange(Lp.n))[:, None]
@@ -392,17 +390,18 @@ def quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
     """[k]: is_extremal_epi(ds.members[k].quotient_hom()), decided in the
     parent's index space: each quotient hits exactly its member set, and the
     image of tot is its restriction (that of con is member k's con)."""
-    tot, (vm, vp) = ds.parent.tot, member_stacks(ds, "member_vector")
+    tot, (vm, vp) = ds.parent.tot, ds.stacks("member_vector")
     return member_plane(ds, lambda at, qm, qp, box: (
         ((qm[:, :, None] == np.arange(ds.parent.minus.n)).any(axis=1) == vm[at]).all(axis=1)
         & ((qp[:, :, None] == np.arange(ds.parent.plus.n)).any(axis=1) == vp[at]).all(axis=1)
-        & (_image(tot, qm, qp) == tot & box).all(axis=(1, 2))))
+        & (_image(tot, qm, qp, tot.shape) == tot & box).all(axis=(1, 2))))
 
 
 def _pair_planes(parent: DFrame, qm: np.ndarray, qp: np.ndarray) -> list:
     """The first eight planes of the pairs whose quotients are qm's and qp's rows."""
     Lm, Lp, at = parent.minus, parent.plus, np.arange(len(qm))
-    con, tot = _image(parent.con, qp, qm), _image(parent.tot, qm, qp)
+    con = _image(parent.con, qp, qm, parent.con.shape)
+    tot = _image(parent.tot, qm, qp, parent.tot.shape)
     box = (qm == np.arange(Lm.n))[:, :, None] & (qp == np.arange(Lp.n))[:, None, :]  # members
     if (tot != (parent.tot & box)).any():
         raise BrokenInvariant("quotient image of tot must equal its restriction")

@@ -19,7 +19,6 @@ from .density import (
     is_skeletal, pseudocomplements,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
-from .frames import enumerate_sublocales
 from .order import _bool_matmul
 from . import subdlocale
 # Nothing calls build_sub_d_locale through this binding: the sweep's second
@@ -89,7 +88,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
         sweep.check(f"{name}: sub-d-locale sweep skipped (size guard)", True)
         return
 
-    dense, (qm, qp) = dense_members(ds), subdlocale.member_stacks(ds)
+    dense, (qm, qp) = dense_members(ds), ds.stacks("quotient")
     core_mask = ds.mask_of(core.core.minus, core.core.plus)
     sweep.check(f"{name}: dense core below every dense sub-d-locale",
                 ((ds.masks[dense] & core_mask) == core_mask).all())
@@ -100,10 +99,9 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
 
     # On every pair: the axiom planes (which check that induced tot is the
     # restriction) admit exactly the members, and pairs holding the double sets are dense.
-    subs_minus, subs_plus = (enumerate_sublocales(f, max_pairs) for f in (df.minus, df.plus))
     # through the module, so a patched or traced binding sees it
-    planes = subdlocale.axiom_planes(df, subs_minus, subs_plus)
-    m_minus, m_plus = (np.array([s.mask for s in subs]) for subs in (subs_minus, subs_plus))
+    planes = subdlocale.axiom_planes(df, *ds.sublocales)
+    m_minus, m_plus = ds.rows("mask")
     admitted = (m_minus[:, None] | m_plus << len(df.minus.primes))[planes.all(axis=0)]
     sweep.check(f"{name}: axiom route admits the members, induced tot equals restriction",
                 np.array_equal(np.sort(admitted), np.sort(ds.masks)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dframes import density, subdlocale
+from dframes import density
 from dframes.dframe import DFrame, DFrameHom, minimal_dframe, symmetric_dframe
 from dframes.documents import dframe_from_spec
 from dframes.density import (
@@ -115,16 +115,16 @@ def test_dense_members_raise_when_the_restriction_route_disagrees(monkeypatch):
     # image of con is con itself, so the restriction route alone calls it dense
     ds = enumerate_sub_d_locales(three_three())
     k = ds.labels.index("1.1")
-    original = subdlocale.member_stacks
+    gather = ds.stacks
 
-    def whole_at_k(lattice, attr="quotient"):
-        stacks = original(lattice, attr)
+    def whole_at_k(attr):
+        stacks = gather(attr)
         if attr == "quotient":
             for stack in stacks:
                 stack[k] = np.arange(stack.shape[1])
         return stacks
 
-    monkeypatch.setattr(subdlocale, "member_stacks", whole_at_k)
+    monkeypatch.setattr(ds, "stacks", whole_at_k)
     with pytest.raises(CharacterizationMismatch,
                        match=r"disagree on 1\.1: restriction=True, containment=False"):
         dense_members(ds)

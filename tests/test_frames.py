@@ -239,6 +239,44 @@ def test_sublocale_join_meet():
         cc.meet_with(one_sublocale(B4))
 
 
+def same_names_other_order():
+    """D3 and D4 of the 4-element pool, which both name their elements
+    x0..x3, and a rebuild of D3 with the same names and order."""
+    pool = {f.name: f for f in frame_pool(4)}
+    d3, d4 = pool["D3"], pool["D4"]
+    assert d3.elements == d4.elements and not np.array_equal(d3.leq, d4.leq)
+    rebuilt = Frame(Lattice(d3.elements, d3.leq))
+    assert rebuilt is not d3
+    return d3, d4, rebuilt
+
+
+def test_compose_compares_the_carriers_order():
+    d3, d4, rebuilt = same_names_other_order()
+    with pytest.raises(CarrierMismatch):
+        FrameHom.identity(d4).compose(FrameHom.identity(d3))
+    assert FrameHom.identity(rebuilt).compose(FrameHom.identity(d3)).is_hom
+
+
+def test_frame_hom_equality_compares_the_carriers_order():
+    d3, d4, rebuilt = same_names_other_order()
+    assert FrameHom.identity(d3) != FrameHom.identity(d4)
+    assert FrameHom.identity(d3) == FrameHom.identity(rebuilt)
+
+
+def test_sublocale_equality_compares_the_carriers_order():
+    d3, d4, rebuilt = same_names_other_order()
+    assert whole_sublocale(d3) != whole_sublocale(d4)
+    assert whole_sublocale(d3) == whole_sublocale(rebuilt)
+
+
+def test_sublocale_join_and_meet_compare_the_carriers_order():
+    d3, d4, rebuilt = same_names_other_order()
+    for op in ("join_with", "meet_with"):
+        with pytest.raises(CarrierMismatch):
+            getattr(whole_sublocale(d3), op)(whole_sublocale(d4))
+        assert getattr(whole_sublocale(d3), op)(whole_sublocale(rebuilt)) == whole_sublocale(d3)
+
+
 def join_by_frontier(s, t):
     """All meets of subsets of the union, grown from the union one round of
     binary meets at a time.  The reference for Sublocale.join_with."""

@@ -51,7 +51,6 @@ from dframes.subdlocale import (
     hasse_dot,
     induced_relations,
     join_sub_d_locales,
-    member_stacks,
     quotient_epis,
     try_sub_d_locale,
 )
@@ -395,12 +394,12 @@ def test_quotient_epis_reject_a_tot_image_that_is_not_the_restriction():
     # can leave its restriction; the per-member route raises there.
     verdicts = Counter()
     for base in (three_three(), documents.dframe_from_spec("sym:bool:2")):
-        members = enumerate_sub_d_locales(base).members
+        pairs = enumerate_sub_d_locales(base).pairs
         for cell in np.ndindex(base.tot.shape):
             tot = base.tot.copy()
             tot[cell] = not tot[cell]
             bad = DFrame(base.minus, base.plus, base.con, tot, name=f"{base.name} tot{cell}")
-            ds = SubDLocaleLattice(bad, [SubDLocale(bad, m.minus, m.plus) for m in members])
+            ds = SubDLocaleLattice(bad, pairs)
             for m, batched in zip(ds.members, quotient_epis(ds)):
                 try:
                     expected = is_extremal_epi(m.quotient_hom())
@@ -423,14 +422,16 @@ def test_a_quotient_missing_a_member_element_fails_the_epi_verdict(monkeypatch, 
     lat = (tt.minus, tt.plus)[side]
     x = lat.idx("c")  # a member of c(c) on both sides, below the top
 
-    def missing(lattice, attr="quotient"):
-        stacks = member_stacks(lattice, attr)
-        if attr == "quotient" and lattice is ds:
+    gather = ds.stacks
+
+    def missing(attr):
+        stacks = gather(attr)
+        if attr == "quotient":
             stacks[side][k][stacks[side][k] == x] = lat.top  # nothing reaches x
         return stacks
 
     assert x in (ds.members[k].minus, ds.members[k].plus)[side].members
-    monkeypatch.setattr(subdlocale, "member_stacks", missing)
+    monkeypatch.setattr(ds, "stacks", missing)
     assert list(np.flatnonzero(~quotient_epis(ds))) == [k]
     sweep = Sweep()
     sweep_dframe(tt, sweep)
@@ -498,7 +499,7 @@ def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
 
 def test_index_of_rejects_non_members():
     ds = enumerate_sub_d_locales(three_three())
-    partial = SubDLocaleLattice(ds.parent, ds.members[:-1])
+    partial = SubDLocaleLattice(ds.parent, ds.pairs[:-1])
     assert partial.index_of(ds.members[0]) == 0
     with pytest.raises(KeyError):
         partial.index_of(ds.members[-1])
@@ -511,7 +512,7 @@ DENSE_MEET_VERDICT = "3.3: meets of dense members are dense intersections"
 def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch):
     tt = three_three()
     ds = enumerate_sub_d_locales(tt)
-    partial = SubDLocaleLattice(tt, ds.members[:-1])  # drops the whole pair 3.3
+    partial = SubDLocaleLattice(tt, ds.pairs[:-1])  # drops the whole pair 3.3
     lbl = list(partial.labels)
     i, j = lbl.index("3.c(c)"), lbl.index("3.o(c)")  # their join is 3.3
     with pytest.raises(BrokenInvariant, match="not a member"):
@@ -519,7 +520,7 @@ def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch
     with pytest.raises(BrokenInvariant, match="not a member"):
         partial.top
     with pytest.raises(BrokenInvariant, match="not a member"):
-        SubDLocaleLattice(tt, ds.members[1:]).bottom  # drops the one-point pair 1.1
+        SubDLocaleLattice(tt, ds.pairs[1:]).bottom  # drops the one-point pair 1.1
     monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", lambda df, **guards: partial)
     sweep = Sweep()
     sweep_dframe(tt, sweep)
@@ -580,7 +581,7 @@ def test_bounds_check_survives_optimised_python():
 def test_handed_out_arrays_are_frozen():
     tt = three_three()
     lazy = enumerate_sub_d_locales(tt).members[4]
-    assert "con" not in vars(lazy) and "tot" not in vars(lazy)
+    assert "relations" not in vars(lazy)
     lazy.tot  # builds con with it
     assert lazy.as_dframe.con is lazy.con and lazy.as_dframe.tot is lazy.tot
     sub = closed_sublocale(tt.minus, "c")
@@ -601,7 +602,7 @@ def test_handed_out_arrays_are_frozen():
                        (tt, 4), (swapped, 4), (saturation_nucleus(swapped), 1),
                        (swap_core.core, 2), (swap_core.nu_minus, 1), (lazy, 2),
                        (lazy.as_dframe, 2)):
-        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        arrays = held_arrays(obj)
         assert len(arrays) == count
         assert not any(a.flags.writeable for a in arrays)
     assert vars(swapped)["_pseudocomplements"] is handed_out[1]
@@ -762,7 +763,7 @@ def test_witness_found_late(witness, violations):
     ds = enumerate_sub_d_locales(three_three())
     bad = sorted({a for a, _, _ in violations(ds)})
     order = [k for k in range(ds.n) if k not in bad] + bad
-    late = SubDLocaleLattice(ds.parent, [ds.members[k] for k in order])
+    late = SubDLocaleLattice(ds.parent, ds.pairs[order])
     found = getattr(late, witness)()
     assert found == loop_witness(late, violations)
     assert late.labels.index(found[0]) == ds.n - len(bad) > 0
@@ -867,18 +868,46 @@ def test_a_join_cell_missing_from_a_partial_lattice_is_a_broken_invariant():
     # 3.3 is the least upper bound left in the order
     ds = enumerate_sub_d_locales(three_three())
     keep = [ds.labels.index(label) for label in ("1.1", "c(c).c(c)", "o(c).c(c)", "3.3")]
-    partial = SubDLocaleLattice(ds.parent, [ds.members[k] for k in keep])
+    partial = SubDLocaleLattice(ds.parent, ds.pairs[keep])
     with pytest.raises(BrokenInvariant, match="must have unique joins"):
         partial.join_table
 
 
+def held_arrays(obj):
+    """The arrays among obj's attributes, and inside its tuples and lists."""
+    return [a for v in vars(obj).values() for a in (v if isinstance(v, (tuple, list)) else (v,))
+            if isinstance(a, np.ndarray)]
+
+
 def test_lattice_arrays_are_frozen():
     ds = enumerate_sub_d_locales(three_three())
-    ds.join_table, ds.meet_table, ds.covers  # materialise the cached arrays
-    # leq, the two tables, covers, the masks and the two mask lookups
-    arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
+    # materialise the cached arrays and every table of per-sublocale rows
+    ds.join_table, ds.meet_table, ds.covers, ds.labels
+    for attr in ("quotient", "member_vector", "mask", "label"):
+        ds.rows(attr)
+    arrays = held_arrays(ds)
+    assert any(a is ds.pairs for a in arrays) and any(a is ds.leq for a in arrays)
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_members_come_in_the_canonical_order():
+    # the admitted pairs sorted by total member count, then the minus and
+    # the plus member tuples: the order reports and diagrams list them in
+    lattices, members = 0, 0
+    for df in standard_corpus(5) + [three_three()]:
+        try:
+            ds = enumerate_sub_d_locales(df)
+        except SizeGuardExceeded:
+            continue
+        subs_minus, subs_plus = ds.sublocales
+        admitted = [SubDLocale(df, subs_minus[i], subs_plus[j])
+                    for i, j in np.argwhere(admission_matrix(df, subs_minus, subs_plus))]
+        admitted.sort(key=lambda s: (len(s.minus.members) + len(s.plus.members),
+                                     s.minus.members, s.plus.members))
+        assert list(ds.members) == admitted, df.name
+        assert ds.labels == tuple(s.label for s in admitted)
+        lattices, members = lattices + 1, members + ds.n
+    assert (lattices, members) == (59, 2274)
 
 
 def image_relations(parent, minus, plus):
