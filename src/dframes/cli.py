@@ -18,7 +18,8 @@ from . import documents
 from .density import classify, dense_core, dense_members, is_dense_sub_d_locale, is_dually_subfit
 from .dframe import dense_hom_witness, is_dense_hom
 from .errors import DFramesError, InvalidDFrame, NotASubDLocale, SizeGuardExceeded
-from .fixtures import componentwise_dense_counterexample
+from .fixtures import (componentwise_dense_counterexample, double_negation_without_excluded_middle,
+                       incorrigible_minimal, three_three)
 from .reports import Report
 from .search import frame_pool, mine, random_dframe, standard_corpus
 from .subdlocale import enumerate_sub_d_locales
@@ -219,11 +220,6 @@ def cmd_props(args, out) -> int:
     })
     if args.target == "corpus":
         corpus = standard_corpus(args.corpus_size)
-        from .fixtures import (
-            double_negation_without_excluded_middle,
-            incorrigible_minimal,
-            three_three,
-        )
         corpus += [three_three(), double_negation_without_excluded_middle(),
                    incorrigible_minimal()]
     else:

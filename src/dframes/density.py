@@ -102,7 +102,7 @@ def galois_check(df: DFrame) -> GaloisReport:
             if to_op[dbl[a]] != to_op[a]:
                 rep.note(f"{side} triple equals single", (lat.elements[a],))
 
-        bad = np.triu(to_op[lat.join] != other.meet[np.ix_(to_op, to_op)], 1)  # pairs i < j
+        bad = np.triu(to_op[lat.join] != other.meet[to_op[:, None], to_op], 1)  # pairs i < j
         if to_op[lat.bottom] != other.top:
             rep.note(f"{side} join to meet", ())
         elif bad.any():
@@ -305,9 +305,9 @@ def _corrigibility_conditions(df: DFrame) -> dict:
     conds[_CONDITION_NAMES[2]] = bool(
         (lat.leq[:, double] == order).all()  # b <= a^.. iff b below a
     )
-    conds[_CONDITION_NAMES[3]] = bool((double[lat.meet] == lat.meet[np.ix_(double, double)]).all())
+    conds[_CONDITION_NAMES[3]] = bool((double[lat.meet] == lat.meet[double[:, None], double]).all())
     conds[_CONDITION_NAMES[4]] = bool(
-        (single[lat.meet] == single[lat.meet[np.ix_(double, np.arange(lat.n))]]).all()
+        (single[lat.meet] == single[lat.meet[double]]).all()
     )
     conds[_CONDITION_NAMES[5]] = bool(  # con[x, a /\ b] gives con[x, a^.. /\ b]
         (~con[:, lat.meet] | con[:, lat.meet[double, :]]).all()
@@ -332,7 +332,7 @@ def is_skeletal(hom: DFrameHom) -> bool:
 def _carries_preorder(hom: DFrameHom) -> bool:
     """The minus component carries the minus preorders into each other."""
     f = hom.minus.mapping
-    return bool((~con_preorder(hom.dom) | con_preorder(hom.cod)[np.ix_(f, f)]).all())
+    return bool((~con_preorder(hom.dom) | con_preorder(hom.cod)[f[:, None], f]).all())
 
 
 def dense_core_map(hom: DFrameHom) -> DFrameHom:

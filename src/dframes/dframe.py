@@ -354,10 +354,13 @@ class DFrameHom:
         return not self.violations()
 
     def __eq__(self, other):
+        """Equal component maps between d-frames with equal relations."""
         return (
             isinstance(other, DFrameHom)
             and self.minus == other.minus
             and self.plus == other.plus
+            and all(a is b or ((a.con == b.con).all() and (a.tot == b.tot).all())
+                    for a, b in ((self.dom, other.dom), (self.cod, other.cod)))
         )
 
     def __hash__(self):
@@ -431,8 +434,8 @@ def image_factorization(hom: DFrameHom) -> Factorization:
             and (con_image == hom.cod.con).all() and (tot_image == hom.cod.tot).all()):
         image = hom.cod
     else:
-        image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[np.ix_(ip, im)]),
-                       _frozen(tot_image[np.ix_(im, ip)]), name=f"im({hom.name})")
+        image = DFrame(onto_m.cod, onto_p.cod, _frozen(con_image[ip[:, None], im]),
+                       _frozen(tot_image[im[:, None], ip]), name=f"im({hom.name})")
     image.assert_valid()  # a map pair that is no homomorphism fails here
     onto = DFrameHom(hom.dom, image, onto_m, onto_p, name=f"{hom.name}-onto")
     embedding = DFrameHom(image, hom.cod, incl_m, incl_p, name=f"{hom.name}-incl")

@@ -19,7 +19,8 @@ import json
 
 import numpy as np
 
-from .dframe import DFrame, close_con_generators, close_tot_generators
+from .dframe import (DFrame, close_con_generators, close_tot_generators, minimal_dframe,
+                     symmetric_dframe)
 from .errors import ParseError, SizeGuardExceeded, UnknownSpec
 from .frames import Frame
 from .order import Lattice
@@ -196,8 +197,6 @@ def dframe_from_spec(spec: str) -> DFrame:
     is the d-frame called 3.3; ``sym:chain:3`` is the symmetric d-frame on
     the 3-chain.
     """
-    from .dframe import minimal_dframe, symmetric_dframe
-
     parts = spec.strip().split(":")
     if not parts or parts == [""]:
         raise UnknownSpec("empty spec")

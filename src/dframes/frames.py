@@ -43,7 +43,7 @@ class Frame(Lattice):
         sub-frame (closure the identity) of a frame is a frame, so nothing is
         checked or rebuilt; the tests compare the result with the rebuild."""
         sub = np.asarray(members)
-        block = np.ix_(sub, sub)
+        block = sub[:, None], sub
         leq = _frozen(self.leq[block])
         lattice = Lattice.__new__(Lattice)
         vars(lattice).update(
@@ -68,7 +68,7 @@ class Frame(Lattice):
         prime above it; each such prime is an implication into the element."""
         primes = list(self.primes)
         above = self.leq[:, primes]
-        strictly_below = self.leq[np.ix_(primes, primes)] & ~np.eye(len(primes), dtype=bool)
+        strictly_below = above[primes] & ~np.eye(len(primes), dtype=bool)
         rows = np.packbits(above & ~_bool_matmul(above, strictly_below), axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
@@ -144,7 +144,7 @@ class FrameHom:
         if f[dom.top] != cod.top:
             out.append(LawViolation("top", (dom.elements[dom.top],)))
         for law, table_d, table_c in (("meet", dom.meet, cod.meet), ("join", dom.join, cod.join)):
-            bad = f[table_d] != table_c[np.ix_(f, f)]
+            bad = f[table_d] != table_c[f[:, None], f]
             if bad.any():
                 i, j = next(zip(*np.where(bad)))
                 out.append(LawViolation(law, (dom.elements[i], dom.elements[j])))
@@ -242,7 +242,7 @@ class Sublocale:
         if not mem[F.top]:
             return ("top", ())
         sub = np.asarray(self.members)
-        meets = F.meet[np.ix_(sub, sub)]
+        meets = F.meet[sub[:, None], sub]
         if not mem[meets].all():
             i, j = next(zip(*np.where(~mem[meets])))
             return ("meet", (F.elements[sub[i]], F.elements[sub[j]]))
@@ -330,7 +330,7 @@ class Nucleus:
 
     def violation(self):
         F, j = self.frame, self.mapping
-        mono = F.leq & ~F.leq[np.ix_(j, j)]
+        mono = F.leq & ~F.leq[j[:, None], j]
         if mono.any():
             a, b = next(zip(*np.where(mono)))
             return ("monotone", (F.elements[a], F.elements[b]))
@@ -340,7 +340,7 @@ class Nucleus:
         if not (j[j] == j).all():
             a = int(np.where(j[j] != j)[0][0])
             return ("idempotent", (F.elements[a],))
-        bad = j[F.meet] != F.meet[np.ix_(j, j)]
+        bad = j[F.meet] != F.meet[j[:, None], j]
         if bad.any():
             a, b = next(zip(*np.where(bad)))
             return ("meet-preserving", (F.elements[a], F.elements[b]))

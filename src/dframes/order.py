@@ -84,7 +84,7 @@ def _distributivity_witness(meet: np.ndarray, join: np.ndarray):
     """The first index triple (a, b, c) in row-major order violating
     a∧(b∨c) = (a∧b)∨(a∧c) in the given tables, or None."""
     for a in range(len(meet)):
-        bad = meet[a, join] != join[np.ix_(meet[a], meet[a])]
+        bad = meet[a, join] != join[meet[a][:, None], meet[a]]
         if bad.any():
             b, c = np.argwhere(bad)[0]
             return (a, int(b), int(c))

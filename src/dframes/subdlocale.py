@@ -308,16 +308,12 @@ def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = 400) -> SubDLocaleL
     Each side has 2^|primes| sublocales, so more than max_pairs pairs are
     refused before any is enumerated.  Canonical order is by total member
     count, then componentwise member tuples, which makes reports and
-    diagrams reproducible.  The lattice is built once per d-frame; a
-    refused size is not remembered, so it raises on every call.
+    diagrams reproducible.  Every call builds a fresh lattice, which lives
+    as long as its caller holds it.
     """
     pairs = 2 ** (len(parent.minus.primes) + len(parent.plus.primes))
     if pairs > max_pairs:
         raise SizeGuardExceeded(f"{pairs} sublocale pairs exceed the guard of {max_pairs}")
-    return _memo(parent, "_sub_d_locales", lambda df: _enumerate(df, max_pairs))
-
-
-def _enumerate(parent: DFrame, max_pairs: int) -> SubDLocaleLattice:
     subs = [enumerate_sublocales(lat, max_pairs) for lat in (parent.minus, parent.plus)]
     i, j = np.nonzero(admission_matrix(parent, *subs))
     # per side, the member counts and the ranks of the member tuples (the
@@ -446,7 +442,8 @@ def _law_plane(order_ok, rel, row_op, col_op, by_cols, nullary) -> np.ndarray:
 def _lookup_table(lookup: np.ndarray, masks: np.ndarray, op) -> np.ndarray:
     """[i, j] = lookup[op(masks[i], masks[j])], a block of rows at a time."""
     n = len(masks)
-    table, step = np.empty((n, n), dtype=np.int64), max(1, _SCAN_BLOCK // max(1, n))
+    table = np.empty((n, n), dtype=np.min_scalar_type(-n))  # signed: -1 marks a non-member
+    step = max(1, _SCAN_BLOCK // max(1, n))
     for s in range(0, n, step):
         table[s:s + step] = lookup[op(masks[s:s + step, None], masks)]
     return table

@@ -19,6 +19,7 @@ from .density import (
     is_skeletal, pseudocomplements,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
+from .fixtures import componentwise_dense_counterexample
 from .order import _bool_matmul
 from . import subdlocale
 # Nothing calls build_sub_d_locale through this binding: the sweep's second
@@ -188,8 +189,6 @@ def standard_morphisms(dframes) -> tuple[list, list]:
     quotients, the sub-d-locale quotients of the smaller members, the
     componentwise-dense counterexample, and the composable combinations.
     """
-    from .fixtures import componentwise_dense_counterexample
-
     morphisms = []
     pairs = []
     for df in dframes:

@@ -238,6 +238,17 @@ def test_image_factorization_identity():
     assert fac.embedding.compose(fac.onto) == DFrameHom.identity(tt)
 
 
+def test_homs_between_d_frames_with_different_relations_differ():
+    # the same frames and component maps, but the two con relations differ
+    low, high = minimal_dframe(B4, B4), symmetric_dframe(B4)
+    assert (low.con != high.con).any()
+    assert DFrameHom.identity(low) != DFrameHom.identity(high)
+    # equal relations on distinct objects still compare equal, and hash alike
+    again = minimal_dframe(B4, B4)
+    assert again is not low and DFrameHom.identity(again) == DFrameHom.identity(low)
+    assert hash(DFrameHom.identity(again)) == hash(DFrameHom.identity(low))
+
+
 def test_image_factorization_of_quotient_is_the_sub_d_locale():
     tt = three_three()
     ds = enumerate_sub_d_locales(tt)

@@ -1,9 +1,11 @@
+import gc
 import io
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from functools import cached_property, reduce
 from itertools import combinations
@@ -143,18 +145,31 @@ def test_size_guard():
             enumerate_sub_d_locales(tt, max_pairs=3)
 
 
-def test_lattice_is_memoised_per_guard():
+def test_each_call_builds_a_lattice_its_caller_alone_holds():
     # 3.3 has 2^(2+2) = 16 sublocale pairs: any guard from 16 up passes and
-    # returns the one lattice; a smaller one raises on every call
+    # builds an equal lattice; a smaller one raises on every call
     tt = three_three()
     ds = enumerate_sub_d_locales(tt)
-    assert enumerate_sub_d_locales(tt, max_pairs=400) is ds
-    assert enumerate_sub_d_locales(tt, max_pairs=16) is ds
+    for max_pairs in (400, 16, 100):
+        again = enumerate_sub_d_locales(tt, max_pairs=max_pairs)
+        assert again is not ds
+        assert np.array_equal(again.pairs, ds.pairs) and again.labels == ds.labels
     for _ in range(2):
         with pytest.raises(SizeGuardExceeded):
             enumerate_sub_d_locales(tt, max_pairs=15)
-    assert enumerate_sub_d_locales(tt, max_pairs=100) is ds
-    assert enumerate_sub_d_locales(three_three()) is not ds
+    # nothing on the d-frame keeps a lattice alive once its caller drops it
+    alive = weakref.ref(ds)
+    del ds, again
+    gc.collect()
+    assert alive() is None
+
+
+def test_join_and_meet_tables_hold_the_narrowest_signed_type():
+    # signed, so that a missing member's -1 still fails the certificate
+    for chain, n, expected in ((3, 10, np.int8), (4, 50, np.int8), (5, 226, np.int16)):
+        ds = enumerate_sub_d_locales(minimal_dframe(Frame.chain(chain), Frame.chain(chain)))
+        assert ds.n == n
+        assert ds.join_table.dtype == ds.meet_table.dtype == expected
 
 
 def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
@@ -302,10 +317,9 @@ def test_axiom_planes_agree_across_chunk_sizes(monkeypatch):
 def test_enumeration_refuses_an_invalid_parent(fixture_dir):
     bad = documents.load_path(str(fixture_dir / "bad_contot.json"), strict=True)
     assert not bad.validate().ok
-    with pytest.raises(InvalidDFrame):
-        subdlocale._enumerate(bad, 400)
-    with pytest.raises(InvalidDFrame):
-        enumerate_sub_d_locales(bad)
+    for _ in range(2):  # a refusal is not remembered either
+        with pytest.raises(InvalidDFrame):
+            enumerate_sub_d_locales(bad)
 
 
 def _count_calls(monkeypatch, original):
@@ -422,16 +436,16 @@ def test_a_quotient_missing_a_member_element_fails_the_epi_verdict(monkeypatch, 
     lat = (tt.minus, tt.plus)[side]
     x = lat.idx("c")  # a member of c(c) on both sides, below the top
 
-    gather = ds.stacks
+    gather = SubDLocaleLattice.stacks
 
-    def missing(attr):
-        stacks = gather(attr)
-        if attr == "quotient":
+    def missing(lattice, attr):
+        stacks = gather(lattice, attr)
+        if attr == "quotient" and lattice.parent is tt:  # every lattice of tt, the sweep's too
             stacks[side][k][stacks[side][k] == x] = lat.top  # nothing reaches x
         return stacks
 
     assert x in (ds.members[k].minus, ds.members[k].plus)[side].members
-    monkeypatch.setattr(ds, "stacks", missing)
+    monkeypatch.setattr(SubDLocaleLattice, "stacks", missing)
     assert list(np.flatnonzero(~quotient_epis(ds))) == [k]
     sweep = Sweep()
     sweep_dframe(tt, sweep)
