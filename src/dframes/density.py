@@ -72,18 +72,21 @@ def _double_set(df: DFrame) -> Sublocale:
 
 
 @dataclass
-class GaloisReport:
+class LawFailures:
+    """A check's failures in the order found, each a (subject, detail) pair:
+    a law and its witness, or a d-frame and the law it breaks."""
+
     failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def note(self, law: str, witness):
-        self.failures.append((law, witness))
+    def note(self, subject: str, detail):
+        self.failures.append((subject, detail))
 
 
-def galois_check(df: DFrame) -> GaloisReport:
+def galois_check(df: DFrame) -> LawFailures:
     """Exhaustively verify the Galois-connection laws of the pseudocomplements.
 
     Covers: x <= x^.., x^... = x^., joins into meets of pseudocomplements on
@@ -92,7 +95,7 @@ def galois_check(df: DFrame) -> GaloisReport:
     two comparisons, and consistency under the double maps.  The first
     failing pair is reported in row-major order.
     """
-    rep = GaloisReport()
+    rep = LawFailures()
     for side, d in (("minus", df), ("plus", df.swap())):
         lat, other = d.minus, d.plus
         to_op, dbl = pseudocomplements(d), double_pseudocomplements(d)
@@ -442,16 +445,7 @@ def classify(df: DFrame) -> DFrameProperties:
 # -- the coreflection sweep -----------------------------------------------------
 
 
-@dataclass
-class CoreflectionReport:
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def coreflection_report(dframes, homs=()) -> CoreflectionReport:
+def coreflection_report(dframes, homs=()) -> LawFailures:
     """Desk-scale verification of the coreflection facts.
 
     For each d-frame: the core of the core is the core; dually subfit
@@ -461,19 +455,19 @@ def coreflection_report(dframes, homs=()) -> CoreflectionReport:
     each skeletal one into a dually subfit codomain factors through the core
     quotient as the core map.
     """
-    rep = CoreflectionReport()
+    rep = LawFailures()
     for df in dframes:
         core = dense_core(df)
         realized = core.as_dframe
         again = dense_core(realized)
         if not again.core.is_whole:
-            rep.failures.append((df.name, "core not idempotent"))
+            rep.note(df.name, "core not idempotent")
         if not is_dually_subfit(realized):
-            rep.failures.append((df.name, "core not dually subfit"))
+            rep.note(df.name, "core not dually subfit")
         if is_dually_subfit(df) and not core.core.is_whole:
-            rep.failures.append((df.name, "dually subfit but not isomorphic to its core"))
+            rep.note(df.name, "dually subfit but not isomorphic to its core")
         if is_corrigible(df) and not is_double_negation(realized):
-            rep.failures.append((df.name, "corrigible but core lacks double negation"))
+            rep.note(df.name, "corrigible but core lacks double negation")
     for hom in homs:
         if not (is_skeletal(hom) and is_dually_subfit(hom.cod)):
             continue
@@ -484,5 +478,5 @@ def coreflection_report(dframes, homs=()) -> CoreflectionReport:
             (h.minus.mapping[saturation_nucleus(h.dom).mapping] == h.minus.mapping).all()
             for h in (hom, hom.swap())
         ):
-            rep.failures.append((hom.name, "does not factor through the core quotient"))
+            rep.note(hom.name, "does not factor through the core quotient")
     return rep

@@ -124,7 +124,7 @@ def loads(text: str, strict: bool = False) -> DFrame:
         raise ParseError("empty document")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ParseError(f"invalid JSON: {exc}") from None
     return from_document(doc, strict=strict)
 
@@ -133,7 +133,7 @@ def load_path(path, strict: bool = False) -> DFrame:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return loads(text, strict=strict)
 

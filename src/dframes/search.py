@@ -139,63 +139,57 @@ def _irreducibles(minus: Frame, con: bool) -> tuple[list, list]:
     return order, covers
 
 
-def _count_antitone(covers: list, plus: Frame) -> int:
-    """How many antitone maps the positions of covers have into plus.
-
-    A dynamic program over the positions: its state is the values of the
-    positions that a later one still covers."""
-    states, live = {(): 1}, []
-    for i in range(len(covers)):
-        needed = [a for a in live + [i] if any(a in later for later in covers[i + 1:])]
-        grown: dict = {}
-        for state, ways in states.items():
-            value = dict(zip(live, state))
-            bound = plus.top
-            for a in covers[i]:
-                bound = plus.meet[bound, value[a]]
-            for v in np.flatnonzero(plus.leq[:, bound]).tolist():
-                value[i] = v
-                key = tuple(value[a] for a in needed)
-                grown[key] = grown.get(key, 0) + ways
-        states, live = grown, needed
-    return sum(states.values())
-
-
-def _antitone_maps(covers: list, plus: Frame) -> np.ndarray:
+def _antitone_maps(covers: list, plus: Frame, cap: int) -> np.ndarray:
     """Every antitone map from the positions of covers into plus, one per row.
 
     Backtracks position by position, all partial maps at once: each value is
-    bounded by the meet of the values at the positions it covers."""
+    bounded by the meet of the values at the positions it covers.  Each step
+    is counted from its bounds' down-sets before it is built, and one past cap
+    raises SizeGuardExceeded: every partial map extends (by plus's bottom)."""
     maps = np.zeros((1, 0), dtype=np.intp)
     for i in range(len(covers)):
         bound = np.full(len(maps), plus.top)
         for a in covers[i]:
             bound = plus.meet[bound, maps[:, a]]
+        if (count := int(plus.leq.sum(axis=0)[bound].sum())) > cap:
+            raise SizeGuardExceeded(f"{count} antitone maps on the first {i + 1} of "
+                                    f"{len(covers)} irreducibles exceed the cap of {cap}")
         rows, values = np.nonzero(plus.leq[:, bound].T)
         maps = np.column_stack([maps[rows], values])
     return maps
 
 
-def count_candidates(minus: Frame, plus: Frame, cap: int = 1 << 18) -> int:
-    """The con x tot candidates of a frame pair, counted without building one.
-
-    Raises SizeGuardExceeded when there are more than cap."""
-    cons, tots = (_count_antitone(_irreducibles(minus, con)[1], plus) for con in (True, False))
+def _candidates(minus: Frame, plus: Frame, cap: int) -> list:
+    """The con side and the tot side, each as its irreducibles in order and
+    their antitone maps; SizeGuardExceeded past cap con x tot candidates."""
+    sides = []
+    for side in ("con", "tot"):
+        order, covers = _irreducibles(minus, side == "con")
+        try:
+            sides.append((order, _antitone_maps(covers, plus, cap)))
+        except SizeGuardExceeded as exc:
+            raise SizeGuardExceeded(f"{side} side: {exc}") from None
+    cons, tots = (len(maps) for _, maps in sides)
     if cons * tots > cap:
         raise SizeGuardExceeded(
             f"{cons} x {tots} = {cons * tots} con x tot candidates exceed the cap of {cap}")
-    return cons * tots
+    return sides
 
 
-def _relations(minus: Frame, plus: Frame, con: bool) -> tuple[np.ndarray, np.ndarray]:
+def count_candidates(minus: Frame, plus: Frame, cap: int = 1 << 18) -> int:
+    """The con x tot candidates of a frame pair, the product of its two sides'
+    antitone maps; SizeGuardExceeded when there are more than cap."""
+    (_, f), (_, g) = _candidates(minus, plus, cap)
+    return len(f) * len(g)
+
+
+def _relations(minus: Frame, plus: Frame, con: bool, order: list, maps: np.ndarray) -> tuple:
     """Every valid con (or tot) relation, stacked, and its map f (or g) on
-    minus, one row each.
+    minus, one row each, from the irreducibles' order and antitone maps.
 
     They come in mask order: the bitmask over the free cells, bit k the k-th
     free cell in row-major order.  The forced cells are held by every
     relation, so the last cell in which two relations differ decides."""
-    order, covers = _irreducibles(minus, con)
-    maps = _antitone_maps(covers, plus)
     op, start = (plus.meet, plus.top) if con else (plus.join, plus.bottom)
     full = np.full((len(maps), minus.n), start)
     for col, x in enumerate(order):
@@ -208,28 +202,22 @@ def _relations(minus: Frame, plus: Frame, con: bool) -> tuple[np.ndarray, np.nda
 
 def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
     """Every valid consistency relation between two frames, in bitmask order
-    over the cells the nullary pairs leave free; the pair's candidates must
-    not pass the cap."""
-    count_candidates(minus, plus, cap)
-    return list(_relations(minus, plus, True)[1])
+    over the cells the nullary pairs leave free, within the candidate cap."""
+    return list(_relations(minus, plus, True, *_candidates(minus, plus, cap)[0])[1])
 
 
 def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
-    count_candidates(minus, plus, cap)
-    return list(_relations(minus, plus, False)[1])
+    return list(_relations(minus, plus, False, *_candidates(minus, plus, cap)[1])[1])
 
 
-def enumerate_dframes(minus: Frame, plus: Frame, cap: int | None = 1 << 18):
-    """All valid d-frames on a fixed frame pair, con-major; a cap of None
-    skips the count, for a caller that has counted the pair against it.
+def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
+    """All valid d-frames on a fixed frame pair, con-major.
 
     One array test takes every con x tot candidate at once.  Each row of a
     con and each column of a tot is principal, so f' picks the row's member
     with the most elements below it, and g' the column's with the fewest."""
-    if cap is not None:
-        count_candidates(minus, plus, cap)
-    f, cons = _relations(minus, plus, True)
-    g, tots = _relations(minus, plus, False)
+    (f, cons), (g, tots) = (_relations(minus, plus, con, *side) for con, side
+                            in zip((True, False), _candidates(minus, plus, cap)))
     height = minus.leq.sum(axis=0)
     f_adj = np.where(cons, height, -1).argmax(axis=2)
     g_adj = np.where(tots.transpose(0, 2, 1), height, minus.n + 1).argmin(axis=2)
@@ -331,7 +319,7 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
         count_candidates(minus, plus)
     for minus, plus in pairs:
         subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
-        dframes, first = enumerate_dframes(minus, plus, cap=None), True
+        dframes, first = enumerate_dframes(minus, plus), True
         while chunk := list(islice(dframes, max(0, min(_CHUNK, max_candidates - report.searched)))):
             verdicts = _verdicts(minus, plus, np.stack([df.con for df in chunk]),
                                  np.stack([df.tot for df in chunk]), subs)

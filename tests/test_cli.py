@@ -289,10 +289,13 @@ C2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
     ({"minus": C2, "plus": C2, "con": 7}, "con must be a list"),
     ({"minus": {"elements": ["0", "1", "0"], "covers": [["0", "1"]]}, "plus": C2},
      "repeats the element id '0'"),
-], ids=["cover-not-a-pair", "elements-not-a-list", "con-not-a-list", "duplicate-ids"])
+    (b'\xff\xfe{"minus": {}}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200000, "invalid JSON: maximum recursion depth exceeded"),
+], ids=["cover-not-a-pair", "elements-not-a-list", "con-not-a-list", "duplicate-ids",
+        "not-utf-8", "nested-past-the-recursion-limit"])
 def test_check_malformed_document_exits_2(run_cli, tmp_path, doc, message):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     code, out, err = run_cli(["check", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err

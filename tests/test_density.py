@@ -420,7 +420,7 @@ def galois_check_by_all_subsets(df):
     """The Galois laws with the join-to-meet law scanned over every subset of
     each side, by size.  The reference for galois_check, whose empty-set and
     pair scan must report the same failures."""
-    rep = density.GaloisReport()
+    rep = density.LawFailures()
     for side, d in (("minus", df), ("plus", df.swap())):
         lat, other = d.minus, d.plus
         to_op, dbl = pseudocomplements(d), double_pseudocomplements(d)

@@ -392,6 +392,27 @@ def test_relation_cap_raises_a_size_guard():
         count_candidates(c8, c8)
 
 
+def test_a_side_past_the_cap_is_refused_before_its_step_is_built(monkeypatch):
+    # the 5 join-irreducibles of a 32-element Boolean frame are incomparable,
+    # so the con side's steps hold 32, 32^2, ... maps: the step of
+    # 32^4 = 1,048,576 passes the cap of 2^18 and must not be built
+    steps = []
+    column_stack = np.column_stack
+
+    def spy(arrays):
+        steps.append(len(arrays[0]))
+        assert steps[-1] <= 1 << 18, "a step past the cap was built"
+        return column_stack(arrays)
+
+    b32 = Frame.boolean(5)
+    monkeypatch.setattr(np, "column_stack", spy)
+    with pytest.raises(SizeGuardExceeded) as info:
+        count_candidates(b32, b32)
+    assert str(info.value) == ("con side: 1048576 antitone maps on the first 4 of 5 "
+                               "irreducibles exceed the cap of 262144")
+    assert steps == [32, 32 ** 2, 32 ** 3]
+
+
 # -- the miner's batched verdicts against the per-d-frame route -------------------
 
 
@@ -504,14 +525,15 @@ def test_miner_spot_checks_the_first_dframe_of_every_pair(monkeypatch):
 
 
 def test_miner_counts_each_pair_once(monkeypatch):
-    # the window is refused up front, so the search does not count again:
-    # one count per frame pair and side (con and tot)
-    counted = []
-    original = search._count_antitone
-    monkeypatch.setattr(search, "_count_antitone",
-                        lambda covers, plus: counted.append(plus.name) or original(covers, plus))
+    # the window is refused up front, and the search counts nothing of its
+    # own: each side's maps (con, then tot) are built once by the refusal and
+    # once by the enumeration, both times under the cap
+    built = []
+    original = search._antitone_maps
+    monkeypatch.setattr(search, "_antitone_maps", lambda covers, plus, cap: built.append(
+        (plus.name, cap)) or original(covers, plus, cap))
     assert mine(max_frame=4).searched == 136
-    assert counted == [plus.name for _, plus in _window(4) for _side in range(2)]
+    assert built == [(plus.name, 1 << 18) for _, plus in _window(4) for _side in range(2)] * 2
     with pytest.raises(SizeGuardExceeded):  # other callers keep the guard
         next(enumerate_dframes(Frame.chain(8), Frame.chain(8)))
 

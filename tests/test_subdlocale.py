@@ -575,6 +575,24 @@ def test_sweep_records_an_admission_disagreement_as_a_failed_verdict(monkeypatch
         ("3.3: axiom route admits the members, induced tot equals restriction", "")]
 
 
+def test_sweep_fails_a_lattice_that_repeats_a_pair(monkeypatch):
+    # the repeated pair sets no new cell of the member grid, so only the
+    # member count tells the lattice from the axiom route's
+    tt = three_three()
+
+    def repeats_its_last_pair(parent, max_pairs=400):
+        ds = enumerate_sub_d_locales(parent, max_pairs)
+        if parent is not tt:
+            return ds
+        return SubDLocaleLattice(parent, np.vstack([ds.pairs, ds.pairs[-1:]]))
+
+    monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", repeats_its_last_pair)
+    sweep = Sweep()
+    sweep_dframe(tt, sweep)
+    assert sweep.failures() == [
+        ("3.3: axiom route admits the members, induced tot equals restriction", "")]
+
+
 def test_bounds_check_survives_optimised_python():
     script = textwrap.dedent(f"""
         from dframes.fixtures import three_three
