@@ -9,7 +9,7 @@ negation, excluded middle and dually subfit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -370,13 +370,7 @@ class DFrameProperties:
     regular: bool
 
     def as_dict(self) -> dict:
-        return {
-            "double_negation": self.double_negation,
-            "excluded_middle": self.excluded_middle,
-            "dually_subfit": self.dually_subfit,
-            "corrigible": self.corrigible,
-            "regular": self.regular,
-        }
+        return asdict(self)
 
 
 def is_double_negation(df: DFrame) -> bool:

@@ -175,13 +175,13 @@ def _frame_from_spec(parts: list[str]):
         raise UnknownSpec("spec ended where a frame was expected")
     kind = parts[0]
     if kind == "chain":
-        if len(parts) < 2 or not parts[1].isdigit():
+        if len(parts) < 2 or not parts[1].isdecimal():
             raise UnknownSpec("chain needs a size, e.g. chain:3")
         size = int(parts[1])
         _carrier_guard(size, f"chain:{size}")
         return lambda: Frame.chain(size), parts[2:]
     if kind == "bool":
-        if len(parts) < 2 or not parts[1].isdigit():
+        if len(parts) < 2 or not parts[1].isdecimal():
             raise UnknownSpec("bool needs an atom count, e.g. bool:2")
         atoms = int(parts[1])
         _carrier_guard(2 ** min(atoms, 64), f"bool:{atoms}")  # capped: no huge int

@@ -211,13 +211,18 @@ def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> li
 
 
 def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
-    """All valid d-frames on a fixed frame pair, con-major.
+    """All valid d-frames on a fixed frame pair, con-major, as an iterator;
+    both sides' antitone maps are built, and the cap enforced, at the call."""
+    return _dframes(minus, plus, _candidates(minus, plus, cap))
 
-    One array test takes every con x tot candidate at once.  Each row of a
-    con and each column of a tot is principal, so f' picks the row's member
-    with the most elements below it, and g' the column's with the fewest."""
-    (f, cons), (g, tots) = (_relations(minus, plus, con, *side) for con, side
-                            in zip((True, False), _candidates(minus, plus, cap)))
+
+def _dframes(minus: Frame, plus: Frame, sides: list):
+    """The valid d-frames from both sides' maps, by one array test over every
+    con x tot candidate.  Each row of a con and each column of a tot is principal,
+    so f' picks the row's member with the most elements below it, and g' the
+    column's with the fewest."""
+    (f, cons), (g, tots) = (_relations(minus, plus, con, *side)
+                            for con, side in zip((True, False), sides))
     height = minus.leq.sum(axis=0)
     f_adj = np.where(cons, height, -1).argmax(axis=2)
     g_adj = np.where(tots.transpose(0, 2, 1), height, minus.n + 1).argmin(axis=2)
@@ -311,15 +316,13 @@ def mine(max_frame: int = 3, max_candidates: int = 20000) -> MinerReport:
     first d-frame also goes through the per-d-frame route, which must agree."""
     report = MinerReport()
     pool = frame_pool(max_frame)
-    pairs = [(minus, plus) for minus, plus in product(pool, pool)
-             if minus.is_trivial == plus.is_trivial]
-    # the whole window passes the candidate cap before any d-frame is
+    # every pair's maps pass the candidate cap before any d-frame is
     # searched, so max_candidates cannot hide an oversized pair
-    for minus, plus in pairs:
-        count_candidates(minus, plus)
-    for minus, plus in pairs:
+    searches = [(minus, plus, enumerate_dframes(minus, plus)) for minus, plus
+                in product(pool, pool) if minus.is_trivial == plus.is_trivial]
+    for minus, plus, dframes in searches:
         subs = enumerate_sublocales(minus), enumerate_sublocales(plus)
-        dframes, first = enumerate_dframes(minus, plus), True
+        first = True
         while chunk := list(islice(dframes, max(0, min(_CHUNK, max_candidates - report.searched)))):
             verdicts = _verdicts(minus, plus, np.stack([df.con for df in chunk]),
                                  np.stack([df.tot for df in chunk]), subs)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _image, _memo, _partner_bound
 from .errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
-from .frames import Sublocale, enumerate_sublocales
+from .frames import Sublocale, _same_frame, enumerate_sublocales
 from .order import _bool_matmul, _distributivity_witness, _frozen, cover_relation
 
 
@@ -208,8 +208,10 @@ class SubDLocaleLattice:
         return minus.mask | plus.mask << len(self.parent.minus.primes)
 
     def index_of(self, s: SubDLocale) -> int:
-        """Index of the member with s's components; KeyError if none."""
-        idx = int(self.by_mask[self.mask_of(s.minus, s.plus)])
+        """Index of the member with s's components; KeyError if none or over other frames."""
+        ours = (_same_frame(s.minus.frame, self.parent.minus)
+                and _same_frame(s.plus.frame, self.parent.plus))
+        idx = int(self.by_mask[self.mask_of(s.minus, s.plus)]) if ours else -1
         if idx < 0:
             raise KeyError(f"{s!r} is not a member")
         return idx

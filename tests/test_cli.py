@@ -261,9 +261,9 @@ def test_mine_refuses_an_oversized_window_before_searching(run_cli, monkeypatch,
     monkeypatch.setattr(search, "frame_pool",
                         lambda max_size: [Frame.chain(2), Frame.chain(8)])
     calls = []
-    enumerate_dframes = search.enumerate_dframes
-    monkeypatch.setattr(search, "enumerate_dframes",
-                        lambda *args: calls.append(args) or enumerate_dframes(*args))
+    verdicts = search._verdicts
+    monkeypatch.setattr(search, "_verdicts",
+                        lambda *args: calls.append(args) or verdicts(*args))
     code, out, err = run_cli(["mine", "--max-frame", "8", *limit])
     assert code == 2 and out == ""
     assert err == ("error: 3432 x 3432 = 11778624 con x tot candidates "

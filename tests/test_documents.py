@@ -35,6 +35,7 @@ def test_spec_strings():
 @pytest.mark.parametrize("bad", [
     "", "sym", "min:chain:3", "foo:chain:2", "sym:chain", "sym:chain:x",
     "sym:chain:2:junk", "min:chain:2:chain:2:extra",
+    "sym:chain:²", "sym:bool:²", "min:chain:²:chain:3",
 ])
 def test_unknown_specs(bad):
     with pytest.raises(UnknownSpec):

@@ -525,17 +525,20 @@ def test_miner_spot_checks_the_first_dframe_of_every_pair(monkeypatch):
 
 
 def test_miner_counts_each_pair_once(monkeypatch):
-    # the window is refused up front, and the search counts nothing of its
-    # own: each side's maps (con, then tot) are built once by the refusal and
-    # once by the enumeration, both times under the cap
+    # the window's refusal is the enumeration's own guard: each side's maps
+    # (con, then tot) are built once per pair, under the cap, and searched
     built = []
     original = search._antitone_maps
     monkeypatch.setattr(search, "_antitone_maps", lambda covers, plus, cap: built.append(
         (plus.name, cap)) or original(covers, plus, cap))
     assert mine(max_frame=4).searched == 136
-    assert built == [(plus.name, 1 << 18) for _, plus in _window(4) for _side in range(2)] * 2
-    with pytest.raises(SizeGuardExceeded):  # other callers keep the guard
-        next(enumerate_dframes(Frame.chain(8), Frame.chain(8)))
+    assert built == [(plus.name, 1 << 18) for _, plus in _window(4) for _side in range(2)]
+
+
+def test_enumerate_dframes_refuses_at_the_call():
+    # the cap is enforced when the maps are built, before any next()
+    with pytest.raises(SizeGuardExceeded, match="3432 x 3432 = 11778624"):
+        enumerate_dframes(Frame.chain(8), Frame.chain(8))
 
 
 # the 6-chain pair's report, recorded from the per-d-frame miner

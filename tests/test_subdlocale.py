@@ -517,6 +517,10 @@ def test_index_of_rejects_non_members():
     assert partial.index_of(ds.members[0]) == 0
     with pytest.raises(KeyError):
         partial.index_of(ds.members[-1])
+    # 2.2's whole pair has the mask of 3.3's o(c).o(c), over other frames
+    two_two = enumerate_sub_d_locales(minimal_dframe(Frame.chain(2), Frame.chain(2)))
+    with pytest.raises(KeyError):
+        ds.index_of(two_two.members[two_two.top])
 
 
 BOUNDS_VERDICT = "3.3: constructive joins and meets realise the bounds"
