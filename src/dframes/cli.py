@@ -26,6 +26,13 @@ from .subdlocale import enumerate_sub_d_locales
 from .sweeps import full_sweep
 
 
+def positive(text: str) -> int:
+    """An integer of at least 1, for the sizes, guards and caps."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument("--strict", action="store_true",
@@ -34,7 +41,7 @@ def _add_common(parser):
 
 def _add_guard(parser):
     """The size guard, for the subcommands that enumerate sub-d-locales."""
-    parser.add_argument("--max-pairs", type=int, default=400,
+    parser.add_argument("--max-pairs", type=positive, default=400,
                         help="sub-d-locale enumeration guard: sublocale pairs, "
                              "2^(primes of minus + primes of plus)")
 
@@ -76,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'corpus' or a document path (default: corpus)")
     p.add_argument("--seed", type=int, default=None,
                    help="append seeded random d-frames to the corpus")
-    p.add_argument("--corpus-size", type=int, default=5,
+    p.add_argument("--corpus-size", type=positive, default=5,
                    help="lattice size bound for the generated corpus")
     _add_common(p)
     _add_guard(p)
 
     p = sub.add_parser("mine", help="bounded-exhaustive search for finite witnesses")
-    p.add_argument("--max-frame", type=int, default=3)
-    p.add_argument("--max-candidates", type=int, default=20000,
+    p.add_argument("--max-frame", type=positive, default=3)
+    p.add_argument("--max-candidates", type=positive, default=20000,
                    help="stop after this many d-frames; a window holding a frame "
                         "pair with more than 2^18 con x tot candidates is refused "
                         "(exit 2) before this limit can stop the search")
@@ -177,13 +184,9 @@ def cmd_hat(args, out) -> int:
         f"label: {core.core.label}",
     ])
     report.section("saturation nuclei", [
-        "minus: " + ", ".join(
-            f"{df.minus.elements[a]}->{df.minus.elements[core.nu_minus.mapping[a]]}"
-            for a in range(df.minus.n)),
-        "plus: " + ", ".join(
-            f"{df.plus.elements[p]}->{df.plus.elements[core.nu_plus.mapping[p]]}"
-            for p in range(df.plus.n)),
-    ])
+        f"{side}: " + ", ".join(f"{lat.elements[a]}->{lat.elements[b]}"
+                                for a, b in enumerate(nu.mapping))
+        for side, lat, nu in (("minus", df.minus, core.nu_minus), ("plus", df.plus, core.nu_plus))])
     report.verdict("core is dense", is_dense_sub_d_locale(core.core))
     report.verdict("core is dually subfit", is_dually_subfit(core.as_dframe))
     try:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dframe import DFrame, DFrameHom, _image, _memo, _partner_bound, is_regular
-from .errors import CharacterizationMismatch, EquivalenceMismatch
+from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
 from .order import _bool_matmul, _frozen, _joins
 from .subdlocale import SubDLocale, SubDLocaleLattice, member_plane, try_sub_d_locale
@@ -114,13 +114,11 @@ def galois_check(df: DFrame) -> LawFailures:
     Lm, Lp, con = df.minus, df.plus, df.con
     to_plus, to_minus = pseudocomplements(df), pseudocomplements(df.swap())
     dbl_m, dbl_p = double_pseudocomplements(df), double_pseudocomplements(df.swap())
-    for p in range(Lp.n):
-        for a in range(Lm.n):
-            c = bool(con[p, a])
-            if c != bool(Lm.leq[a, to_minus[p]]) or c != bool(Lp.leq[p, to_plus[a]]):
-                rep.note("consistency vs comparisons", (Lp.elements[p], Lm.elements[a]))
-            if c != bool(con[dbl_p[p], a]) or c != bool(con[p, dbl_m[a]]):
-                rep.note("consistency under double maps", (Lp.elements[p], Lm.elements[a]))
+    laws = np.stack([(con != Lm.leq[:, to_minus].T) | (con != Lp.leq[:, to_plus]),  # [p, a, law]
+                     (con != con[dbl_p]) | (con != con[:, dbl_m])], axis=2)
+    for p, a, law in np.argwhere(laws):
+        rep.note(("consistency vs comparisons", "consistency under double maps")[law],
+                 (Lp.elements[p], Lm.elements[a]))
     return rep
 
 
@@ -243,6 +241,68 @@ def _dense_core(df: DFrame) -> DenseCore:
     if not is_dense_sub_d_locale(core):
         raise EquivalenceMismatch("the dense core failed its own density check")
     return DenseCore(df, nu_m, nu_p, core)
+
+
+def member_cores(ds: SubDLocaleLattice) -> tuple:
+    """(cores, skeletal, subfit): per member k of ds, the member that is its
+    dense core, whether its quotient is skeletal and whether it is dually
+    subfit, decided for all members at once in the parent's index space,
+    where a member keeps the parent's order and meets, closes its joins by
+    its quotient and has its con image for con.  The core is found the two
+    ways _saturation_nucleus finds one and checked dense in its member, and
+    dual subfitness is decided the two ways _dually_subfit decides it:
+    EquivalenceMismatch if they disagree or a core is not dense,
+    BrokenInvariant if a core is not a member.
+    """
+    df, quotients = ds.parent, ds.stacks("quotient")
+    sides = [(side, d, con_preorder(d), np.array(d.minus.prime_support, dtype=np.int64))
+             for side, d in (("minus", df), ("plus", df.swap()))]
+
+    def law(at, qm, qp, box):
+        con, labels, t = _image(df.con, qp, qm, df.con.shape), ds.labels[at], np.arange(len(qm))
+        rels, fixed = (con.transpose(0, 2, 1), con), [q == np.arange(q.shape[1]) for q in (qm, qp)]
+        # [t, a]: the largest partner consistent with a in member t
+        f = [_joins(rel.reshape(-1, rel.shape[2]), d.plus.leq).reshape(rel.shape[:2])
+             for rel, (_, d, _, _) in zip(rels, sides)]
+        out = []
+        for (side, d, order, support), rel, q, vec, other, pc, op in zip(
+                sides, rels, (qm, qp), fixed, fixed[::-1], f, f[::-1]):
+            # the preorder and saturation of member t, built as for a d-frame
+            lat, F = d.minus, pc[:, d.minus.meet]  # F[t, x, c] = f(x /\ c)
+            pre = (d.plus.leq[F[:, None], F[:, :, None]] | ~vec[:, None, None]).all(axis=-1)
+            below = (pre.transpose(0, 2, 1) & vec[:, None]).reshape(-1, lat.n)
+            nu = np.take_along_axis(q, _joins(below, lat.leq).reshape(q.shape), axis=1)
+            mask = np.bitwise_or.reduce(np.where(vec, support[np.take_along_axis(op, pc, axis=1)], 0),
+                                        axis=1)  # the primes of the double pseudocomplements
+            generated = (support | mask[:, None]) == mask[:, None]
+            for k in np.flatnonzero((((nu == np.arange(lat.n)) & vec) != generated).any(axis=1))[:1]:
+                raise EquivalenceMismatch(f"saturation fixpoints differ from the sublocale generated by "
+                                          f"the double pseudocomplements in member {labels[k]} ({side})")
+            inside = vec[:, :, None] & vec[:, None]
+            cols = (vec[:, :, None] & other[:, None]).reshape(len(q), 1, -1)  # (c, p) in member t
+            cells = rel[:, lat.meet].reshape(len(q), lat.n, -1)  # [t, a, (c, p)]: p con a /\ c
+            witness = np.matmul(~cells & cols, (cells & cols).transpose(0, 2, 1), dtype=np.float32) > 0
+            out.append(((~order | pre[t[:, None, None], q[:, :, None], q[:, None]]).all(axis=(1, 2)),
+                        ((pre == lat.leq) | ~inside).all(axis=(1, 2)),
+                        (lat.leq | witness | ~inside).all(axis=(1, 2)), mask))
+        (carried_m, subfit_m, separated_m, mask_m), (carried_p, subfit_p, separated_p, mask_p) = out
+        subfit, cores = subfit_m & subfit_p, ds.by_mask[mask_m | mask_p << len(df.minus.primes)]
+        for k in np.flatnonzero(subfit != separated_m & separated_p)[:1]:
+            raise EquivalenceMismatch(f"dual subfitness tests disagree on member {labels[k]} "
+                                      f"of {df.name}: preorder={subfit[k]}")
+        for k in np.flatnonzero(cores < 0)[:1]:
+            raise BrokenInvariant(f"the dense core of member {labels[k]} is not a member")
+        # the core's con, the image of the member's under the core's quotients
+        # (which absorb the member's), is the member's on the core's cells
+        qm, qp = (q[cores] for q in quotients)
+        core_con = _image(df.con, qp, qm, con.shape[1:])
+        core_box = (qp == np.arange(qp.shape[1]))[:, :, None] & (qm == np.arange(qm.shape[1]))[:, None]
+        for k in np.flatnonzero((core_con != con & core_box).any(axis=(1, 2)))[:1]:
+            raise EquivalenceMismatch(f"the dense core of member {labels[k]} is not dense in it")
+        return np.stack([cores, carried_m & carried_p, subfit], axis=1)
+
+    cores, skeletal, subfit = member_plane(ds, law).T
+    return cores, skeletal.astype(bool), subfit.astype(bool)
 
 
 # -- corrigibility -------------------------------------------------------------

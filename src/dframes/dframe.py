@@ -243,12 +243,10 @@ def _order_check(name, rel, rows, cols, upper):
         return AxiomCheck(name, True)
     row_leq, col_leq = (rows.leq.T, cols.leq.T) if upper else (rows.leq, cols.leq)
     for r, c in zip(*np.where(rel)):
-        for r2 in np.where(row_leq[:, r])[0]:
-            for c2 in np.where(col_leq[:, c])[0]:
-                if not rel[r2, c2]:
-                    return AxiomCheck(name, False, (
-                        rows.elements[r2], cols.elements[c2], "above" if upper else "below",
-                        rows.elements[r], cols.elements[c]))
+        for r2, c2 in np.argwhere(row_leq[:, r, None] & col_leq[:, c] & ~rel)[:1]:
+            return AxiomCheck(name, False, (
+                rows.elements[r2], cols.elements[c2], "above" if upper else "below",
+                rows.elements[r], cols.elements[c]))
     return AxiomCheck(name, False)
 
 

@@ -196,12 +196,7 @@ class Lattice(Poset):
             raise NotALattice("chain needs at least one element")
         if n == 1:
             return cls(("0",), np.ones((1, 1), dtype=bool))
-        if n == 2:
-            mids = []
-        elif n == 3:
-            mids = ["c"]
-        else:
-            mids = [chr(ord("a") + k) for k in range(n - 2)]
+        mids = ["c"] if n == 3 else [chr(ord("a") + k) for k in range(n - 2)]
         elements = ["0"] + mids + ["1"]
         covers = [(elements[i], elements[i + 1]) for i in range(n - 1)]
         return cls.from_covers(elements, covers)
@@ -211,21 +206,11 @@ class Lattice(Poset):
         """The Boolean lattice on the given atoms (2**atoms elements)."""
         if atoms < 0:
             raise NotALattice("negative atom count")
-        letters = [chr(ord("a") + k) for k in range(atoms)]
-        names = []
-        for mask in range(2**atoms):
-            if mask == 0:
-                names.append("0")
-            elif mask == 2**atoms - 1:
-                names.append("1")
-            else:
-                names.append("".join(letters[k] for k in range(atoms) if mask >> k & 1))
-        n = 2**atoms
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = (i & j) == i
-        return cls(names, leq)
+        letters, n = [chr(ord("a") + k) for k in range(atoms)], 2**atoms
+        names = ["0" if mask == 0 else "1" if mask == n - 1 else
+                 "".join(letters[k] for k in range(atoms) if mask >> k & 1) for mask in range(n)]
+        masks = np.arange(n)
+        return cls(names, (masks[:, None] & masks) == masks[:, None])
 
     @classmethod
     def pentagon(cls) -> "Lattice":

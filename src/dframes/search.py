@@ -20,7 +20,7 @@ from .dframe import (
     minimal_dframe,
     symmetric_dframe,
 )
-from .errors import EquivalenceMismatch, SizeGuardExceeded, TrivialMismatch
+from .errors import EquivalenceMismatch, SizeGuardExceeded
 from .frames import Frame, enumerate_sublocales
 from .order import Lattice, _frozen
 # Nothing calls build_sub_d_locale through this binding; it stays because
@@ -71,15 +71,10 @@ def standard_corpus(max_size: int = 5) -> list[DFrame]:
     """The generated corpus: every minimal and symmetric d-frame over the
     distributive lattices with at most max_size elements."""
     pool = frame_pool(max_size)
-    out = []
-    for frame in pool:
-        out.append(symmetric_dframe(frame, name=f"Sym({frame.name})"))
-    for a, b in product(pool, pool):
-        try:
-            out.append(minimal_dframe(a, b, name=f"{a.name}.{b.name}"))
-        except TrivialMismatch:
-            continue
-    return out
+    # a minimal d-frame needs both frames trivial or neither
+    return ([symmetric_dframe(frame, name=f"Sym({frame.name})") for frame in pool]
+            + [minimal_dframe(a, b, name=f"{a.name}.{b.name}")
+               for a, b in product(pool, pool) if a.is_trivial == b.is_trivial])
 
 
 def random_dframe(rng, pool: list[Frame]) -> DFrame:

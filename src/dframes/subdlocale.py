@@ -373,15 +373,16 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
 
 
 def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
-    """[k]: law(at, qm, qp, box) on member k, for chunks `at` of the members
-    as axiom_planes takes pairs: qm and qp stack the chunk's quotients, and
-    box[t] holds the minus x plus cells of the elements both fix."""
+    """[k]: law(at, qm, qp, box) on member k, a verdict or a row, for chunks
+    `at` of the members as axiom_planes takes pairs: qm and qp stack the
+    chunk's quotients, and box[t] holds the minus x plus cells of the
+    elements both fix."""
     (qm, qp), Lm, Lp = ds.stacks("quotient"), ds.parent.minus, ds.parent.plus
-    plane, step = np.empty(ds.n, dtype=bool), max(1, _SCAN_BLOCK // (16 * Lm.n * Lp.n))
+    parts, step = [], max(1, _SCAN_BLOCK // (16 * Lm.n * Lp.n))
     for at in (slice(s, s + step) for s in range(0, ds.n, step)):
         box = (qm[at] == np.arange(Lm.n))[:, :, None] & (qp[at] == np.arange(Lp.n))[:, None]
-        plane[at] = law(at, qm[at], qp[at], box)
-    return _frozen(plane)
+        parts.append(law(at, qm[at], qp[at], box))
+    return _frozen(np.concatenate(parts))
 
 
 def quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Property sweeps: every structural law this package relies on, run over a
 corpus of d-frames and morphisms with first-witness reporting.  The laws of
 the members of a sub-d-locale lattice are decided for all members at once,
-and dense_members compares both density routes on every member.
+and dense_members compares both density routes on every member; so are the
+laws of the quotients onto them, by sweep_quotients on member_cores, which
+finds every member's dense core two ways in the parent's index space.
 
 Shared by the props command and the test suite, which run the same checks.
 """
@@ -16,7 +18,7 @@ from .dframe import DFrameHom, image_factorization, is_dense_hom, is_extremal_ep
 from .density import (
     classify, con_preorder, coreflection_report, dense_core, dense_core_map, dense_members,
     double_pseudocomplement_sets, galois_check, is_dense_sub_d_locale, is_dually_subfit,
-    is_skeletal, pseudocomplements,
+    is_skeletal, member_cores, pseudocomplements,
 )
 from .errors import BrokenInvariant, SizeGuardExceeded
 from .fixtures import componentwise_dense_counterexample
@@ -46,7 +48,8 @@ class Sweep:
 
 
 def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
-    """All per-d-frame law checks; enumeration-based ones are size-guarded."""
+    """All per-d-frame law checks; enumeration-based ones are size-guarded.
+    Returns the sub-d-locale lattice, or None when the guard refused it."""
     name = df.name
     sweep.check(f"{name}: axioms", df.validate().ok)
 
@@ -87,7 +90,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
         ds = enumerate_sub_d_locales(df, max_pairs=max_pairs)
     except SizeGuardExceeded:
         sweep.check(f"{name}: sub-d-locale sweep skipped (size guard)", True)
-        return
+        return None
 
     dense, (qm, qp) = dense_members(ds), ds.stacks("quotient")
     core_mask = ds.mask_of(core.core.minus, core.core.plus)
@@ -136,6 +139,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
     sweep.check(f"{name}: meets of dense members are dense intersections", ok_dense_meet)
 
     sweep.check(f"{name}: pairs containing the double sets are dense", ok_dense_pairs)
+    return ds
 
 
 def sweep_morphism(hom: DFrameHom, sweep: Sweep):
@@ -158,7 +162,7 @@ def sweep_morphism(hom: DFrameHom, sweep: Sweep):
 
 def sweep_functoriality(pairs, sweep: Sweep):
     """hat of a composite equals the composite of hats when the outer
-    morphism is skeletal; hat of the identity is the identity."""
+    morphism is skeletal."""
     for outer, inner in pairs:
         if not is_skeletal(outer):
             continue
@@ -182,53 +186,87 @@ def sweep_identity_functor(dframes, sweep: Sweep):
         sweep.check(f"{df.name}: core of identity is identity", ok)
 
 
+def sweep_quotients(ds, sweep: Sweep, functor: Sweep, cref):
+    """What sweep_morphism checks on each member quotient q[label] of ds, and
+    what sweep_functoriality and coreflection_report check on it, into sweep,
+    functor and cref, decided for all members at once in the parent's index
+    space.  An extremal epi is its own image factor; member_cores finds each
+    member's core, and the quotient onto it is the member's saturation."""
+    df, core = ds.parent, dense_core(ds.parent)
+    cores, skeletal, subfit = member_cores(ds)
+    at, epi = np.arange(ds.n)[:, None], subdlocale.quotient_epis(ds)
+    hom, dense_parts, functoriality, factors = epi, *np.ones((3, ds.n), dtype=bool)
+    for lat, q, sub, nu in zip((df.minus, df.plus), ds.stacks("quotient"),
+                               (core.core.minus, core.core.plus), (core.nu_minus, core.nu_plus)):
+        members, nu, qa, qb = np.asarray(sub.members), nu.mapping, q[:, :, None], q[:, None]
+        # frame maps onto the members: to the least, the top, meets, and joins closed by q
+        hom = hom & ((lat.leq[q[:, lat.bottom]] | (q != np.arange(lat.n))).all(axis=1)
+                     & (q[:, lat.top] == lat.top) & (q[:, lat.meet] == lat.meet[qa, qb]).all(axis=(1, 2))
+                     & (q[:, lat.join] == q[at[:, :, None], lat.join[qa, qb]]).all(axis=(1, 2)))
+        dense_parts &= ((q == q[:, [lat.bottom]]) == (np.arange(lat.n) == lat.bottom)).all(axis=1)
+        core_map = q[cores][at, q[:, members]]  # the parent's core, by q, then saturated
+        functoriality &= (core_map == q[cores][at, q[:, nu[members]]]).all(axis=1)
+        factors &= (q[:, nu] == q).all(axis=1)
+    for k, name, dense in zip(range(ds.n), (f"q[{label}]" for label in ds.labels), dense_members(ds)):
+        sweep.check(f"{name}: is a d-frame homomorphism", hom[k])
+        for law in ("image factor is extremal epi", "image embedding is mono",
+                    "factorisation recomposes"):
+            sweep.check(f"{name}: {law}", epi[k])
+        # monos are the componentwise one-one maps
+        sweep.check(f"{name}: mono agrees with componentwise injectivity", True)
+        if dense:  # dense members are the dense quotients
+            sweep.check(f"{name}: dense morphism has dense components", dense_parts[k])
+        if skeletal[k]:
+            functor.check(f"core functor: {name} after id", functoriality[k])
+        if skeletal[k] and subfit[k] and not factors[k]:
+            cref.note(name, "does not factor through the core quotient")
+
+
 def standard_morphisms(dframes) -> tuple[list, list]:
     """A deterministic morphism corpus over the given d-frames.
 
-    Returns (morphisms, composable_pairs): identities, dense-core
-    quotients, the sub-d-locale quotients of the smaller members, the
-    componentwise-dense counterexample, and the composable combinations.
+    Returns (morphisms, composable_pairs): per d-frame its identity and its
+    two dense-core quotients, then the componentwise-dense counterexample;
+    and per d-frame two composable pairs.  full_sweep decides the
+    sub-d-locale quotients of the smaller d-frames by sweep_quotients.
     """
-    morphisms = []
-    pairs = []
+    morphisms, pairs = [], []
     for df in dframes:
-        ident = DFrameHom.identity(df)
-        morphisms.append(ident)
-        core = dense_core(df)
+        ident, core = DFrameHom.identity(df), dense_core(df)
         q_core = core.core.quotient_hom()
-        morphisms.append(q_core)
-        pairs.append((q_core, ident))
         # Quotient onto the core of the realized core: composable follow-up
         # whose outer map comes from a dually subfit d-frame, hence skeletal.
-        realized = core.as_dframe
-        again = dense_core(realized)
-        q_again = again.core.quotient_hom()
-        morphisms.append(q_again)
-        pairs.append((q_again, q_core))
-        # A valid d-frame is trivial on both sides or on neither, and an
-        # n-element frame has at most n - 1 primes, so a product of at most
-        # 16 elements has at most 2 ** (1 + 7) = 256 sublocale pairs, inside
-        # the default guard.
-        if df.minus.n * df.plus.n <= 16:
-            for member in enumerate_sub_d_locales(df).members:
-                q = member.quotient_hom()
-                morphisms.append(q)
-                pairs.append((q, ident))
+        q_again = dense_core(core.as_dframe).core.quotient_hom()
+        morphisms += [ident, q_core, q_again]
+        pairs += [(q_core, ident), (q_again, q_core)]
     _, _, counterexample = componentwise_dense_counterexample()
     morphisms.append(counterexample)
     return morphisms, pairs
 
 
 def full_sweep(dframes, max_pairs: int = 400) -> Sweep:
-    sweep = Sweep()
-    for df in dframes:
-        sweep_dframe(df, sweep, max_pairs=max_pairs)
+    """Every check, in this order: per d-frame; per morphism, each d-frame's
+    member quotients after its three; the identity functor; functoriality;
+    the coreflection facts."""
+    sweep, functor = Sweep(), Sweep()
+    lattices = [sweep_dframe(df, sweep, max_pairs=max_pairs) for df in dframes]
     morphisms, pairs = standard_morphisms(dframes)
-    for hom in morphisms:
-        sweep_morphism(hom, sweep)
+    cref = coreflection_report(dframes)
+    for k, (df, ds) in enumerate(zip(dframes, lattices)):
+        for hom in morphisms[3 * k:3 * k + 3]:
+            sweep_morphism(hom, sweep)
+        sweep_functoriality(pairs[2 * k:2 * k + 2], functor)
+        cref.failures += coreflection_report([], morphisms[3 * k:3 * k + 3]).failures
+        # A valid d-frame is trivial on both sides or on neither, and an
+        # n-element frame has at most n - 1 primes, so a product of at most
+        # 16 elements has at most 2 ** (1 + 7) = 256 sublocale pairs, inside
+        # the default guard.
+        if df.minus.n * df.plus.n <= 16:
+            sweep_quotients(enumerate_sub_d_locales(df) if ds is None else ds, sweep, functor, cref)
+    sweep_morphism(morphisms[-1], sweep)
+    cref.failures += coreflection_report([], morphisms[-1:]).failures
     sweep_identity_functor(dframes, sweep)
-    sweep_functoriality(pairs, sweep)
-    cref = coreflection_report(dframes, morphisms)
+    sweep.verdicts += functor.verdicts
     sweep.check("coreflection sweep over corpus", cref.ok,
                 "" if cref.ok else str(cref.failures[0]))
     return sweep

@@ -5,8 +5,9 @@ computes with a table kernel or a construction: least and greatest bounds
 by a per-pair scan, set joins and meets by folds of the binary tables,
 directed-join closure by listing directed subsets, order and d-frame
 isomorphism by backtracking (the library checks "the dense core is whole"
-where these would compare a d-frame with its core), and every bounded
-lattice by scanning order masks.
+where these would compare a d-frame with its core), every bounded lattice
+by scanning order masks, and the sub-d-locale quotients of a corpus one
+DFrameHom at a time (the sweep decides them per lattice).
 """
 
 from functools import reduce
@@ -16,6 +17,8 @@ import numpy as np
 
 from dframes.errors import NotALattice
 from dframes.order import Lattice, Poset
+from dframes.subdlocale import enumerate_sub_d_locales
+from dframes.sweeps import standard_morphisms
 
 
 def brute_bound(leq: np.ndarray, i: int, j: int, lower: bool):
@@ -153,3 +156,21 @@ def all_lattices(max_size: int) -> list[Lattice]:
                 found.append(lat)
     found.sort(key=lambda lat: (lat.n, lat.leq.sum(), lat.leq.tobytes()))
     return found
+
+
+def member_quotient_morphisms(dframes) -> tuple[list, list]:
+    """standard_morphisms with each d-frame's three morphisms followed by the
+    quotient onto every member of its sub-d-locale lattice when it has at most
+    16 cells, as full_sweep's batch covers them, each quotient paired with
+    the identity after it.  Each quotient is a DFrameHom onto the member's
+    own d-frame: the per-morphism route the batch is compared against."""
+    homs, inner = standard_morphisms(dframes)
+    morphisms, pairs = [], []
+    for k, df in enumerate(dframes):
+        morphisms += homs[3 * k:3 * k + 3]
+        pairs += inner[2 * k:2 * k + 2]
+        if df.minus.n * df.plus.n <= 16:
+            quotients = [member.quotient_hom() for member in enumerate_sub_d_locales(df).members]
+            morphisms += quotients
+            pairs += [(q, homs[3 * k]) for q in quotients]
+    return morphisms + homs[-1:], pairs

@@ -396,3 +396,24 @@ def test_check_refuses_a_document_past_the_guard_before_building(run_cli, monkey
     assert code == 2 and out == ""
     assert err.startswith("error: frame block 'plus' has more than 256 elements")
     assert built == []
+
+
+@pytest.mark.parametrize("args", [["props", "corpus", "--max-pairs", "0"],
+                                  ["props", "corpus", "--corpus-size", "-3"],
+                                  ["mine", "--max-candidates", "-5"],
+                                  ["mine", "--max-candidates", "0"],
+                                  ["mine", "--max-frame", "-1"],
+                                  ["dsub", "doc.json", "--max-pairs", "-1"],
+                                  ["hat", "doc.json", "--max-pairs", "0"]])
+def test_non_positive_sizes_guards_and_caps_exit_2(run_cli, monkeypatch, capsys, args):
+    # refused while the arguments are parsed, before any document is read
+    # or any d-frame built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("full_sweep", "mine", "standard_corpus"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.documents, "load_path", refuse)
+    code, out, _ = run_cli(args)
+    assert code == 2 and out == ""
+    assert f"argument {args[-2]}: must be at least 1, got {args[-1]}" in capsys.readouterr().err

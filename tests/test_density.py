@@ -33,6 +33,7 @@ from dframes.density import (
     is_dually_subfit,
     is_excluded_middle,
     is_skeletal,
+    member_cores,
     pseudocomplement,
     pseudocomplements,
     saturation_nucleus,
@@ -48,7 +49,7 @@ from dframes.fixtures import (
 from dframes.errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
-from dframes.sweeps import full_sweep, standard_morphisms
+from dframes.sweeps import Sweep, full_sweep, sweep_functoriality, sweep_morphism, sweep_quotients
 from dframes.subdlocale import enumerate_sub_d_locales
 from oracles import are_isomorphic, dframe_isomorphism, join_all, meet_all
 
@@ -719,23 +720,92 @@ def test_full_sweep_builds_derived_structure_once_per_dframe(builds):
     assert_built_once(builds)
 
 
-def test_standard_morphisms_hold_every_member_quotient_of_the_largest_product():
-    # 2 x 8 elements is the largest product standard_morphisms enumerates;
-    # its 1 + 7 primes give 256 sublocale pairs, inside the default guard
+def _quotient_sweeps(ds):
+    """sweep_quotients on ds, into fresh sweeps and failures."""
+    morphism, functor, cref = Sweep(), Sweep(), density.LawFailures()
+    sweep_quotients(ds, morphism, functor, cref)
+    return morphism, functor, cref
+
+
+def test_sweep_quotients_decide_every_member_quotient_of_the_largest_product():
+    # 2 x 8 elements is the largest product whose member quotients full_sweep
+    # decides; its 1 + 7 primes give 256 sublocale pairs, inside the default guard
     df = minimal_dframe(Frame.chain(2), Frame.chain(8))
     assert len(df.minus.primes) + len(df.plus.primes) == 8
-    morphisms, pairs = standard_morphisms([df])
-    quotients = [m.quotient_hom() for m in enumerate_sub_d_locales(df).members]
-    assert len(quotients) == 128
-    assert morphisms[3:-1] == quotients
-    assert pairs[2:] == [(q, DFrameHom.identity(df)) for q in quotients]
+    ds = enumerate_sub_d_locales(df)
+    assert ds.n == 128
+    morphism, functor, cref = _quotient_sweeps(ds)
+    names = [name for name, _, _ in morphism.verdicts]
+    assert [name for name in names if name.endswith(": is a d-frame homomorphism")] == [
+        f"q[{label}]: is a d-frame homomorphism" for label in ds.labels]
+    # full_sweep holds them after the d-frame's own three morphisms, and their
+    # functoriality after its own two pairs
+    verdicts = full_sweep([df]).verdicts
+    at = verdicts.index(morphism.verdicts[0])
+    assert verdicts[at:at + len(names)] == morphism.verdicts
+    assert verdicts[at - 1][0].startswith("q[")  # the last of the three: a core quotient
+    at = verdicts.index(functor.verdicts[0])
+    assert verdicts[at:at + len(functor.verdicts)] == functor.verdicts
+    assert verdicts[at - 1][0].startswith("core functor: q[")
+    assert morphism.ok and functor.ok and cref.ok
+
+
+def _member_corpus():
+    """standard_corpus(5) and 200 seeded random d-frames over frames of at
+    most four elements: every lattice fits the default guard."""
+    rng, pool = random.Random(30), frame_pool(4)
+    return standard_corpus(5) + [random_dframe(rng, pool=pool) for _ in range(200)]
+
+
+def test_sweep_quotients_match_the_per_morphism_route():
+    # every verdict the batch gives a member quotient is the one sweep_morphism,
+    # is_skeletal, dense_core_map and coreflection_report give its DFrameHom
+    quotients = 0
+    for df in _member_corpus():
+        ds = enumerate_sub_d_locales(df)
+        homs, ident = [m.quotient_hom() for m in ds.members], DFrameHom.identity(df)
+        morphism, functor, cref = _quotient_sweeps(ds)
+        single, single_functor = Sweep(), Sweep()
+        for q in homs:
+            sweep_morphism(q, single)
+        sweep_functoriality([(q, ident) for q in homs], single_functor)
+        assert morphism.verdicts == single.verdicts, df.name
+        assert functor.verdicts == single_functor.verdicts, df.name
+        assert cref.failures == coreflection_report([], homs).failures == []
+        _, skeletal, subfit = member_cores(ds)
+        assert skeletal.tolist() == [is_skeletal(q) for q in homs], df.name
+        assert subfit.tolist() == [is_dually_subfit(q.cod) for q in homs], df.name
+        quotients += len(homs)
+    assert quotients > 4000
+
+
+def test_member_cores_match_the_dense_core_of_each_member():
+    # dense_core on each member's own d-frame runs the checks the batch
+    # leaves out: the saturations are nuclei, the partners' joins consistent
+    for df in _member_corpus():
+        ds = enumerate_sub_d_locales(df)
+        cores = []
+        for member in ds.members:
+            core = dense_core(member.as_dframe).core
+            sets = [Sublocale(side.frame, [side.members[x] for x in sub.members])
+                    for side, sub in ((member.minus, core.minus), (member.plus, core.plus))]
+            cores.append(int(ds.by_mask[ds.mask_of(*sets)]))
+        assert member_cores(ds)[0].tolist() == cores, df.name
+        assert min(cores) >= 0
+
+
+def test_member_cores_raise_when_a_core_is_not_a_member(monkeypatch):
+    ds = enumerate_sub_d_locales(three_three())
+    monkeypatch.setattr(ds, "by_mask", np.full_like(ds.by_mask, -1))
+    with pytest.raises(BrokenInvariant, match="is not a member"):
+        member_cores(ds)
 
 
 def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):
     from dframes import sweeps
 
-    homs, calls = {}, Counter()
-    decide, carries = density.is_skeletal, density._carries_preorder
+    homs, calls, lattices = {}, Counter(), []
+    decide, carries, cores = density.is_skeletal, density._carries_preorder, sweeps.member_cores
 
     def counted_decide(hom):
         homs[id(hom)] = hom
@@ -745,13 +815,24 @@ def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):
         calls["carries"] += 1
         return carries(hom)
 
+    def counted_cores(ds):
+        lattices.append(ds)
+        return cores(ds)
+
     for module in (density, sweeps):
         monkeypatch.setattr(module, "is_skeletal", counted_decide)
     monkeypatch.setattr(density, "_carries_preorder", counted_carries)
+    monkeypatch.setattr(sweeps, "member_cores", counted_cores)
     code, out, _ = run_cli(["props", "corpus", "--seed", "5"])
     assert code == 0 and "result: ok" in out
-    # one decision per morphism, of at most one preorder test per component
-    assert homs and calls["carries"] <= 2 * len(homs)
+    # one decision per morphism outside the lattices, of at most one preorder
+    # test per component: each d-frame's three and the counterexample
+    dframes = int(out.split(" d-frames")[0].rsplit(" ", 1)[1])
+    assert len(homs) == 3 * dframes + 1 and calls["carries"] <= 2 * len(homs)
+    # and one per member quotient: member_cores decides each lattice once
+    parents = [id(ds.parent) for ds in lattices]
+    assert len(set(parents)) == len(parents) > 40
+    assert all(ds.parent.minus.n * ds.parent.plus.n <= 16 for ds in lattices)
 
 
 def test_classify_admits_the_core_pair_once(monkeypatch):

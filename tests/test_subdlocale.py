@@ -56,9 +56,9 @@ from dframes.subdlocale import (
     quotient_epis,
     try_sub_d_locale,
 )
-from dframes.sweeps import Sweep, standard_morphisms, sweep_dframe
+from dframes.sweeps import Sweep, full_sweep, sweep_dframe
 from dframes.order import bound_table
-from oracles import brute_bound
+from oracles import brute_bound, member_quotient_morphisms
 
 C3 = Frame.chain(3)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -192,12 +192,13 @@ def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
     monkeypatch.setattr(subdlocale, "axiom_planes", counted_planes)
     monkeypatch.setattr(subdlocale, "build_sub_d_locale", counter(build_sub_d_locale, built))
     monkeypatch.setattr(subdlocale, "induced_relations", counter(induced_relations, induced))
-    sweep = Sweep()
-    sweep_dframe(tt, sweep)
-    standard_morphisms([tt])
-    assert sweep.ok
+    assert full_sweep([tt]).ok
     assert planes == [(len(enumerate_sublocales(tt.minus)), len(enumerate_sublocales(tt.plus)))]
     assert not built
+    # the sweep decides the member quotients in the parent's index space; the
+    # per-morphism route induces each member's relations once
+    assert not induced
+    member_quotient_morphisms([tt])
     assert induced and max(induced.values()) == 1
 
 
