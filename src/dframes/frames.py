@@ -72,11 +72,6 @@ class Frame(Lattice):
         rows = np.packbits(above & ~_bool_matmul(above, strictly_below), axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
-    @cached_property
-    def join_irreducibles(self) -> tuple:
-        """The join-irreducible elements: those with one lower cover."""
-        return tuple(np.flatnonzero(self.covers.sum(axis=0) == 1).tolist())
-
     @classmethod
     def from_covers(cls, elements, cover_pairs) -> "Frame":
         return cls(Lattice.from_covers(elements, cover_pairs))

@@ -1,8 +1,10 @@
 """Finite posets and bounded lattices with explicit order and operation tables.
 
 Elements are opaque string ids mapped to dense integer indices; every
-operation below works on indices against numpy tables, which keeps meets,
-joins and closure computations O(1) table lookups or small matrix products.
+operation below works on indices against numpy tables, so meets and joins
+are O(1) lookups.  The tables are built by whole-table kernels that take rows
+in blocks of at most SLAB_CELLS cells, with no per-element loop, and a
+lattice's distributivity is decided by Birkhoff's representation.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CyclicOrder, NotALattice, UnknownElement
+
+SLAB_CELLS = 1 << 20  # the most cells a table kernel's block holds at once
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -25,6 +29,12 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def _row_blocks(n: int, row_cells: int):
+    """Slices of range(n) holding at most SLAB_CELLS cells (or one row) each."""
+    step = max(1, SLAB_CELLS // max(1, row_cells))
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -36,48 +46,38 @@ def cover_relation(leq: np.ndarray) -> np.ndarray:
     return _frozen(lt & ~_bool_matmul(lt, lt))
 
 
+def _upward(leq: np.ndarray) -> np.ndarray:
+    """The indices by |up(x)| descending, a linear extension of leq: x < y
+    makes up(y) a proper subset of up(x).  The upper bounds U of a set form
+    an up-set, so its join, when it exists, is the first member of U in this
+    order, and a member u of U is the join iff |up(u)| = |U|."""
+    return np.argsort(-leq.sum(axis=1), kind="stable")
+
+
 def bound_table(leq: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
     """(table, ok): the glb (lower) or lub table of a finite order.
 
-    Row i takes the lower bounds of i as candidates and, for each j, the
-    least-bound step over those also below j; ok[i, j] is False where the
-    common lower bounds have no greatest element (or there are none), and
-    table[i, j] is then meaningless.  Upper bounds give the lub.  Each row's
-    slab is n x |down(i)| booleans, so memory stays O(n^2).
+    table[i, j] is the first common bound of i and j in the upward order;
+    ok[i, j] is False where that is not their least one (or there are none),
+    and table[i, j] is then meaningless.  Blocks of k rows hold k x n x n
+    booleans, at most SLAB_CELLS, so memory stays bounded at any n.
     """
     rel = np.asarray(leq, dtype=bool)
-    rel = np.ascontiguousarray(rel.T if lower else rel)  # x bounds k iff rel[k, x]
-    n = len(rel)
-    sizes = rel.sum(axis=1)
-    table = np.zeros((n, n), dtype=np.int64)
-    ok = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        bounds = np.flatnonzero(rel[i])  # the candidates, bounds of i
-        best, ok[i] = _least_bound(rel[:, bounds], sizes[bounds])  # row j: those also bounding j
-        table[i] = bounds[best]
-    return table, ok
-
-
-def _least_bound(bounds: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(best, ok) per row r of bounds, where bounds[r, u] says u is an upper
-    bound of row r's set and sizes[u] is |up(u)|.
-
-    The upper bounds U of a set in a finite order form an up-set, so every u
-    in U has |up(u)| <= |U|, with equality exactly when u is the least
-    element of U, the set's join.  best[r] is that u and ok[r] whether it
-    exists; where it does not, best[r] is meaningless.  Lower bounds and
-    down-set sizes give the meet.
-    """
-    hit = bounds & (sizes == bounds.sum(axis=1)[:, None])
-    best = hit.argmax(axis=1)  # 0 in a row without a hit
-    return best, (best > 0) | hit[:, 0]
+    rel = rel.T if lower else rel  # x bounds k iff rel[k, x]
+    n, order = len(rel), _upward(rel)
+    bounds, weights = np.ascontiguousarray(rel[:, order]), rel.astype(np.float32)  # argmax wants C rows
+    table = np.empty((n, n), dtype=np.int64)
+    for rows in _row_blocks(n, n * n):
+        table[rows] = order[(bounds[rows, None] & bounds).argmax(axis=2)]
+    return table, rel.sum(axis=1)[table] == weights @ weights.T  # |up(u)| = |U|, the common bounds
 
 
 def _joins(rows: np.ndarray, leq: np.ndarray) -> np.ndarray:
     """The join under leq of each row's set, where rows[r, x] puts x in set r
-    (the bottom for an empty row); leq.T gives the meets.  The least-bound
-    step picks the least of the set's upper bounds."""
-    return _least_bound(~_bool_matmul(rows, ~leq), leq.sum(axis=1))[0]
+    (the bottom for an empty row); leq.T gives the meets.  Each join is the
+    set's first upper bound in the upward order."""
+    order = _upward(leq)
+    return order[(~_bool_matmul(rows, ~leq[:, order])).argmax(axis=1)]
 
 
 def _distributivity_witness(meet: np.ndarray, join: np.ndarray):
@@ -231,8 +231,18 @@ class Lattice(Poset):
         return _distributivity_witness(self.meet, self.join)
 
     @cached_property
+    def join_irreducibles(self) -> tuple:
+        """The join-irreducible elements: those with one lower cover."""
+        return tuple(np.flatnonzero(self.covers.sum(axis=0) == 1).tolist())
+
+    @cached_property
     def is_distributive(self) -> bool:
-        return self.distributivity_witness is None
+        """Whether a ↦ {j ∈ J : j <= a} preserves binary joins: the map is
+        injective and preserves meets, so this holds iff the lattice embeds
+        in the powerset of its join-irreducibles J (Birkhoff's representation)."""
+        rep = self.leq[list(self.join_irreducibles)]
+        return all((rep[js, self.join] == (rep[js, :, None] | rep[js, None, :])).all()
+                   for js in _row_blocks(len(rep), self.n * self.n))
 
     # -- Heyting structure (valid on distributive carriers) ----------------
 
@@ -242,12 +252,13 @@ class Lattice(Poset):
 
         Only meaningful on distributive lattices, where the join below
         itself satisfies a∧(a->b) <= b; elsewhere each cell is still the
-        join of its candidates.  Per row a, cand[b, c] holds iff a∧c <= b,
-        and the set-bound step finds each candidate set's join.
+        join of its candidates.  cand[a, b, c] holds iff a∧c <= b, and
+        _joins finds each candidate set's join, a block of rows a at a time.
         """
-        table = np.zeros((self.n, self.n), dtype=np.int64)
-        for a in range(self.n):
-            table[a] = _joins(self.leq[self.meet[a, :], :].T, self.leq)
+        table = np.empty((self.n, self.n), dtype=np.int64)
+        for rows in _row_blocks(self.n, self.n * self.n):
+            cand = self.leq[self.meet[rows]].transpose(0, 2, 1)
+            table[rows] = _joins(cand.reshape(-1, self.n), self.leq).reshape(-1, self.n)
         return _frozen(table)
 
     def implies(self, a: int, b: int) -> int:

@@ -249,19 +249,23 @@ def full_sweep(dframes, max_pairs: int = 400) -> Sweep:
     member quotients after its three; the identity functor; functoriality;
     the coreflection facts."""
     sweep, functor = Sweep(), Sweep()
-    lattices = [sweep_dframe(df, sweep, max_pairs=max_pairs) for df in dframes]
+    # A valid d-frame is trivial on both sides or on neither, and an n-element
+    # frame has at most n - 1 primes, so a product of at most 16 elements has
+    # at most 2 ** (1 + 7) = 256 sublocale pairs, inside the default guard:
+    # these d-frames' quotients are swept, and only their lattices are kept.
+    small = [df.minus.n * df.plus.n <= 16 for df in dframes]
+    lattices = []
+    for df, keep in zip(dframes, small):
+        ds = sweep_dframe(df, sweep, max_pairs=max_pairs)
+        lattices.append(ds if keep else None)
     morphisms, pairs = standard_morphisms(dframes)
     cref = coreflection_report(dframes)
-    for k, (df, ds) in enumerate(zip(dframes, lattices)):
+    for k, (df, ds, keep) in enumerate(zip(dframes, lattices, small)):
         for hom in morphisms[3 * k:3 * k + 3]:
             sweep_morphism(hom, sweep)
         sweep_functoriality(pairs[2 * k:2 * k + 2], functor)
         cref.failures += coreflection_report([], morphisms[3 * k:3 * k + 3]).failures
-        # A valid d-frame is trivial on both sides or on neither, and an
-        # n-element frame has at most n - 1 primes, so a product of at most
-        # 16 elements has at most 2 ** (1 + 7) = 256 sublocale pairs, inside
-        # the default guard.
-        if df.minus.n * df.plus.n <= 16:
+        if keep:
             sweep_quotients(enumerate_sub_d_locales(df) if ds is None else ds, sweep, functor, cref)
     sweep_morphism(morphisms[-1], sweep)
     cref.failures += coreflection_report([], morphisms[-1:]).failures

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dframes import order
 from dframes.errors import CyclicOrder, NotALattice, UnknownElement
 from dframes.order import (
     Lattice,
@@ -135,6 +136,31 @@ def test_distributivity_witness_is_the_first_row_major_violation(lat):
     assert lat.distributivity_witness == loop_distributivity_witness(lat)
 
 
+def top_first(lat):
+    """A copy indexed top first: the least bound is then never the first one
+    by index, and the join-irreducibles come in the reverse order."""
+    return Lattice(lat.elements[::-1], lat.leq[::-1, ::-1])
+
+
+def assert_representation_matches_the_scan(lattices):
+    """is_distributive (Birkhoff's representation) against the row-major scan,
+    each lattice rebuilt so that no verdict is carried over; returns the
+    number of lattices that are not distributive."""
+    fresh = [Lattice(lat.elements, lat.leq) for lat in lattices]
+    verdicts = [lat.is_distributive for lat in fresh]
+    assert verdicts == [lat.distributivity_witness is None for lat in fresh]
+    return verdicts.count(False)
+
+
+N5_M3 = [Lattice.pentagon(), Lattice.diamond3()]
+
+
+def test_representation_decides_distributivity_as_the_scan_does():
+    lattices = frame_pool(7) + all_lattices(6) + N5_M3 + [top_first(lat) for lat in N5_M3]
+    # not distributive: 12 of the 25 lattices of at most 6 elements, N5, M3 and their copies
+    assert assert_representation_matches_the_scan(lattices) == 12 + 2 + 2
+
+
 def test_distributivity_verdicts():
     # of the kernel lattices only N5 and M3 (up to isomorphism) are not
     assert sum(not lat.is_distributive for lat in KERNEL_LATTICES) == 2
@@ -195,10 +221,24 @@ def implication_by_joins(lat):
 def test_implication_table_matches_the_per_cell_joins():
     lattices = frame_pool(5) + [Lattice.chain(40), Frame.boolean(5),
                                 Lattice.pentagon(), Lattice.diamond3()]
-    # indexed top first: the least upper bound is then never the first one by index
-    reversed_ = [Lattice(lat.elements[::-1], lat.leq[::-1, ::-1]) for lat in lattices[-3:]]
-    for lat in lattices + reversed_:
+    for lat in lattices + [top_first(lat) for lat in lattices[-3:]]:
         assert (lat.implication == implication_by_joins(lat)).all(), lat
+
+
+@pytest.mark.parametrize("slab", [1, 60, 200])
+def test_kernels_match_their_references_across_block_seams(monkeypatch, slab):
+    """Slabs of a few cells cut each kernel's rows into blocks of one row, or
+    of a few rows with a partial last block: the bound tables, the first
+    missing bound, the implication table and the distributivity verdicts
+    stay those of the per-pair and per-cell references."""
+    monkeypatch.setattr(order, "SLAB_CELLS", slab)
+    for lat in KERNEL_LATTICES:
+        test_bound_kernel_matches_per_pair_scan(lat)
+    for case in NON_LATTICES:
+        test_non_lattices_name_the_first_missing_bound(*case)
+    test_implication_table_matches_the_per_cell_joins()
+    lattices = KERNEL_LATTICES + N5_M3 + [top_first(lat) for lat in KERNEL_LATTICES + N5_M3]
+    assert assert_representation_matches_the_scan(lattices) == 8  # N5 and M3, four times each
 
 
 @pytest.mark.parametrize("lat", frame_pool(6) + [Frame.boolean(4), Frame.chain(8),
