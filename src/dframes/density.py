@@ -138,9 +138,14 @@ def is_dense_sub_d_locale(s: SubDLocale) -> bool:
 
 
 def dense_members(ds: SubDLocaleLattice) -> np.ndarray:
-    """[k]: whether member k is dense, decided for every member at once the two
-    ways is_dense_sub_d_locale decides one: the image of parent con under its
-    quotients is its restriction, and its mask pair contains the double sets'."""
+    """[k]: whether member k is dense, decided once per lattice for every
+    member at once the two ways is_dense_sub_d_locale decides one: the image
+    of parent con under its quotients is its restriction, and its mask pair
+    contains the double sets'."""
+    return _memo(ds, "_dense_members", _dense_members)
+
+
+def _dense_members(ds: SubDLocaleLattice) -> np.ndarray:
     con, dbl = ds.parent.con, ds.mask_of(*double_pseudocomplement_sets(ds.parent)[:2])
     definitional = member_plane(ds, lambda at, qm, qp, box: (
         _image(con, qp, qm, con.shape) == con & box.transpose(0, 2, 1)).all(axis=(1, 2)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BrokenInvariant, CarrierMismatch, DomainMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import _bool_matmul, _frozen, _joins, down_closure_pairs, up_closure_pairs
+from .order import _bool_matmul, _frozen, _joins
 
 
 @dataclass(frozen=True)
@@ -145,120 +145,122 @@ def _partner_bound(rows: np.ndarray, leq: np.ndarray, law: str) -> np.ndarray:
     return _frozen(out)
 
 
+# The nine axioms in report order, the order of axiom_verdicts' rows.
+AXIOMS = ("con-down", "con-join", "con-meet", "tot-up", "tot-meet", "tot-join",
+          "con-tot-plus", "con-tot-minus", "con-dirjoin")
+_PASSED = {name: AxiomCheck(name, True) for name in AXIOMS}
+
+
 def check_dframe(df: DFrame) -> AxiomReport:
-    """Run the nine named axioms, each with a first-counterexample witness."""
+    """The nine named axioms by axiom_verdicts, each failed one with its first counterexample."""
+    Lm, Lp = df.minus, df.plus
+    verdicts = axiom_verdicts(Lm, Lp, df.con[None], df.tot[None], (Lm.join, Lp.join), (Lm.bottom, Lp.bottom),
+                              [lat.orders.sum(axis=1)[:, None] for lat in (Lm, Lp)], True)
+    return AxiomReport(tuple(_PASSED[name] if ok[0] else AxiomCheck(name, False, _witness(df, name))
+                             for name, ok in zip(AXIOMS, verdicts)))
+
+
+def _witness(df: DFrame, name: str) -> tuple:
+    """The first counterexample to axiom name, which df fails."""
     Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
+    return {
+        "con-down": lambda: _order_witness(con, Lp, Lm, upper=False),
+        "con-join": lambda: _law_witness(con, Lp.join, Lm.meet, Lp, Lm, (Lp.bottom, Lm.top)),
+        "con-meet": lambda: _law_witness(con, Lp.meet, Lm.join, Lp, Lm, (Lp.top, Lm.bottom)),
+        "tot-up": lambda: _order_witness(tot, Lm, Lp, upper=True),
+        "tot-meet": lambda: _law_witness(tot, Lm.join, Lp.meet, Lm, Lp, (Lm.bottom, Lp.top)),
+        "tot-join": lambda: _law_witness(tot, Lm.meet, Lp.join, Lm, Lp, (Lm.top, Lp.bottom)),
+        "con-tot-plus": lambda: _con_tot_witness(con, tot, Lp.leq, lambda p1, m, p2: (
+            Lp.elements[p1], "con", Lm.elements[m], "tot", Lp.elements[p2])),
+        "con-tot-minus": lambda: _con_tot_witness(con.T, tot.T, Lm.leq, lambda m1, p, m2: (
+            Lp.elements[p], "con", Lm.elements[m1], "while", Lm.elements[m2], "tot", Lp.elements[p])),
+    }[name]()
 
-    # Once a relation passed its order check, each binary law is a test on
-    # lines (one column or one row at a time):
-    # - con-join: con is a lower set, so (p, a) and (p', a') give (p, a/\a')
-    #   and (p', a/\a'); the law holds iff each column is closed under plus
-    #   joins.
-    # - con-meet: they give (p/\p', a) and (p/\p', a'); the law holds iff
-    #   each row is closed under minus joins.
-    # - tot-meet: tot is an upper set, so (a, p) and (a', p') give (a\/a', p)
-    #   and (a\/a', p'); the law holds iff each row is closed under plus meets.
-    # - tot-join: they give (a, p\/p') and (a', p\/p'); the law holds iff
-    #   each column is closed under minus meets.
-    con_down = _order_check("con-down", con, Lp, Lm, upper=False)
-    tot_up = _order_check("tot-up", tot, Lm, Lp, upper=True)
-    checks = [
-        con_down,
-        _pairwise_check("con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
-                        nullary=(Lp.bottom, Lm.top), lines="cols" if con_down.ok else None),
-        _pairwise_check("con-meet", con, Lp.meet, Lm.join, Lp.elements, Lm.elements,
-                        nullary=(Lp.top, Lm.bottom), lines="rows" if con_down.ok else None),
-        tot_up,
-        _pairwise_check("tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
-                        nullary=(Lm.bottom, Lp.top), lines="rows" if tot_up.ok else None),
-        _pairwise_check("tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
-                        nullary=(Lm.top, Lp.bottom), lines="cols" if tot_up.ok else None),
+
+def axiom_verdicts(minus: Frame, plus: Frame, con, tot, joins, bottoms, counts, box) -> list:
+    """[k][t]: whether the pair (con[t], tot[t]) passes the k-th axiom of AXIOMS.
+
+    The pairs share minus x plus's index space, orders, meets and tops, and
+    each side of pair t is a lattice of members: joins and bottoms hold its
+    join table and bottom (per pair where stacked), counts its [below,
+    above] counts ([., t, x]: the members below or above x), and box[t] its
+    plus x minus member cells (True: every cell).  tot.T obeys con's laws
+    for the reversed orders, so the stack [con, tot.T] is decided at once.
+    """
+    (join_m, join_p), (bot_m, bot_p), (counts_m, counts_p) = joins, bottoms, counts
+    at = np.arange(len(con))
+    rel = np.array([con, tot.transpose(0, 2, 1)])
+    closure = _bool_matmul(_bool_matmul(plus.orders[:, None], rel), minus.orders.transpose(0, 2, 1)[:, None])
+    ordered = ~(closure & box & ~rel).any(axis=(2, 3))  # con is a lower set, tot an upper set
+    # Once con is a lower set, con-join holds iff each column is closed under
+    # plus joins ((p, a) and (p', a') give (p, a/\a') and (p', a/\a')), and
+    # con-meet iff each row is closed under minus joins; on tot.T these are
+    # tot-meet and tot-join.  A nonempty down-set of a finite lattice closed
+    # under binary joins is the down-set of its join, so a line passes iff it
+    # is empty or one of its cells has as many members below it (above it,
+    # on tot.T) as the line has cells.  Where the order check failed, every
+    # pair of cells is scanned.
+    cols, rows = ((np.where(lines, counts[..., :, None], 0) == lines.sum(axis=2, keepdims=True))
+                  .any(axis=2).all(axis=2)
+                  for lines, counts in ((rel, counts_p), (rel.transpose(0, 1, 3, 2), counts_m)))
+    ops = [(join_p, minus.meet), (plus.meet, join_m)]  # con-join's and con-meet's (tot-join's, tot-meet's)
+    for s, t in [] if ordered.all() else np.argwhere(~ordered):
+        for ok, pair_ops in ((cols, ops[s]), (rows, ops[1 - s])):
+            ok[s, t] = _first_bad_pair(rel[s, t], *(op if op.ndim == 2 else op[t] for op in pair_ops)) is None
+    corner, other = rel[:, at, bot_p, minus.top], rel[:, at, plus.top, bot_m]  # the nullary cells
+    return [
+        ordered[0], cols[0] & corner[0], rows[0] & other[0],
+        ordered[1], cols[1] & other[1], rows[1] & corner[1],
+        # (con-tot): phi con a and a tot psi force phi <= psi, and phi con a
+        # and b tot phi force a <= b (transposed here)
+        ~(_bool_matmul(con, tot) & ~plus.leq).any(axis=(1, 2)),
+        ~(_bool_matmul(tot, con) & ~minus.leq.T).any(axis=(1, 2)),
+        # (con-dirjoin): a finite directed set holds its own join (the tests
+        # confirm this with a brute-force scan of the directed subsets)
+        np.ones(len(con), dtype=bool),
     ]
-
-    # (con-tot), plus side: phi con a and a tot psi force phi <= psi; the
-    # minus side is the same law on the transposes: phi con a and b tot phi
-    # force a <= b.
-    checks.append(_con_tot_check("con-tot-plus", con, tot, Lp.leq, lambda p1, m, p2: (
-        Lp.elements[p1], "con", Lm.elements[m], "tot", Lp.elements[p2])))
-    checks.append(_con_tot_check("con-tot-minus", con.T, tot.T, Lm.leq, lambda m1, p, m2: (
-        Lp.elements[p], "con", Lm.elements[m1], "while", Lm.elements[m2], "tot", Lp.elements[p])))
-
-    # (con-dirjoin): a finite directed set holds its own join, so every
-    # relation is closed under directed joins (the tests confirm this with
-    # a brute-force scan of the directed subsets).
-    checks.append(AxiomCheck("con-dirjoin", True))
-
-    return AxiomReport(tuple(checks))
 
 
 # The pair scan looks at this many pairs of members at a time.
 _SCAN_BLOCK = 1 << 20
 
 
-def _pairwise_check(name, rel, row_op, col_op, row_names, col_names, nullary, lines=None):
-    """rel(r, c) and rel(r', c') give rel(row_op[r, r'], col_op[c, c']), and
-    rel holds the nullary pair.
-
-    lines is set when rel passed its order check: "cols" when the law holds
-    iff each column is closed under row_op, "rows" when it holds iff each row
-    is closed under col_op (see check_dframe).  Otherwise, or when a line
-    test fails, every pair of members is scanned, a block of rows at a time;
-    the witness is the first failing pair in row-major order.
-    """
-    if lines is not None and rel[nullary] and (
-            _lines_closed(rel, row_op) if lines == "cols" else _lines_closed(rel.T, col_op)):
-        return AxiomCheck(name, True)
+def _first_bad_pair(rel, row_op, col_op):
+    """The first pair of rel's cells (r, c), (r', c') in row-major order with
+    rel[row_op[r, r'], col_op[c, c']] false, or None; a block of rows at a time."""
     rows, cols = np.where(rel)
     block = max(1, _SCAN_BLOCK // max(1, len(rows)))
     for start in range(0, len(rows), block):
-        # combined[i, j] = rel[row_op[r_i, r_j], col_op[c_i, c_j]]
         r, c = rows[start:start + block, None], cols[start:start + block, None]
         combined = rel[row_op[r, rows], col_op[c, cols]]
         if not combined.all():
             i, j = next(zip(*np.where(~combined)))
-            return AxiomCheck(name, False, (
-                (row_names[rows[start + i]], col_names[cols[start + i]]),
-                (row_names[rows[j]], col_names[cols[j]]),
-            ))
-    if not rel[nullary]:
-        return AxiomCheck(name, False, ((row_names[nullary[0]], col_names[nullary[1]]), "missing"))
-    return AxiomCheck(name, True)
+            return (rows[start + i], cols[start + i]), (rows[j], cols[j])
+    return None
 
 
-def _lines_closed(rel, op) -> bool:
-    """Each column of rel is closed under op: rel[i, c] and rel[j, c] give
-    rel[op[i, j], c]."""
-    return bool((rel[op] | ~(rel[:, None, :] & rel[None, :, :])).all())
+def _law_witness(rel, row_op, col_op, rows, cols, nullary) -> tuple:
+    """The first failing pair of a binary law's cells, or its missing nullary cell."""
+    bad = _first_bad_pair(rel, row_op, col_op)
+    if bad is None:
+        return ((rows.elements[nullary[0]], cols.elements[nullary[1]]), "missing")
+    return tuple((rows.elements[r], cols.elements[c]) for r, c in bad)
 
 
-def _order_check(name, rel, rows, cols, upper):
-    """rel is a lower set of rows x cols, or an upper set when upper is set.
-
-    An upper set is a lower set for the reversed orders.  The witness is
-    the first missing pair below (above) a member, in rel's own row-major
-    order.
-    """
-    closure = up_closure_pairs if upper else down_closure_pairs
-    if (closure(rows, cols, rel) == rel).all():
-        return AxiomCheck(name, True)
+def _order_witness(rel, rows, cols, upper) -> tuple:
+    """The first pair missing below (above, if upper) a member, in rel's row-major order."""
     row_leq, col_leq = (rows.leq.T, cols.leq.T) if upper else (rows.leq, cols.leq)
     for r, c in zip(*np.where(rel)):
         for r2, c2 in np.argwhere(row_leq[:, r, None] & col_leq[:, c] & ~rel)[:1]:
-            return AxiomCheck(name, False, (
-                rows.elements[r2], cols.elements[c2], "above" if upper else "below",
-                rows.elements[r], cols.elements[c]))
-    return AxiomCheck(name, False)
+            return (rows.elements[r2], cols.elements[c2], "above" if upper else "below",
+                    rows.elements[r], cols.elements[c])
 
 
-def _con_tot_check(name, con, tot, leq, witness):
-    """x con y and y tot z force x <= z, with con in X x Y, tot in Y x X
-    and leq the order of X; witness(x, y, z) names the first failure."""
-    bad = _bool_matmul(con, tot) & ~leq
-    if not bad.any():
-        return AxiomCheck(name, True)
-    x, z = next(zip(*np.where(bad)))
+def _con_tot_witness(con, tot, leq, witness) -> tuple:
+    """witness(x, y, z) of the first x con y, y tot z with x not below z under leq."""
+    x, z = next(zip(*np.where(_bool_matmul(con, tot) & ~leq)))
     y = int(np.where(con[x, :] & tot[:, z])[0][0])
-    return AxiomCheck(name, False, witness(x, y, z))
+    return witness(x, y, z)
 
 
 # -- canonical constructors ---------------------------------------------------
@@ -484,7 +486,7 @@ def is_regular(df: DFrame) -> bool:
 # transpose of tot obeys con's laws for the reversed orders (upper sets for
 # lower sets, meets for joins), so both share one extensive step on
 # (plus x minus), iterated to its fixpoint.  A lower set obeys the binary
-# laws iff its lines are closed under joins (see check_dframe), that is, iff
+# laws iff its lines are closed under joins (see axiom_verdicts), that is, iff
 # each nonempty line is the principal ideal of its join.
 
 

@@ -26,7 +26,7 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum is positive exactly when one of its terms is: `> 0` is exact at any
     size.
     """
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
 def _row_blocks(n: int, row_cells: int):
@@ -131,6 +131,11 @@ class Poset:
     @cached_property
     def covers(self) -> np.ndarray:
         return cover_relation(self.leq)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """[leq, leq.T]: the order and its reverse."""
+        return _frozen(np.array([self.leq, self.leq.T]))
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.elements)})"

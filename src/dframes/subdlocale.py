@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _image, _memo, _partner_bound
+from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _image, _memo, _partner_bound, axiom_verdicts
 from .errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, _same_frame, enumerate_sublocales
 from .order import _bool_matmul, _distributivity_witness, _frozen, cover_relation
@@ -359,17 +359,25 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     Each pair lives in the parent's index space: con and tot are images
     under its quotients (BrokenInvariant where tot's is not the restriction)
     and its frames keep the parent's order and meets and quotient its joins.
-    A chunk of pairs (one at least) keeps about four temporaries of at most
-    _SCAN_BLOCK / 16 cells alive, a quarter megabyte: large enough to
-    amortise the chunk's calls, small enough to add no measurable peak."""
-    qm, qp = (np.array([s.quotient for s in subs], dtype=np.intp).reshape(len(subs), lat.n)
-              for subs, lat in ((subs_minus, parent.minus), (subs_plus, parent.plus)))
-    i, j = (k.ravel() for k in np.indices((len(qm), len(qp))))
-    step = max(1, _SCAN_BLOCK // (16 * parent.con.size * max(parent.con.shape)))
-    planes = np.ones((9, len(i)), dtype=bool)  # con-dirjoin holds over finite carriers
-    for s in range(0, len(i), step):
-        planes[:8, s:s + step] = _pair_planes(parent, qm[i[s:s + step]], qp[j[s:s + step]])
-    return _frozen(planes.reshape(9, len(qm), len(qp)))
+    A chunk of pairs (one at least) keeps its temporaries under a quarter
+    megabyte each: large enough to amortise the chunk's calls, small enough
+    to add no measurable peak."""
+    Lm, Lp = parent.minus, parent.plus
+    sub_m, sub_p = (np.array([s.quotient for s in subs], dtype=np.intp).reshape(len(subs), lat.n)
+                    for subs, lat in ((subs_minus, Lm), (subs_plus, Lp)))
+    i, j = (k.ravel() for k in np.indices((len(sub_m), len(sub_p))))
+    step, planes = max(1, _SCAN_BLOCK // (16 * parent.con.size * max(parent.con.shape))), []
+    for at in (slice(s, s + step) for s in range(0, len(i), step)):
+        qm, qp = sub_m[i[at]], sub_p[j[at]]
+        con, tot = _image(parent.con, qp, qm, parent.con.shape), _image(parent.tot, qm, qp, parent.tot.shape)
+        box = (qp == np.arange(Lp.n))[:, :, None] & (qm == np.arange(Lm.n))[:, None]  # members
+        if (tot != (parent.tot & box.transpose(0, 2, 1))).any():
+            raise BrokenInvariant("quotient image of tot must equal its restriction")
+        counts = [np.matmul(q == np.arange(lat.n), lat.orders, dtype=np.int32)
+                  for q, lat in ((qm, Lm), (qp, Lp))]
+        planes.append(axiom_verdicts(Lm, Lp, con, tot, (qm[:, Lm.join], qp[:, Lp.join]),
+                                     (qm[:, Lm.bottom], qp[:, Lp.bottom]), counts, box))
+    return _frozen(np.concatenate(planes, axis=1).reshape(9, len(sub_m), len(sub_p)))
 
 
 def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
@@ -386,60 +394,19 @@ def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
 
 
 def quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
-    """[k]: is_extremal_epi(ds.members[k].quotient_hom()), decided in the
-    parent's index space: each quotient hits exactly its member set, and the
-    image of tot is its restriction (that of con is member k's con)."""
+    """[k]: is_extremal_epi(ds.members[k].quotient_hom()), decided once per
+    lattice in the parent's index space: each quotient hits exactly its
+    member set, and the image of tot is its restriction (that of con is
+    member k's con)."""
+    return _memo(ds, "_quotient_epis", _quotient_epis)
+
+
+def _quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
     tot, (vm, vp) = ds.parent.tot, ds.stacks("member_vector")
     return member_plane(ds, lambda at, qm, qp, box: (
         ((qm[:, :, None] == np.arange(ds.parent.minus.n)).any(axis=1) == vm[at]).all(axis=1)
         & ((qp[:, :, None] == np.arange(ds.parent.plus.n)).any(axis=1) == vp[at]).all(axis=1)
         & (_image(tot, qm, qp, tot.shape) == tot & box).all(axis=(1, 2))))
-
-
-def _pair_planes(parent: DFrame, qm: np.ndarray, qp: np.ndarray) -> list:
-    """The first eight planes of the pairs whose quotients are qm's and qp's rows."""
-    Lm, Lp, at = parent.minus, parent.plus, np.arange(len(qm))
-    con = _image(parent.con, qp, qm, parent.con.shape)
-    tot = _image(parent.tot, qm, qp, parent.tot.shape)
-    box = (qm == np.arange(Lm.n))[:, :, None] & (qp == np.arange(Lp.n))[:, None, :]  # members
-    if (tot != (parent.tot & box)).any():
-        raise BrokenInvariant("quotient image of tot must equal its restriction")
-
-    def product(a, b):
-        return np.matmul(a, b, dtype=np.float32) > 0
-
-    def lower(rel, rows, cols, box):  # rel holds the members below its cells
-        return ~(product(product(rows, rel), cols.T) & box & ~rel).any(axis=(1, 2))
-
-    con_down = lower(con, Lp.leq, Lm.leq, box.transpose(0, 2, 1))
-    tot_up = lower(tot, Lm.leq.T, Lp.leq.T, box)
-    join_m, join_p = qm[:, Lm.join], qp[:, Lp.join]
-    meet_m, meet_p = (np.broadcast_to(lat.meet, (len(at), lat.n, lat.n)) for lat in (Lm, Lp))
-    return [con_down,
-            _law_plane(con_down, con, join_p, meet_m, True, con[at, qp[:, Lp.bottom], Lm.top]),
-            _law_plane(con_down, con, meet_p, join_m, False, con[at, Lp.top, qm[:, Lm.bottom]]),
-            tot_up,
-            _law_plane(tot_up, tot, join_m, meet_p, False, tot[at, qm[:, Lm.bottom], Lp.top]),
-            _law_plane(tot_up, tot, meet_m, join_p, True, tot[at, Lm.top, qp[:, Lp.bottom]]),
-            ~(product(con, tot) & ~Lp.leq).any(axis=(1, 2)),    # con-tot-plus
-            ~(product(tot, con) & ~Lm.leq.T).any(axis=(1, 2))]  # con-tot-minus, transposed
-
-
-def _law_plane(order_ok, rel, row_op, col_op, by_cols, nullary) -> np.ndarray:
-    """[t]: rel[t] holds its nullary cell, and rel[t][x, y] and rel[t][x', y']
-    give rel[t][row_op[t][x, x'], col_op[t][y, y']]: where order_ok[t], a
-    test on lines (see check_dframe), each column closed under row_op when
-    by_cols is set and each row under col_op if not; elsewhere a scan."""
-    lines, op = (rel, row_op) if by_cols else (rel.transpose(0, 2, 1), col_op)
-    combined = lines[np.arange(len(rel))[:, None, None], op]
-    ok = ~(lines[:, :, None] & lines[:, None] & ~combined).any(axis=(1, 2, 3))
-    for t in np.flatnonzero(~order_ok):  # every pair of rel[t]'s cells
-        xs, ys = np.nonzero(rel[t])
-        block = max(1, _SCAN_BLOCK // max(1, len(xs)))
-        ok[t] = all(rel[t][row_op[t][xs[s:s + block, None], xs],
-                           col_op[t][ys[s:s + block, None], ys]].all()
-                    for s in range(0, len(xs), block))
-    return ok & nullary
 
 
 def _lookup_table(lookup: np.ndarray, masks: np.ndarray, op) -> np.ndarray:

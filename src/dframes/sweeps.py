@@ -252,21 +252,22 @@ def full_sweep(dframes, max_pairs: int = 400) -> Sweep:
     # A valid d-frame is trivial on both sides or on neither, and an n-element
     # frame has at most n - 1 primes, so a product of at most 16 elements has
     # at most 2 ** (1 + 7) = 256 sublocale pairs, inside the default guard:
-    # these d-frames' quotients are swept, and only their lattices are kept.
-    small = [df.minus.n * df.plus.n <= 16 for df in dframes]
+    # these d-frames' quotients are swept on the lattice sweep_dframe built,
+    # and only those lattices are kept.  A guard that refused the lattice
+    # skips its quotients too.
     lattices = []
-    for df, keep in zip(dframes, small):
+    for df in dframes:
         ds = sweep_dframe(df, sweep, max_pairs=max_pairs)
-        lattices.append(ds if keep else None)
+        lattices.append(ds if df.minus.n * df.plus.n <= 16 else None)
     morphisms, pairs = standard_morphisms(dframes)
     cref = coreflection_report(dframes)
-    for k, (df, ds, keep) in enumerate(zip(dframes, lattices, small)):
+    for k, ds in enumerate(lattices):
         for hom in morphisms[3 * k:3 * k + 3]:
             sweep_morphism(hom, sweep)
         sweep_functoriality(pairs[2 * k:2 * k + 2], functor)
         cref.failures += coreflection_report([], morphisms[3 * k:3 * k + 3]).failures
-        if keep:
-            sweep_quotients(enumerate_sub_d_locales(df) if ds is None else ds, sweep, functor, cref)
+        if ds is not None:
+            sweep_quotients(ds, sweep, functor, cref)
     sweep_morphism(morphisms[-1], sweep)
     cref.failures += coreflection_report([], morphisms[-1:]).failures
     sweep_identity_functor(dframes, sweep)

@@ -6,8 +6,9 @@ by a per-pair scan, set joins and meets by folds of the binary tables,
 directed-join closure by listing directed subsets, order and d-frame
 isomorphism by backtracking (the library checks "the dense core is whole"
 where these would compare a d-frame with its core), every bounded lattice
-by scanning order masks, and the sub-d-locale quotients of a corpus one
-DFrameHom at a time (the sweep decides them per lattice).
+by scanning order masks, the sub-d-locale quotients of a corpus one
+DFrameHom at a time (the sweep decides them per lattice), and the nine
+d-frame axioms by their definitions (the library counts members on lines).
 """
 
 from functools import reduce
@@ -39,6 +40,47 @@ def join_all(lat: Lattice, idxs) -> int:
 
 def meet_all(lat: Lattice, idxs) -> int:
     return int(reduce(lambda x, y: lat.meet[x, y], idxs, lat.top))
+
+
+def dframe_axioms(df) -> dict:
+    """{axiom: (ok, witness)} for check_dframe's nine axioms, by definition.
+
+    con and tot are checked to be lower and upper sets cell against cell, the
+    four binary laws by combining every pair of cells (and by the nullary
+    cell), and con-tot over every triple; con-dirjoin holds over finite
+    carriers (directed_joins_bruteforce shows it).  The witness is check_dframe's
+    for a binary law, the first pair in row-major order or the missing
+    nullary cell, and () for the rest.
+    """
+    minus, plus, con, tot = df.minus, df.plus, df.con, df.tot
+
+    def lower(rel, rows, cols):  # [r2, r, c2, c]: (r, c) in rel and (r2, c2) below it
+        below = rel[None, :, None, :] & rows[:, :, None, None] & cols[None, None, :, :]
+        return bool((rel[:, None, :, None] | ~below).all())
+
+    def law(rel, row_op, col_op, rows, cols, nullary):
+        r, c = np.nonzero(rel)
+        bad = np.argwhere(~rel[row_op[r[:, None], r], col_op[c[:, None], c]])
+        if len(bad):
+            (i, j), names = bad[0], (rows.elements, cols.elements)
+            return False, tuple((names[0][r[k]], names[1][c[k]]) for k in (i, j))
+        if not rel[nullary]:
+            return False, ((rows.elements[nullary[0]], cols.elements[nullary[1]]), "missing")
+        return True, ()
+
+    triples_plus = con[:, :, None] & tot[None, :, :]  # [p, m, p']: p con m, m tot p'
+    triples_minus = con.T[:, :, None] & tot.T[None, :, :]  # [m, p, m']: p con m, m' tot p
+    return {
+        "con-down": (lower(con, plus.leq, minus.leq), ()),
+        "con-join": law(con, plus.join, minus.meet, plus, minus, (plus.bottom, minus.top)),
+        "con-meet": law(con, plus.meet, minus.join, plus, minus, (plus.top, minus.bottom)),
+        "tot-up": (lower(tot, minus.leq.T, plus.leq.T), ()),
+        "tot-meet": law(tot, minus.join, plus.meet, minus, plus, (minus.bottom, plus.top)),
+        "tot-join": law(tot, minus.meet, plus.join, minus, plus, (minus.top, plus.bottom)),
+        "con-tot-plus": (bool((plus.leq[:, None, :] | ~triples_plus).all()), ()),
+        "con-tot-minus": (bool((minus.leq[:, None, :] | ~triples_minus).all()), ()),
+        "con-dirjoin": (True, ()),
+    }
 
 
 def directed_joins_bruteforce(a: Lattice, b: Lattice, pairs: np.ndarray) -> np.ndarray:

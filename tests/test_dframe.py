@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from dframes.dframe import (
+    AxiomCheck,
     DFrame,
     DFrameHom,
-    _pairwise_check,
     check_dframe,
     check_dframe_hom,
     close_con_generators,
@@ -35,7 +35,7 @@ from dframes.frames import Frame, FrameHom, enumerate_sublocales
 from dframes.order import down_closure_pairs, up_closure_pairs
 from dframes.search import frame_pool, standard_corpus
 from dframes.subdlocale import admission_matrix, enumerate_sub_d_locales
-from oracles import directed_joins_bruteforce
+from oracles import dframe_axioms, directed_joins_bruteforce
 
 
 C2, C3, B4 = Frame.chain(2), Frame.chain(3), Frame.boolean(2)
@@ -480,29 +480,26 @@ def _random_order_closed_pairs(seed, count):
                      up_closure_pairs(minus, plus, tot))
 
 
+BINARY_LAWS = ("con-join", "con-meet", "tot-meet", "tot-join")
+
+
 def _scanned_binary_laws(df):
-    """The four binary laws by the pair scan alone, as check_dframe names them."""
-    Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
-    return {check.name: check for check in (
-        _pairwise_check("con-join", con, Lp.join, Lm.meet, Lp.elements, Lm.elements,
-                        (Lp.bottom, Lm.top)),
-        _pairwise_check("con-meet", con, Lp.meet, Lm.join, Lp.elements, Lm.elements,
-                        (Lp.top, Lm.bottom)),
-        _pairwise_check("tot-meet", tot, Lm.join, Lp.meet, Lm.elements, Lp.elements,
-                        (Lm.bottom, Lp.top)),
-        _pairwise_check("tot-join", tot, Lm.meet, Lp.join, Lm.elements, Lp.elements,
-                        (Lm.top, Lp.bottom)),
-    )}
+    """The four binary laws by the definitional all-pairs scan, as check_dframe names them."""
+    axioms = dframe_axioms(df)
+    return {name: AxiomCheck(name, *axioms[name]) for name in BINARY_LAWS}
 
 
 def test_line_tests_match_the_pair_scan():
-    """check_dframe's verdicts and witnesses for the binary laws equal the
-    pair scan's, on random lower and upper sets (where the line tests run)
-    and on random relations (where most fail their order check)."""
+    """check_dframe's nine verdicts equal the definitional oracle's, and its
+    witnesses for the binary laws the all-pairs scan's, on random lower and
+    upper sets (where the line tests run) and on random relations (where
+    most fail their order check)."""
     verdicts = Counter()
     for df in chain(_random_order_closed_pairs(seed=3, count=1500),
                     random_relation_pairs(seed=5, count=1000)):
         report = {check.name: check for check in check_dframe(df).checks}
+        assert {name: check.ok for name, check in report.items()} == {
+            name: ok for name, (ok, _) in dframe_axioms(df).items()}, (df.con, df.tot)
         ordered = {"con": report["con-down"].ok, "tot": report["tot-up"].ok}
         for name, scanned in _scanned_binary_laws(df).items():
             assert report[name] == scanned, (df.con, df.tot, name)

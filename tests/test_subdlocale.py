@@ -1,4 +1,5 @@
 import gc
+import inspect
 import io
 import os
 import random
@@ -58,7 +59,7 @@ from dframes.subdlocale import (
 )
 from dframes.sweeps import Sweep, full_sweep, sweep_dframe
 from dframes.order import bound_table
-from oracles import brute_bound, member_quotient_morphisms
+from oracles import brute_bound, dframe_axioms, member_quotient_morphisms
 
 C3 = Frame.chain(3)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -202,6 +203,34 @@ def test_sweeps_admit_each_pair_of_a_dframe_once(monkeypatch):
     assert induced and max(induced.values()) == 1
 
 
+def test_full_sweep_enumerates_lattices_only_at_its_guard(monkeypatch):
+    # a guard that refuses a lattice skips its member quotients too: nothing
+    # enumerates the lattice again at the default guard
+    guards = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(enumerate_sub_d_locales).bind(*args, **kwargs)
+        call.apply_defaults()
+        guards.append(call.arguments["max_pairs"])
+        return enumerate_sub_d_locales(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", spy)
+    corpus = standard_corpus(3) + [three_three()]
+    assert full_sweep(corpus, max_pairs=1).ok
+    assert len(guards) == len(corpus) and set(guards) == {1}
+
+
+def test_full_sweep_decides_each_lattice_member_laws_once(monkeypatch):
+    # dense_members, quotient_epis and member_cores: one member_plane call
+    # each per lattice, which sweep_dframe and sweep_quotients share
+    calls = _count_calls(monkeypatch, subdlocale.member_plane)
+    corpus = standard_corpus(3) + [three_three()]
+    assert all(df.minus.n * df.plus.n <= 16 for df in corpus)
+    assert full_sweep(corpus).ok
+    assert len(calls) == 3 * len(corpus)
+    assert Counter(id(ds) for ds, _ in calls) == {id(ds): 3 for ds, _ in calls}
+
+
 # check_dframe's axioms, in its order: the order of axiom_planes' planes.
 AXIOMS = tuple(c.name for c in check_dframe(three_three()).checks)
 
@@ -244,9 +273,11 @@ def test_admission_matrix_matches_the_axiom_route():
 
 
 def _oracle_planes(df, subs_minus, subs_plus) -> np.ndarray:
-    """axiom_planes from build_sub_d_locale's per-pair reports."""
-    return np.array([[[c.ok for c in build_sub_d_locale(df, sm, sp)[1].checks]
-                      for sp in subs_plus] for sm in subs_minus]).transpose(2, 0, 1)
+    """axiom_planes by the definitional oracle on each pair's own d-frame."""
+    def verdicts(sm, sp):
+        axioms = dframe_axioms(SubDLocale(df, sm, sp).as_dframe)
+        return [axioms[name][0] for name in AXIOMS]
+    return np.array([[verdicts(sm, sp) for sp in subs_plus] for sm in subs_minus]).transpose(2, 0, 1)
 
 
 def test_axiom_planes_match_the_axiom_route_per_axiom_and_pair():
@@ -632,10 +663,11 @@ def test_handed_out_arrays_are_frozen():
     handed_out += [double_pseudocomplements(d) for d in (tt, swapped)]
     swap_core = dense_core(swapped)  # computed on the swap, from its own memo
     # a d-frame holds con, tot and, in its memo, its minus side's
-    # pseudocomplements and preorder
+    # pseudocomplements and preorder; a frame its order, meets, joins,
+    # implications, covers and orders
     for obj, count in ((sub, 2), (member, 2),
                        (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
-                       (member.quotient_hom().minus, 1), (tt.minus, 5),
+                       (member.quotient_hom().minus, 1), (tt.minus, 6),
                        (tt, 4), (swapped, 4), (saturation_nucleus(swapped), 1),
                        (swap_core.core, 2), (swap_core.nu_minus, 1), (lazy, 2),
                        (lazy.as_dframe, 2)):
