@@ -4,7 +4,9 @@ The consistency relation induces an antitone Galois connection between the
 two component frames; its double maps generate the dense core, the
 smallest dense sub-d-locale.  The same data yields the structural
 predicates for a d-frame: corrigible, skeletal (for morphisms), double
-negation, excluded middle and dually subfit.
+negation, excluded middle and dually subfit.  One kernel, density_planes,
+decides a side's density for a stack of members: a d-frame is the stack of
+its whole pair, and member_cores stacks a lattice's members.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .dframe import DFrame, DFrameHom, _image, _memo, _partner_bound, is_regular
 from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
-from .frames import FrameHom, Nucleus, Sublocale, sublocale_generated_by
-from .order import _bool_matmul, _frozen, _joins
+from .frames import FrameHom, Nucleus, Sublocale
+from .order import _bool_matmul, _frozen, _joins, _row_blocks
 from .subdlocale import SubDLocale, SubDLocaleLattice, member_plane, try_sub_d_locale
 
 
@@ -24,7 +26,8 @@ from .subdlocale import SubDLocale, SubDLocaleLattice, member_plane, try_sub_d_l
 #
 # Every per-side structure below is a function of one d-frame's minus side,
 # built once and kept in that d-frame's memo.  The plus side is the same
-# function of df.swap(), which is built once and keeps its own memo.
+# function of df.swap(), which is built once and keeps its own memo; the
+# preorder and saturation come from density_planes on its stack of one.
 
 
 def pseudocomplements(df: DFrame) -> np.ndarray:
@@ -62,13 +65,8 @@ def double_pseudocomplement_sets(df: DFrame):
 
 
 def _double_sets(df: DFrame):
-    minus_set, plus_set = _double_set(df), _double_set(df.swap())
-    return minus_set, plus_set, minus_set.is_valid, plus_set.is_valid
-
-
-def _double_set(df: DFrame) -> Sublocale:
-    """The image of the minus double map as a member set, a sublocale or not."""
-    return Sublocale(df.minus, set(double_pseudocomplements(df).tolist()))
+    sets = [Sublocale(d.minus, set(double_pseudocomplements(d).tolist())) for d in (df, df.swap())]
+    return (*sets, *(s.is_valid for s in sets))
 
 
 @dataclass
@@ -168,6 +166,79 @@ def _agreed(label: str, definitional: bool, characterized: bool) -> bool:
 # -- the consistency preorder and the dense core ------------------------------
 
 
+def density_planes(d: DFrame, pc, op, vec, labels) -> tuple:
+    """(pre, nu, primes) per member t of a stack on d's minus side: t keeps
+    the parent's order and meets, fixes the elements vec[t] and has
+    pseudocomplements pc[t] on this side and op[t] on the other.
+
+    pre[t, a, b]: every p consistent with b meet c, for any member c, is
+    consistent with a meet c, so pc[t, b meet c] <= pc[t, a meet c].  nu[t]:
+    a |-> the join of the members below a, which are closed under the
+    member's joins (pc turns joins into meets), so that join is the
+    parent's and needs no closure by the quotient.  primes[t, k]:
+    primes[k] is minimal above a double pseudocomplement; they must generate
+    nu[t]'s fixpoints (EquivalenceMismatch naming labels[t])."""
+    lat, F = d.minus, pc[:, d.minus.meet]  # F[t, x, c] = pc[t, x /\ c]
+    pre, leq = np.empty((len(pc), lat.n, lat.n), dtype=bool), d.plus.leq.ravel()
+    for rows in _row_blocks(lat.n, pre.size):  # one flat index into leq gathers faster than two
+        pre[:, rows] = (leq[F[:, None] * d.plus.n + F[:, rows, None]] | ~vec[:, None, None]).all(axis=-1)
+    below = (pre.transpose(0, 2, 1) & vec[:, None]).reshape(-1, lat.n)
+    nu = _joins(below, lat.leq).reshape(vec.shape)
+    primes = (lat.minimal_primes[op[np.arange(len(op))[:, None], pc]] & vec[:, :, None]).any(axis=1)
+    generated = (lat.minimal_primes <= primes[:, None]).all(axis=2)
+    for k in np.flatnonzero((((nu == np.arange(lat.n)) & vec) != generated).any(axis=1))[:1]:
+        raise EquivalenceMismatch(f"saturation fixpoints differ from the sublocale generated by the double "
+                                  f"pseudocomplements in {labels[k]} on the minus side of {d.name}")
+    return pre, nu, primes
+
+
+def _separated(d: DFrame, rel, vec, other) -> np.ndarray:
+    """[t]: every a not below b among the members vec[t] has a witness c
+    among them and p among other[t] with rel[t, b meet c, p] but not
+    rel[t, a meet c, p], for rel[t] member t's con transposed; one boolean
+    product a block of (c, p) of at most SLAB_CELLS cells at a time."""
+    lat, (size, _, width) = d.minus, rel.shape
+    witnessed = lat.leq | ~(vec[:, :, None] & vec[:, None])
+    for cs in _row_blocks(lat.n, size * lat.n * width):
+        cells = rel[:, lat.meet[:, cs]].reshape(size, lat.n, -1)  # [t, a, (c, p)]
+        live = (vec[:, cs, None] & other[:, None]).reshape(size, 1, -1)
+        witnessed |= _bool_matmul(~cells & live, cells.transpose(0, 2, 1))
+    return witnessed.all(axis=(1, 2))
+
+
+def _checked_subfit(df: DFrame, pres, con, fixed, labels) -> np.ndarray:
+    """[t]: member t's preorders pres are the orders on its members, side by
+    side, each side checked by _separated on its con[t] (EquivalenceMismatch
+    naming labels[t] where they disagree); the plus side is decided only for
+    the members whose minus side is ordered."""
+    subfit = np.ones(len(con), dtype=bool)
+    for side, d, pre, rel, (vec, other) in zip(("minus", "plus"), (df, df.swap()), pres,
+                                               (con.transpose(0, 2, 1), con), (fixed, fixed[::-1])):
+        at = np.flatnonzero(subfit)
+        if not at.size:
+            break
+        ordered = ((pre[at] == d.minus.leq) | ~(vec[at, :, None] & vec[at, None])).all(axis=(1, 2))
+        separated = _separated(d, rel[at], vec[at], other[at])
+        for k in np.flatnonzero(ordered != separated)[:1]:
+            raise EquivalenceMismatch(f"dual subfitness tests disagree on {labels[at[k]]} of {df.name} "
+                                      f"({side}): preorder={ordered[k]}, definitional={separated[k]}")
+        subfit[at] = ordered
+    return subfit
+
+
+def _whole_pair(d: DFrame) -> tuple:
+    """(preorder, saturation) of d's minus side: density_planes on the stack
+    of d's whole pair, the saturation checked to be a nucleus, kept in d's
+    memo by its two readers below."""
+    pre, nu, _ = density_planes(d, pseudocomplements(d)[None], pseudocomplements(d.swap())[None],
+                                np.ones((1, d.minus.n), dtype=bool), ("the whole pair",))
+    nu = Nucleus(d.minus, nu[0])
+    if not nu.is_valid:
+        raise EquivalenceMismatch(f"saturation on the minus side of {d.name} is not a "
+                                  f"nucleus: {nu.violation()}")
+    return _frozen(pre)[0], nu
+
+
 def con_preorder(df: DFrame) -> np.ndarray:
     """The minus consistency preorder, built once per d-frame and read-only;
     con_preorder(df.swap()) is the plus side's.
@@ -176,18 +247,7 @@ def con_preorder(df: DFrame) -> np.ndarray:
     already one against a-in-context.  It contains the lattice order and is
     transitive.
     """
-    return _memo(df, "_con_preorder", _consistency_preorder)
-
-
-def _consistency_preorder(df: DFrame) -> np.ndarray:
-    """The minus preorder: [a, b] iff every p consistent with b meet c, for
-    any c, is consistent with a meet c.
-
-    The p consistent with x are the principal ideal of f(x), with f the
-    pseudocomplements, so [a, b] iff f(b meet c) <= f(a meet c) for every c.
-    """
-    F = pseudocomplements(df)[df.minus.meet]  # F[x, c] = f(x /\ c)
-    return _frozen(df.plus.leq[F[None], F[:, None]].all(axis=-1))
+    return _memo(df, "_whole_pair", _whole_pair)[0]
 
 
 def saturation_nucleus(df: DFrame) -> Nucleus:
@@ -195,26 +255,10 @@ def saturation_nucleus(df: DFrame) -> Nucleus:
     d-frame; saturation_nucleus(df.swap()) is the plus side's.
 
     a |-> the join of everything below a in the preorder, verified to be a
-    nucleus whose fixpoints are the sublocale generated by the double
-    pseudocomplements.  Its fixpoints are the minus carrier of the dense core.
+    nucleus (density_planes checks its fixpoints).  Its fixpoints are the
+    minus carrier of the dense core.
     """
-    return _memo(df, "_saturation_nucleus", _saturation_nucleus)
-
-
-def _saturation_nucleus(df: DFrame) -> Nucleus:
-    Lm, order = df.minus, con_preorder(df)
-    nu = Nucleus(Lm, _joins(order.T, Lm.leq))
-    bad = nu.violation()
-    if bad is not None:
-        raise EquivalenceMismatch(f"saturation on the minus side of {df.name} is not a "
-                                  f"nucleus: {bad}")
-    fix, gen = nu.fixpoints(), sublocale_generated_by(Lm, _double_set(df).members)
-    if fix != gen:
-        raise EquivalenceMismatch(
-            f"saturation fixpoints differ on the minus side of {df.name} from the sublocale "
-            f"generated by the double pseudocomplements: {fix.members} vs {gen.members}"
-        )
-    return nu
+    return _memo(df, "_whole_pair", _whole_pair)[1]
 
 
 @dataclass(frozen=True)
@@ -251,50 +295,26 @@ def _dense_core(df: DFrame) -> DenseCore:
 def member_cores(ds: SubDLocaleLattice) -> tuple:
     """(cores, skeletal, subfit): per member k of ds, the member that is its
     dense core, whether its quotient is skeletal and whether it is dually
-    subfit, decided for all members at once in the parent's index space,
-    where a member keeps the parent's order and meets, closes its joins by
-    its quotient and has its con image for con.  The core is found the two
-    ways _saturation_nucleus finds one and checked dense in its member, and
-    dual subfitness is decided the two ways _dually_subfit decides it:
-    EquivalenceMismatch if they disagree or a core is not dense,
-    BrokenInvariant if a core is not a member.
-    """
+    subfit, by density_planes and _checked_subfit on the stack of ds's
+    members.  A core is checked to be a member (BrokenInvariant) and dense
+    in its member (EquivalenceMismatch)."""
     df, quotients = ds.parent, ds.stacks("quotient")
-    sides = [(side, d, con_preorder(d), np.array(d.minus.prime_support, dtype=np.int64))
-             for side, d in (("minus", df), ("plus", df.swap()))]
+    sides = [(d, con_preorder(d)) for d in (df, df.swap())]
+    bits = 1 << np.arange(len(df.minus.primes) + len(df.plus.primes))
 
     def law(at, qm, qp, box):
         con, labels, t = _image(df.con, qp, qm, df.con.shape), ds.labels[at], np.arange(len(qm))
-        rels, fixed = (con.transpose(0, 2, 1), con), [q == np.arange(q.shape[1]) for q in (qm, qp)]
+        fixed = [q == np.arange(q.shape[1]) for q in (qm, qp)]
         # [t, a]: the largest partner consistent with a in member t
-        f = [_joins(rel.reshape(-1, rel.shape[2]), d.plus.leq).reshape(rel.shape[:2])
-             for rel, (_, d, _, _) in zip(rels, sides)]
-        out = []
-        for (side, d, order, support), rel, q, vec, other, pc, op in zip(
-                sides, rels, (qm, qp), fixed, fixed[::-1], f, f[::-1]):
-            # the preorder and saturation of member t, built as for a d-frame
-            lat, F = d.minus, pc[:, d.minus.meet]  # F[t, x, c] = f(x /\ c)
-            pre = (d.plus.leq[F[:, None], F[:, :, None]] | ~vec[:, None, None]).all(axis=-1)
-            below = (pre.transpose(0, 2, 1) & vec[:, None]).reshape(-1, lat.n)
-            nu = np.take_along_axis(q, _joins(below, lat.leq).reshape(q.shape), axis=1)
-            mask = np.bitwise_or.reduce(np.where(vec, support[np.take_along_axis(op, pc, axis=1)], 0),
-                                        axis=1)  # the primes of the double pseudocomplements
-            generated = (support | mask[:, None]) == mask[:, None]
-            for k in np.flatnonzero((((nu == np.arange(lat.n)) & vec) != generated).any(axis=1))[:1]:
-                raise EquivalenceMismatch(f"saturation fixpoints differ from the sublocale generated by "
-                                          f"the double pseudocomplements in member {labels[k]} ({side})")
-            inside = vec[:, :, None] & vec[:, None]
-            cols = (vec[:, :, None] & other[:, None]).reshape(len(q), 1, -1)  # (c, p) in member t
-            cells = rel[:, lat.meet].reshape(len(q), lat.n, -1)  # [t, a, (c, p)]: p con a /\ c
-            witness = np.matmul(~cells & cols, (cells & cols).transpose(0, 2, 1), dtype=np.float32) > 0
-            out.append(((~order | pre[t[:, None, None], q[:, :, None], q[:, None]]).all(axis=(1, 2)),
-                        ((pre == lat.leq) | ~inside).all(axis=(1, 2)),
-                        (lat.leq | witness | ~inside).all(axis=(1, 2)), mask))
-        (carried_m, subfit_m, separated_m, mask_m), (carried_p, subfit_p, separated_p, mask_p) = out
-        subfit, cores = subfit_m & subfit_p, ds.by_mask[mask_m | mask_p << len(df.minus.primes)]
-        for k in np.flatnonzero(subfit != separated_m & separated_p)[:1]:
-            raise EquivalenceMismatch(f"dual subfitness tests disagree on member {labels[k]} "
-                                      f"of {df.name}: preorder={subfit[k]}")
+        pcs = [_joins(rel.reshape(-1, rel.shape[2]), d.plus.leq).reshape(rel.shape[:2])
+               for rel, (d, _) in zip((con.transpose(0, 2, 1), con), sides)]
+        planes = [density_planes(d, pc, op, vec, labels)
+                  for (d, _), vec, pc, op in zip(sides, fixed, pcs, pcs[::-1])]
+        subfit = _checked_subfit(df, [pre for pre, _, _ in planes], con, fixed, labels)
+        skeletal = np.logical_and.reduce([
+            (~order | pre[t[:, None, None], q[:, :, None], q[:, None]]).all(axis=(1, 2))
+            for (_, order), (pre, *_), q in zip(sides, planes, (qm, qp))])
+        cores = ds.by_mask[np.concatenate([primes for _, _, primes in planes], axis=1) @ bits]
         for k in np.flatnonzero(cores < 0)[:1]:
             raise BrokenInvariant(f"the dense core of member {labels[k]} is not a member")
         # the core's con, the image of the member's under the core's quotients
@@ -304,7 +324,7 @@ def member_cores(ds: SubDLocaleLattice) -> tuple:
         core_box = (qp == np.arange(qp.shape[1]))[:, :, None] & (qm == np.arange(qm.shape[1]))[:, None]
         for k in np.flatnonzero((core_con != con & core_box).any(axis=(1, 2)))[:1]:
             raise EquivalenceMismatch(f"the dense core of member {labels[k]} is not dense in it")
-        return np.stack([cores, carried_m & carried_p, subfit], axis=1)
+        return np.stack([cores, skeletal, subfit], axis=1)
 
     cores, skeletal, subfit = member_plane(ds, law).T
     return cores, skeletal.astype(bool), subfit.astype(bool)
@@ -366,7 +386,7 @@ def _corrigibility_conditions(df: DFrame) -> dict:
     """The seven conditions on the minus side, each computed on its own."""
     lat, con, single = df.minus, df.con, pseudocomplements(df)
     double, order = double_pseudocomplements(df), con_preorder(df)
-    image = _double_set(df)
+    image = Sublocale(lat, set(double.tolist()))  # a sublocale or not
     conds = {}
     conds[_CONDITION_NAMES[0]] = image.is_valid
     conds[_CONDITION_NAMES[1]] = image == saturation_nucleus(df).fixpoints()
@@ -453,36 +473,16 @@ def is_excluded_middle(df: DFrame) -> bool:
     )
 
 
-def _separates(df: DFrame) -> bool:
-    """Every a not below b on the minus side has a witness c, p: p is
-    consistent with b meet c but not with a meet c.  With
-    below[a, (p, c)] = con[p, a meet c], a witness for (a, b) is a column
-    that is False in row a and True in row b; one boolean matrix product
-    finds them for every pair."""
-    Lm = df.minus
-    below = df.con[:, Lm.meet].transpose(1, 0, 2).reshape(Lm.n, -1)
-    return bool((Lm.leq | _bool_matmul(~below, below.T)).all())
-
-
 def is_dually_subfit(df: DFrame) -> bool:
-    """Dually subfit means the consistency preorder is the lattice order,
-    decided once per d-frame.
-
-    Checked both through the definitional witness search and through the
-    preorder; the two must agree.
-    """
+    """Dually subfit: both consistency preorders are the lattice orders,
+    decided once per d-frame and checked by the witness search (_separated)."""
     return _memo(df, "_dually_subfit", _dually_subfit)
 
 
 def _dually_subfit(df: DFrame) -> bool:
-    by_preorder = all((con_preorder(d) == d.minus.leq).all() for d in (df, df.swap()))
-    by_definition = all(_separates(d) for d in (df, df.swap()))
-    if by_preorder != by_definition:
-        raise EquivalenceMismatch(
-            f"dual subfitness tests disagree on {df.name}: "
-            f"preorder={by_preorder}, definitional={by_definition}"
-        )
-    return by_preorder
+    sides = (df, df.swap())
+    return bool(_checked_subfit(df, [con_preorder(d)[None] for d in sides], df.con[None],
+                                [np.ones((1, d.minus.n), dtype=bool) for d in sides], ("the whole pair",))[0])
 
 
 def classify(df: DFrame) -> DFrameProperties:

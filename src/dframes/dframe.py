@@ -154,31 +154,41 @@ _PASSED = {name: AxiomCheck(name, True) for name in AXIOMS}
 def check_dframe(df: DFrame) -> AxiomReport:
     """The nine named axioms by axiom_verdicts, each failed one with its first counterexample."""
     Lm, Lp = df.minus, df.plus
-    verdicts = axiom_verdicts(Lm, Lp, df.con[None], df.tot[None], (Lm.join, Lp.join), (Lm.bottom, Lp.bottom),
-                              [lat.orders.sum(axis=1)[:, None] for lat in (Lm, Lp)], True)
-    return AxiomReport(tuple(_PASSED[name] if ok[0] else AxiomCheck(name, False, _witness(df, name))
-                             for name, ok in zip(AXIOMS, verdicts)))
+    ok, found = axiom_verdicts(Lm, Lp, df.con[None], df.tot[None], (Lm.join, Lp.join),
+                               (Lm.bottom, Lp.bottom), [lat.orders.sum(1)[:, None] for lat in (Lm, Lp)], True)
+    return AxiomReport(tuple(_PASSED[name] if row[0] else AxiomCheck(name, False, _witness(df, name, found))
+                             for name, row in zip(AXIOMS, ok)))
 
 
-def _witness(df: DFrame, name: str) -> tuple:
-    """The first counterexample to axiom name, which df fails."""
+def _witness(df: DFrame, name: str, found: dict) -> tuple:
+    """The first counterexample to axiom name, which df fails (from found where it is)."""
     Lm, Lp, con, tot = df.minus, df.plus, df.con, df.tot
+
+    def law(rel, row_op, col_op, rows, cols, nullary):
+        bad = found[name, 0] if (name, 0) in found else _first_bad_pair(rel, row_op, col_op)
+        if bad is None:
+            return ((rows.elements[nullary[0]], cols.elements[nullary[1]]), "missing")
+        return tuple((rows.elements[r], cols.elements[c]) for r, c in bad)
+
     return {
         "con-down": lambda: _order_witness(con, Lp, Lm, upper=False),
-        "con-join": lambda: _law_witness(con, Lp.join, Lm.meet, Lp, Lm, (Lp.bottom, Lm.top)),
-        "con-meet": lambda: _law_witness(con, Lp.meet, Lm.join, Lp, Lm, (Lp.top, Lm.bottom)),
+        "con-join": lambda: law(con, Lp.join, Lm.meet, Lp, Lm, (Lp.bottom, Lm.top)),
+        "con-meet": lambda: law(con, Lp.meet, Lm.join, Lp, Lm, (Lp.top, Lm.bottom)),
         "tot-up": lambda: _order_witness(tot, Lm, Lp, upper=True),
-        "tot-meet": lambda: _law_witness(tot, Lm.join, Lp.meet, Lm, Lp, (Lm.bottom, Lp.top)),
-        "tot-join": lambda: _law_witness(tot, Lm.meet, Lp.join, Lm, Lp, (Lm.top, Lp.bottom)),
-        "con-tot-plus": lambda: _con_tot_witness(con, tot, Lp.leq, lambda p1, m, p2: (
+        "tot-meet": lambda: law(tot, Lm.join, Lp.meet, Lm, Lp, (Lm.bottom, Lp.top)),
+        "tot-join": lambda: law(tot, Lm.meet, Lp.join, Lm, Lp, (Lm.top, Lp.bottom)),
+        "con-tot-plus": lambda: _con_tot_witness(found[name][0], con, tot, lambda p1, m, p2: (
             Lp.elements[p1], "con", Lm.elements[m], "tot", Lp.elements[p2])),
-        "con-tot-minus": lambda: _con_tot_witness(con.T, tot.T, Lm.leq, lambda m1, p, m2: (
+        "con-tot-minus": lambda: _con_tot_witness(found[name][0].T, con.T, tot.T, lambda m1, p, m2: (
             Lp.elements[p], "con", Lm.elements[m1], "while", Lm.elements[m2], "tot", Lp.elements[p])),
     }[name]()
 
 
-def axiom_verdicts(minus: Frame, plus: Frame, con, tot, joins, bottoms, counts, box) -> list:
-    """[k][t]: whether the pair (con[t], tot[t]) passes the k-th axiom of AXIOMS.
+def axiom_verdicts(minus: Frame, plus: Frame, con, tot, joins, bottoms, counts, box) -> tuple:
+    """(verdicts, found): verdicts[k][t] is whether the pair (con[t], tot[t])
+    passes the k-th axiom of AXIOMS; found[law, t] is a binary law's first
+    failing pair of cells (or None) where its relation failed the order
+    check, found[law][t] the cells breaking a con-tot law.
 
     The pairs share minus x plus's index space, orders, meets and tops, and
     each side of pair t is a lattice of members: joins and bottoms hold its
@@ -199,26 +209,29 @@ def axiom_verdicts(minus: Frame, plus: Frame, con, tot, joins, bottoms, counts, 
     # under binary joins is the down-set of its join, so a line passes iff it
     # is empty or one of its cells has as many members below it (above it,
     # on tot.T) as the line has cells.  Where the order check failed, every
-    # pair of cells is scanned.
+    # pair of cells is scanned, in con's and in tot's row-major order.
     cols, rows = ((np.where(lines, counts[..., :, None], 0) == lines.sum(axis=2, keepdims=True))
                   .any(axis=2).all(axis=2)
                   for lines, counts in ((rel, counts_p), (rel.transpose(0, 1, 3, 2), counts_m)))
-    ops = [(join_p, minus.meet), (plus.meet, join_m)]  # con-join's and con-meet's (tot-join's, tot-meet's)
+    found, laws = {}, [[("con-join", join_p, minus.meet), ("con-meet", plus.meet, join_m)],  # on con
+                       [("tot-meet", join_m, plus.meet), ("tot-join", minus.meet, join_p)]]  # on tot
     for s, t in [] if ordered.all() else np.argwhere(~ordered):
-        for ok, pair_ops in ((cols, ops[s]), (rows, ops[1 - s])):
-            ok[s, t] = _first_bad_pair(rel[s, t], *(op if op.ndim == 2 else op[t] for op in pair_ops)) is None
+        for ok, (law, *ops) in zip((cols, rows), laws[s]):
+            found[law, t] = _first_bad_pair((con, tot)[s][t], *(op if op.ndim == 2 else op[t] for op in ops))
+            ok[s, t] = found[law, t] is None
     corner, other = rel[:, at, bot_p, minus.top], rel[:, at, plus.top, bot_m]  # the nullary cells
+    found["con-tot-plus"] = _bool_matmul(con, tot) & ~plus.leq
+    found["con-tot-minus"] = _bool_matmul(tot, con) & ~minus.leq.T
     return [
         ordered[0], cols[0] & corner[0], rows[0] & other[0],
         ordered[1], cols[1] & other[1], rows[1] & corner[1],
         # (con-tot): phi con a and a tot psi force phi <= psi, and phi con a
         # and b tot phi force a <= b (transposed here)
-        ~(_bool_matmul(con, tot) & ~plus.leq).any(axis=(1, 2)),
-        ~(_bool_matmul(tot, con) & ~minus.leq.T).any(axis=(1, 2)),
+        ~found["con-tot-plus"].any(axis=(1, 2)), ~found["con-tot-minus"].any(axis=(1, 2)),
         # (con-dirjoin): a finite directed set holds its own join (the tests
         # confirm this with a brute-force scan of the directed subsets)
         np.ones(len(con), dtype=bool),
-    ]
+    ], found
 
 
 # The pair scan looks at this many pairs of members at a time.
@@ -239,14 +252,6 @@ def _first_bad_pair(rel, row_op, col_op):
     return None
 
 
-def _law_witness(rel, row_op, col_op, rows, cols, nullary) -> tuple:
-    """The first failing pair of a binary law's cells, or its missing nullary cell."""
-    bad = _first_bad_pair(rel, row_op, col_op)
-    if bad is None:
-        return ((rows.elements[nullary[0]], cols.elements[nullary[1]]), "missing")
-    return tuple((rows.elements[r], cols.elements[c]) for r, c in bad)
-
-
 def _order_witness(rel, rows, cols, upper) -> tuple:
     """The first pair missing below (above, if upper) a member, in rel's row-major order."""
     row_leq, col_leq = (rows.leq.T, cols.leq.T) if upper else (rows.leq, cols.leq)
@@ -256,9 +261,9 @@ def _order_witness(rel, rows, cols, upper) -> tuple:
                     rows.elements[r], cols.elements[c])
 
 
-def _con_tot_witness(con, tot, leq, witness) -> tuple:
-    """witness(x, y, z) of the first x con y, y tot z with x not below z under leq."""
-    x, z = next(zip(*np.where(_bool_matmul(con, tot) & ~leq)))
+def _con_tot_witness(bad, con, tot, witness) -> tuple:
+    """witness(x, y, z) of the first x con y, y tot z with (x, z) in bad."""
+    x, z = next(zip(*np.where(bad)))
     y = int(np.where(con[x, :] & tot[:, z])[0][0])
     return witness(x, y, z)
 

@@ -63,13 +63,16 @@ class Frame(Lattice):
         return tuple(np.flatnonzero(self.covers.sum(axis=1) == 1).tolist())
 
     @cached_property
+    def minimal_primes(self) -> np.ndarray:
+        """[x, k]: primes[k] is a minimal prime above x, an implication into x."""
+        above = self.leq[:, list(self.primes)]
+        strictly_below = above[list(self.primes)] & ~np.eye(len(self.primes), dtype=bool)
+        return _frozen(above & ~_bool_matmul(above, strictly_below))
+
+    @cached_property
     def prime_support(self) -> tuple:
-        """Per element, a Python int with bit k set when primes[k] is a minimal
-        prime above it; each such prime is an implication into the element."""
-        primes = list(self.primes)
-        above = self.leq[:, primes]
-        strictly_below = above[primes] & ~np.eye(len(primes), dtype=bool)
-        rows = np.packbits(above & ~_bool_matmul(above, strictly_below), axis=1, bitorder="little")
+        """Per element, its row of minimal_primes as a Python int (bit k: primes[k])."""
+        rows = np.packbits(self.minimal_primes, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     @classmethod

@@ -376,7 +376,7 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
         counts = [np.matmul(q == np.arange(lat.n), lat.orders, dtype=np.int32)
                   for q, lat in ((qm, Lm), (qp, Lp))]
         planes.append(axiom_verdicts(Lm, Lp, con, tot, (qm[:, Lm.join], qp[:, Lp.join]),
-                                     (qm[:, Lm.bottom], qp[:, Lp.bottom]), counts, box))
+                                     (qm[:, Lm.bottom], qp[:, Lp.bottom]), counts, box)[0])
     return _frozen(np.concatenate(planes, axis=1).reshape(9, len(sub_m), len(sub_p)))
 
 

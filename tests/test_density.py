@@ -37,7 +37,6 @@ from dframes.density import (
     pseudocomplement,
     pseudocomplements,
     saturation_nucleus,
-    sublocale_generated_by,
 )
 from dframes.fixtures import (
     componentwise_dense_counterexample,
@@ -47,7 +46,7 @@ from dframes.fixtures import (
     two_two,
 )
 from dframes.errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
-from dframes.frames import Frame, Nucleus, Sublocale, whole_sublocale
+from dframes.frames import Frame, Nucleus, Sublocale, sublocale_generated_by, whole_sublocale
 from dframes.search import frame_pool, mine, random_dframe, standard_corpus
 from dframes.sweeps import Sweep, full_sweep, sweep_functoriality, sweep_morphism, sweep_quotients
 from dframes.subdlocale import enumerate_sub_d_locales
@@ -523,7 +522,7 @@ def oracle_corpus():
 
 def separates_by_search(df):
     """Every a not below b has a witness c, p with p con (b meet c) but not
-    p con (a meet c), one cell at a time.  The reference for density._separates."""
+    p con (a meet c), one cell at a time.  The reference for density._separated."""
     Lm, Lp, con = df.minus, df.plus, df.con
     for a in range(Lm.n):
         for b in range(Lm.n):
@@ -548,10 +547,16 @@ def double_transfers_by_search(df):
     )
 
 
+def separated_whole(d):
+    """density._separated on d's stack of one, its whole pair."""
+    fixed = [np.ones((1, lat.n), dtype=bool) for lat in (d.minus, d.plus)]
+    return bool(density._separated(d, d.con.T[None], *fixed)[0])
+
+
 def test_separation_matches_the_witness_search(oracle_corpus):
     verdicts = Counter()
     for d in oracle_corpus:
-        verdict = density._separates(d)
+        verdict = separated_whole(d)
         assert verdict == separates_by_search(d), d.name
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
@@ -560,7 +565,7 @@ def test_separation_matches_the_witness_search(oracle_corpus):
 def consistency_preorder_by_contexts(df):
     """[a, b] iff every p consistent with b meet c, for any c, is consistent
     with a meet c, reduced over every (p, c) at once: n^4 work.  The
-    reference for density._consistency_preorder's map comparison."""
+    reference for density_planes' map comparison."""
     Lm = df.minus
     ctx = df.con[:, Lm.meet]            # (p, x, c) -> con[p, x /\ c]
     out = np.zeros((Lm.n, Lm.n), dtype=bool)
@@ -572,7 +577,7 @@ def consistency_preorder_by_contexts(df):
 def test_map_preorder_matches_the_context_reduction(oracle_corpus):
     differs = 0
     for d in oracle_corpus:
-        preorder = density._consistency_preorder(d)
+        preorder = density._whole_pair(d)[0]  # the kernel on d's stack of one, unmemoised
         assert (preorder == consistency_preorder_by_contexts(d)).all(), d.name
         differs += int((preorder != d.minus.leq).any())
     assert 0 < differs < len(oracle_corpus)  # both preorders that are orders and ones that are not
@@ -674,16 +679,15 @@ def test_pseudocomplement_check_survives_optimised_python():
 # -- the per-d-frame memo ------------------------------------------------------
 
 
-BUILDERS = ("_largest_consistent", "_consistency_preorder", "_saturation_nucleus",
-            "_dense_core")
+BUILDERS = ("_largest_consistent", "_whole_pair", "_dense_core")
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """Counts, per d-frame object, every run of the memoised builders of the
-    pseudocomplements, the consistency preorder, the saturation nucleus and
-    the dense core, and keeps the d-frames they ran on, so that no id is
-    reused while counting."""
+    pseudocomplements, the density kernel's planes of the whole pair (the
+    consistency preorder and the saturation) and the dense core, and keeps
+    the d-frames they ran on, so that no id is reused while counting."""
     counts = Counter()
     seen = {}
 
@@ -706,7 +710,7 @@ def assert_built_once(builds):
     # the core runs on no swap; the plus side it reads is built on the swap
     cores = [seen[key] for name, key in counts if name == "_dense_core"]
     assert not {id(df.swap()) for df in cores} & {id(df) for df in cores}
-    assert all(("_saturation_nucleus", id(df.swap())) in counts for df in cores)
+    assert all(("_whole_pair", id(df.swap())) in counts for df in cores)
 
 
 def test_mine_builds_derived_structure_once_per_dframe(builds):
@@ -801,6 +805,106 @@ def test_member_cores_raise_when_a_core_is_not_a_member(monkeypatch):
         member_cores(ds)
 
 
+def _kernel_planes(ds, monkeypatch):
+    """member_cores(ds), with the planes density_planes and _separated gave
+    on the way, per side and in member order: [(preorders, saturations,
+    separated)] for the minus side and the plus side.  The plus side is
+    separated only where the minus side is, and holds None elsewhere."""
+    planes, separated = {}, {}
+    kernel, search = density.density_planes, density._separated
+    for d in (ds.parent, ds.parent.swap()):
+        con_preorder(d)  # the parent's own stacks of one, built before the spies
+
+    def spy_planes(d, *stack):
+        out = kernel(d, *stack)
+        planes.setdefault(id(d), []).append(out[:2])
+        return out
+
+    def spy_separated(d, *stack):
+        out = search(d, *stack)
+        separated.setdefault(id(d), []).append(out)
+        return out
+
+    monkeypatch.setattr(density, "density_planes", spy_planes)
+    monkeypatch.setattr(density, "_separated", spy_separated)
+    member_cores(ds)
+    monkeypatch.undo()
+    minus = np.concatenate(separated[id(ds.parent)])
+    plus = np.full(len(minus), None, dtype=object)
+    plus[minus] = np.concatenate(separated.get(id(ds.parent.swap()), [np.zeros(0, dtype=bool)]))
+    return [(*map(np.concatenate, zip(*planes[id(d)])), sep)
+            for d, sep in ((ds.parent, minus), (ds.parent.swap(), plus))]
+
+
+def test_member_planes_match_the_definitions(monkeypatch):
+    # each member's preorders, saturations and separation verdicts, read off
+    # the stack in the parent's index space, against the n^4 context
+    # reduction, the joins of its down-sets folded from the member's own join
+    # table and the cell-by-cell witness search, on the member's own d-frame
+    # and its swap (the plus side where the minus side separates)
+    sample = random.Random(33).sample(_member_corpus(), 80)
+    members, separated = 0, Counter()
+    for df in sample:
+        ds = enumerate_sub_d_locales(df)
+        sides = _kernel_planes(ds, monkeypatch)
+        for k, member in enumerate(ds.members):
+            own = member.as_dframe
+            for side, (pre, nu, sep), sub, d in zip(("minus", "plus"), sides, (member.minus, member.plus),
+                                                     (own, own.swap())):
+                at, by_contexts = np.asarray(sub.members), consistency_preorder_by_contexts(d)
+                assert (pre[k][np.ix_(at, at)] == by_contexts).all(), member.label
+                saturation = [join_all(d.minus, np.flatnonzero(by_contexts[:, a])) for a in range(d.minus.n)]
+                assert np.searchsorted(at, nu[k][at]).tolist() == saturation, member.label
+                if sep[k] is not None:
+                    assert sep[k] == separates_by_search(d), member.label
+                    separated[side, bool(sep[k])] += 1
+            members += 1
+    assert members > 400 and all(separated[side, v] for side in ("minus", "plus") for v in (True, False))
+
+
+def least_dense_member(ds) -> int:
+    """The member below every member that dense_members (the restriction
+    route) calls dense, found by search: the smallest dense sub-d-locale."""
+    dense = np.flatnonzero(dense_members(ds))
+    least = [k for k in dense if ds.leq[k, dense].all()]
+    assert len(least) == 1
+    return least[0]
+
+
+def test_cores_are_the_least_dense_members():
+    # the paper's theorem by brute force: the dense core of a d-frame, and of
+    # a sample of lattice members, is the least of the dense members
+    rng, checked = random.Random(34), 0
+    for df in _member_corpus():
+        ds = enumerate_sub_d_locales(df)
+        assert ds.members[least_dense_member(ds)] == dense_core(df).core, df.name
+        cores = member_cores(ds)[0]
+        for k in rng.sample(range(ds.n), min(3, ds.n)):
+            member = ds.members[k]
+            own = enumerate_sub_d_locales(member.as_dframe)
+            least = own.members[least_dense_member(own)]
+            sets = [Sublocale(side.frame, [side.members[x] for x in sub.members])
+                    for side, sub in ((member.minus, least.minus), (member.plus, least.plus))]
+            assert cores[k] == ds.by_mask[ds.mask_of(*sets)], (df.name, member.label)
+            checked += 1
+    assert checked > 500
+
+
+def test_member_cores_raise_when_the_kernel_routes_disagree(monkeypatch):
+    ds = enumerate_sub_d_locales(three_three())
+    separated = density._separated
+    monkeypatch.setattr(density, "_separated", lambda *args: ~separated(*args))
+    for _ in range(2):
+        with pytest.raises(EquivalenceMismatch, match="dual subfitness tests disagree on 1.1 of 3.3"):
+            member_cores(ds)
+    monkeypatch.undo()
+    minus = ds.parent.minus
+    monkeypatch.setattr(minus, "minimal_primes", np.zeros_like(minus.minimal_primes))
+    for _ in range(2):
+        with pytest.raises(EquivalenceMismatch, match="saturation fixpoints differ"):
+            member_cores(ds)
+
+
 def test_props_decides_each_morphism_skeletal_once(run_cli, monkeypatch):
     from dframes import sweeps
 
@@ -873,14 +977,27 @@ def test_dense_core_is_memoised():
 
 
 def test_a_failed_dense_core_is_not_memoised(monkeypatch):
+    # with no minimal primes the double pseudocomplements generate the whole
+    # frame, which the saturation does not fix
     tt = three_three()
-    monkeypatch.setattr(density, "sublocale_generated_by",
-                        lambda frame, seed: whole_sublocale(frame))
+    monkeypatch.setattr(tt.minus, "minimal_primes", np.zeros_like(tt.minus.minimal_primes))
     for _ in range(2):
         with pytest.raises(EquivalenceMismatch, match="saturation fixpoints differ"):
             dense_core(tt)
     monkeypatch.undo()
     assert dense_core(tt).core.label == "o(c).o(c)"
+
+
+def test_a_saturation_that_is_not_a_nucleus_is_not_memoised(monkeypatch):
+    # the nucleus laws are checked when a side's stack of one is built, and
+    # a failed build stores nothing
+    tt = three_three()
+    monkeypatch.setattr(Nucleus, "is_valid", property(lambda nu: False))
+    for _ in range(2):
+        with pytest.raises(EquivalenceMismatch, match="is not a nucleus"):
+            saturation_nucleus(tt)
+    monkeypatch.undo()
+    assert saturation_nucleus(tt).is_valid
 
 
 def test_shared_dense_core_cannot_be_changed():
@@ -920,11 +1037,11 @@ def test_concurrent_first_calls_agree():
 
 def test_dual_subfitness_is_decided_once_per_dframe(monkeypatch):
     # classify and coreflection_report both ask; each side's witness search
-    # runs at most once (the second side only if the first separates): on the
-    # d-frame and its swap, and on its core's if that is another d-frame
+    # runs at most once: on the d-frame and its swap, and on its core's if
+    # that is another d-frame
     calls = []
-    separates = density._separates
-    monkeypatch.setattr(density, "_separates", lambda d: calls.append(d) or separates(d))
+    separated = density._separated
+    monkeypatch.setattr(density, "_separated", lambda d, *stack: calls.append(d) or separated(d, *stack))
     for make in (three_three, two_two, double_negation_without_excluded_middle,
                  incorrigible_minimal):
         df = make()
@@ -939,8 +1056,8 @@ def test_dual_subfitness_is_decided_once_per_dframe(monkeypatch):
 
 def test_dual_subfitness_routes_that_disagree_raise_every_time(monkeypatch):
     tt = three_three()
-    separates = density._separates
-    monkeypatch.setattr(density, "_separates", lambda d: not separates(d))
+    separated = density._separated
+    monkeypatch.setattr(density, "_separated", lambda *args: ~separated(*args))
     for _ in range(2):
         with pytest.raises(EquivalenceMismatch, match="dual subfitness tests disagree"):
             is_dually_subfit(tt)

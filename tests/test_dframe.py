@@ -453,6 +453,26 @@ def test_failure_witnesses_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WITNESS_DIGEST
 
 
+def test_each_failed_law_is_scanned_once(monkeypatch):
+    # axiom_verdicts scans both binary laws of a relation that fails its
+    # order check, and check_dframe reads their witnesses from that scan; the
+    # failed laws of an ordered relation are scanned once, for their witnesses
+    from dframes import dframe as dframe_module
+
+    scans, scan = [], dframe_module._first_bad_pair
+    monkeypatch.setattr(dframe_module, "_first_bad_pair", lambda *args: scans.append(1) or scan(*args))
+    unordered = 0
+    for df in random_relation_pairs(seed=7, count=600):
+        scans.clear()
+        ok = {c.name: c.ok for c in check_dframe(df).checks}
+        expected = 0
+        for order, laws in (("con-down", ("con-join", "con-meet")), ("tot-up", ("tot-meet", "tot-join"))):
+            expected += 2 if not ok[order] else sum(not ok[law] for law in laws)
+            unordered += not ok[order]
+        assert len(scans) == expected, str(check_dframe(df))
+    assert unordered > 300
+
+
 # -- the line tests of the binary laws -------------------------------------------
 
 

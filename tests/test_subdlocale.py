@@ -664,10 +664,10 @@ def test_handed_out_arrays_are_frozen():
     swap_core = dense_core(swapped)  # computed on the swap, from its own memo
     # a d-frame holds con, tot and, in its memo, its minus side's
     # pseudocomplements and preorder; a frame its order, meets, joins,
-    # implications, covers and orders
+    # implications, covers, orders and minimal primes
     for obj, count in ((sub, 2), (member, 2),
                        (core.nu_minus, 1), (core.nu_plus, 1), (core.core, 2),
-                       (member.quotient_hom().minus, 1), (tt.minus, 6),
+                       (member.quotient_hom().minus, 1), (tt.minus, 7),
                        (tt, 4), (swapped, 4), (saturation_nucleus(swapped), 1),
                        (swap_core.core, 2), (swap_core.nu_minus, 1), (lazy, 2),
                        (lazy.as_dframe, 2)):
