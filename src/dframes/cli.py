@@ -21,8 +21,8 @@ from .errors import DFramesError, InvalidDFrame, NotASubDLocale, SizeGuardExceed
 from .fixtures import (componentwise_dense_counterexample, double_negation_without_excluded_middle,
                        incorrigible_minimal, three_three)
 from .reports import Report
-from .search import frame_pool, mine, random_dframe, standard_corpus
-from .subdlocale import enumerate_sub_d_locales
+from .search import MAX_CANDIDATES, frame_pool, mine, random_dframe, standard_corpus
+from .subdlocale import MAX_PAIRS, enumerate_sub_d_locales
 from .sweeps import full_sweep
 
 
@@ -41,7 +41,7 @@ def _add_common(parser):
 
 def _add_guard(parser):
     """The size guard, for the subcommands that enumerate sub-d-locales."""
-    parser.add_argument("--max-pairs", type=positive, default=400,
+    parser.add_argument("--max-pairs", type=positive, default=MAX_PAIRS,
                         help="sub-d-locale enumeration guard: sublocale pairs, "
                              "2^(primes of minus + primes of plus)")
 
@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="bounded-exhaustive search for finite witnesses")
     p.add_argument("--max-frame", type=positive, default=3)
     p.add_argument("--max-candidates", type=positive, default=20000,
-                   help="stop after this many d-frames; a window holding a frame "
-                        "pair with more than 2^18 con x tot candidates is refused "
-                        "(exit 2) before this limit can stop the search")
+                   help="stop after this many d-frames; a window holding a frame pair "
+                        f"with more than 2^{MAX_CANDIDATES.bit_length() - 1} con x tot "
+                        "candidates is refused (exit 2) before this limit can stop the search")
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -19,7 +19,7 @@ from .dframe import DFrame, DFrameHom, _image, _memo, _partner_bound, is_regular
 from .errors import BrokenInvariant, CharacterizationMismatch, EquivalenceMismatch
 from .frames import FrameHom, Nucleus, Sublocale
 from .order import _bool_matmul, _frozen, _joins, _row_blocks
-from .subdlocale import SubDLocale, SubDLocaleLattice, member_plane, try_sub_d_locale
+from .subdlocale import SubDLocale, SubDLocaleLattice, member_box, member_plane, try_sub_d_locale
 
 
 # -- pseudocomplements -------------------------------------------------------
@@ -146,7 +146,7 @@ def dense_members(ds: SubDLocaleLattice) -> np.ndarray:
 def _dense_members(ds: SubDLocaleLattice) -> np.ndarray:
     con, dbl = ds.parent.con, ds.mask_of(*double_pseudocomplement_sets(ds.parent)[:2])
     definitional = member_plane(ds, lambda at, qm, qp, box: (
-        _image(con, qp, qm, con.shape) == con & box.transpose(0, 2, 1)).all(axis=(1, 2)))
+        _image(con, qp, qm, con.shape) == con & box).all(axis=(1, 2)))
     characterized = (ds.masks & dbl) == dbl
     for k in np.flatnonzero(definitional != characterized)[:1]:
         _agreed(ds.labels[k], bool(definitional[k]), bool(characterized[k]))
@@ -168,22 +168,24 @@ def _agreed(label: str, definitional: bool, characterized: bool) -> bool:
 
 def density_planes(d: DFrame, pc, op, vec, labels) -> tuple:
     """(pre, nu, primes) per member t of a stack on d's minus side: t keeps
-    the parent's order and meets, fixes the elements vec[t] and has
-    pseudocomplements pc[t] on this side and op[t] on the other.
+    the parent's order and meets, has the members vec[t], the image of its
+    nucleus q, and has pseudocomplements pc[t] on this side, the bottom off
+    the members, and op[t] on the other.
 
     pre[t, a, b]: every p consistent with b meet c, for any member c, is
     consistent with a meet c, so pc[t, b meet c] <= pc[t, a meet c].  nu[t]:
-    a |-> the join of the members below a, which are closed under the
-    member's joins (pc turns joins into meets), so that join is the
-    parent's and needs no closure by the quotient.  primes[t, k]:
+    a |-> the join of the elements below a, which is that of the members
+    below a: with b, so is q(b) (for a member c, q(b) meet c = q(b meet c)
+    is b meet c if that is a member, and pc[t, a meet c] is the bottom if
+    not).  Members are closed under the member's joins (pc turns joins into
+    meets), so nu needs no closure by the quotient.  primes[t, k]:
     primes[k] is minimal above a double pseudocomplement; they must generate
     nu[t]'s fixpoints (EquivalenceMismatch naming labels[t])."""
     lat, F = d.minus, pc[:, d.minus.meet]  # F[t, x, c] = pc[t, x /\ c]
     pre, leq = np.empty((len(pc), lat.n, lat.n), dtype=bool), d.plus.leq.ravel()
     for rows in _row_blocks(lat.n, pre.size):  # one flat index into leq gathers faster than two
         pre[:, rows] = (leq[F[:, None] * d.plus.n + F[:, rows, None]] | ~vec[:, None, None]).all(axis=-1)
-    below = (pre.transpose(0, 2, 1) & vec[:, None]).reshape(-1, lat.n)
-    nu = _joins(below, lat.leq).reshape(vec.shape)
+    nu = _joins(pre.transpose(0, 2, 1).reshape(-1, lat.n), lat.leq).reshape(vec.shape)
     primes = (lat.minimal_primes[op[np.arange(len(op))[:, None], pc]] & vec[:, :, None]).any(axis=1)
     generated = (lat.minimal_primes <= primes[:, None]).all(axis=2)
     for k in np.flatnonzero((((nu == np.arange(lat.n)) & vec) != generated).any(axis=1))[:1]:
@@ -321,8 +323,7 @@ def member_cores(ds: SubDLocaleLattice) -> tuple:
         # (which absorb the member's), is the member's on the core's cells
         qm, qp = (q[cores] for q in quotients)
         core_con = _image(df.con, qp, qm, con.shape[1:])
-        core_box = (qp == np.arange(qp.shape[1]))[:, :, None] & (qm == np.arange(qm.shape[1]))[:, None]
-        for k in np.flatnonzero((core_con != con & core_box).any(axis=(1, 2)))[:1]:
+        for k in np.flatnonzero((core_con != con & member_box(qm, qp)).any(axis=(1, 2)))[:1]:
             raise EquivalenceMismatch(f"the dense core of member {labels[k]} is not dense in it")
         return np.stack([cores, skeletal, subfit], axis=1)
 
@@ -373,7 +374,7 @@ def corrigibility(df: DFrame) -> CorrigibilityReport:
     dense_core(df)
     out = []
     for side, d in (("minus", df), ("plus", df.swap())):
-        conds = _corrigibility_conditions(d)
+        conds = _memo(d, "_corrigibility_conditions", _corrigibility_conditions)
         if len(set(conds.values())) > 1:
             raise EquivalenceMismatch(
                 f"corrigibility conditions disagree on the {side} side of {df.name}: {conds}"

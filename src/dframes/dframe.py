@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BrokenInvariant, CarrierMismatch, DomainMismatch, InvalidDFrame, TrivialMismatch
 from .frames import Frame, FrameHom
-from .order import _bool_matmul, _frozen, _joins
+from .order import _bool_matmul, _frozen, _joins, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -234,21 +234,15 @@ def axiom_verdicts(minus: Frame, plus: Frame, con, tot, joins, bottoms, counts, 
     ], found
 
 
-# The pair scan looks at this many pairs of members at a time.
-_SCAN_BLOCK = 1 << 20
-
-
 def _first_bad_pair(rel, row_op, col_op):
     """The first pair of rel's cells (r, c), (r', c') in row-major order with
     rel[row_op[r, r'], col_op[c, c']] false, or None; a block of rows at a time."""
     rows, cols = np.where(rel)
-    block = max(1, _SCAN_BLOCK // max(1, len(rows)))
-    for start in range(0, len(rows), block):
-        r, c = rows[start:start + block, None], cols[start:start + block, None]
-        combined = rel[row_op[r, rows], col_op[c, cols]]
+    for at in _row_blocks(len(rows), len(rows)):
+        combined = rel[row_op[rows[at, None], rows], col_op[cols[at, None], cols]]
         if not combined.all():
             i, j = next(zip(*np.where(~combined)))
-            return (rows[start + i], cols[start + i]), (rows[j], cols[j])
+            return (rows[at][i], cols[at][i]), (rows[j], cols[j])
     return None
 
 

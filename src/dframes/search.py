@@ -27,6 +27,8 @@ from .order import Lattice, _frozen
 # benchmarks/test_benchmark.py checks that the tracer wraps it here.
 from .subdlocale import admission_matrix, admitted_pairs, build_sub_d_locale  # noqa: F401
 
+MAX_CANDIDATES = 1 << 18  # the default con x tot cap, a power of two: the CLI help names its exponent
+
 
 def frame_pool(max_size: int) -> list[Frame]:
     """All finite frames up to max_size elements, up to isomorphism.
@@ -171,7 +173,7 @@ def _candidates(minus: Frame, plus: Frame, cap: int) -> list:
     return sides
 
 
-def count_candidates(minus: Frame, plus: Frame, cap: int = 1 << 18) -> int:
+def count_candidates(minus: Frame, plus: Frame, cap: int = MAX_CANDIDATES) -> int:
     """The con x tot candidates of a frame pair, the product of its two sides'
     antitone maps; SizeGuardExceeded when there are more than cap."""
     (_, f), (_, g) = _candidates(minus, plus, cap)
@@ -195,17 +197,17 @@ def _relations(minus: Frame, plus: Frame, con: bool, order: list, maps: np.ndarr
     return full[key], _frozen(rels[key])
 
 
-def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
+def enumerate_con_relations(minus: Frame, plus: Frame, cap: int = MAX_CANDIDATES) -> list[np.ndarray]:
     """Every valid consistency relation between two frames, in bitmask order
     over the cells the nullary pairs leave free, within the candidate cap."""
     return list(_relations(minus, plus, True, *_candidates(minus, plus, cap)[0])[1])
 
 
-def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = 1 << 18) -> list[np.ndarray]:
+def enumerate_tot_relations(minus: Frame, plus: Frame, cap: int = MAX_CANDIDATES) -> list[np.ndarray]:
     return list(_relations(minus, plus, False, *_candidates(minus, plus, cap)[1])[1])
 
 
-def enumerate_dframes(minus: Frame, plus: Frame, cap: int = 1 << 18):
+def enumerate_dframes(minus: Frame, plus: Frame, cap: int = MAX_CANDIDATES):
     """All valid d-frames on a fixed frame pair, con-major, as an iterator;
     both sides' antitone maps are built, and the cap enforced, at the call."""
     return _dframes(minus, plus, _candidates(minus, plus, cap))

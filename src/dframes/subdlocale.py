@@ -9,8 +9,8 @@ build_sub_d_locale decides them for one pair.  The lattice holds the admitted
 pairs as positions in the two sublocale lists, and every per-member array
 is a gather from one row per sublocale.  It works on prime mask pairs (joins
 are ORs, and its join and meet tables are lookups checked against its
-order); member_plane decides a law for all its members at once in the
-parent's index space, as quotient_epis does.
+order).  quotient_plane decides a law for a stack of quotient pairs in the
+parent's index space: axiom_planes' for all pairs, member_plane's for members.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dframe import _SCAN_BLOCK, DFrame, DFrameHom, _image, _memo, _partner_bound, axiom_verdicts
+from .dframe import DFrame, DFrameHom, _image, _memo, _partner_bound, axiom_verdicts
 from .errors import BrokenInvariant, NotASubDLocale, SizeGuardExceeded
 from .frames import Sublocale, _same_frame, enumerate_sublocales
-from .order import _bool_matmul, _distributivity_witness, _frozen, cover_relation
+from .order import _bool_matmul, _distributivity_witness, _frozen, _row_blocks, cover_relation
+
+MAX_PAIRS = 400  # the default sub-d-locale guard: sublocale pairs enumerated at most
 
 
 class SubDLocale:
@@ -134,20 +136,18 @@ def join_sub_d_locales(a: SubDLocale, b: SubDLocale) -> SubDLocale:
 
 class SubDLocaleLattice:
     """The enumerated lattice of sub-d-locales of one parent, in prime
-    coordinates.  pairs[k] holds member k's positions in the two sublocale
-    lists, and per-member arrays are gathers of per-sublocale rows: masks[k]
+    coordinates.  pairs[k] holds member k's positions in sublocales, all of
+    each side, and per-member arrays are gathers of per-sublocale rows: masks[k]
     holds member k's minus primes below its plus primes, and by_mask[m] is
     the member with mask pair m, or -1.  Members are closed under OR, so a
     join is the OR of two masks and a meet the largest member inside their
     AND; leq, from the member sets, checks both.
     """
 
-    def __init__(self, parent: DFrame, pairs):
+    def __init__(self, parent: DFrame, pairs, sublocales):
         self.parent = parent
         self.pairs = _frozen(np.array(pairs, dtype=np.intp).reshape(-1, 2))
-        # all of both sides: the pair guard has bounded their product
-        self.sublocales = tuple(enumerate_sublocales(lat, 2 ** len(lat.primes))
-                                for lat in (parent.minus, parent.plus))
+        self.sublocales = tuple(sublocales)  # [minus, plus]
         minus, plus = self.stacks("mask")
         shift = len(parent.minus.primes)
         self.masks = _frozen(minus | plus << shift)
@@ -304,7 +304,7 @@ class SubDLocaleLattice:
         return f"SubDLocaleLattice({self.parent.name}: {self.n} members)"
 
 
-def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = 400) -> SubDLocaleLattice:
+def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = MAX_PAIRS) -> SubDLocaleLattice:
     """All sublocale pairs that induce valid quotients, in canonical order.
 
     Each side has 2^|primes| sublocales, so more than max_pairs pairs are
@@ -323,7 +323,7 @@ def enumerate_sub_d_locales(parent: DFrame, max_pairs: int = 400) -> SubDLocaleL
     sizes = [np.array([len(s.members) for s in side]) for side in subs]
     ranks = [np.argsort(sorted(range(len(side)), key=lambda k: side[k].members)) for side in subs]
     order = np.lexsort((ranks[1][j], ranks[0][i], sizes[0][i] + sizes[1][j]))
-    return SubDLocaleLattice(parent, np.stack([i, j], axis=1)[order])
+    return SubDLocaleLattice(parent, np.stack([i, j], axis=1)[order], subs)
 
 
 def admission_matrix(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
@@ -359,38 +359,41 @@ def axiom_planes(parent: DFrame, subs_minus, subs_plus) -> np.ndarray:
     Each pair lives in the parent's index space: con and tot are images
     under its quotients (BrokenInvariant where tot's is not the restriction)
     and its frames keep the parent's order and meets and quotient its joins.
-    A chunk of pairs (one at least) keeps its temporaries under a quarter
-    megabyte each: large enough to amortise the chunk's calls, small enough
-    to add no measurable peak."""
+    quotient_plane takes the pairs in blocks, a pair counting 16 cells per
+    cell of con times its longer side."""
     Lm, Lp = parent.minus, parent.plus
     sub_m, sub_p = (np.array([s.quotient for s in subs], dtype=np.intp).reshape(len(subs), lat.n)
                     for subs, lat in ((subs_minus, Lm), (subs_plus, Lp)))
     i, j = (k.ravel() for k in np.indices((len(sub_m), len(sub_p))))
-    step, planes = max(1, _SCAN_BLOCK // (16 * parent.con.size * max(parent.con.shape))), []
-    for at in (slice(s, s + step) for s in range(0, len(i), step)):
-        qm, qp = sub_m[i[at]], sub_p[j[at]]
+
+    def law(at, qm, qp, box):
         con, tot = _image(parent.con, qp, qm, parent.con.shape), _image(parent.tot, qm, qp, parent.tot.shape)
-        box = (qp == np.arange(Lp.n))[:, :, None] & (qm == np.arange(Lm.n))[:, None]  # members
         if (tot != (parent.tot & box.transpose(0, 2, 1))).any():
             raise BrokenInvariant("quotient image of tot must equal its restriction")
         counts = [np.matmul(q == np.arange(lat.n), lat.orders, dtype=np.int32)
                   for q, lat in ((qm, Lm), (qp, Lp))]
-        planes.append(axiom_verdicts(Lm, Lp, con, tot, (qm[:, Lm.join], qp[:, Lp.join]),
-                                     (qm[:, Lm.bottom], qp[:, Lp.bottom]), counts, box)[0])
-    return _frozen(np.concatenate(planes, axis=1).reshape(9, len(sub_m), len(sub_p)))
+        return np.transpose(axiom_verdicts(Lm, Lp, con, tot, (qm[:, Lm.join], qp[:, Lp.join]),
+                                           (qm[:, Lm.bottom], qp[:, Lp.bottom]), counts, box)[0])
+
+    planes = quotient_plane(sub_m[i], sub_p[j], law, 16 * parent.con.size * max(parent.con.shape))
+    return _frozen(planes.T.reshape(9, len(sub_m), len(sub_p)))
+
+
+def member_box(qm: np.ndarray, qp: np.ndarray) -> np.ndarray:
+    """[t, p, m]: whether quotient pair t fixes plus p and minus m, con's cells."""
+    return (qp == np.arange(qp.shape[1]))[:, :, None] & (qm == np.arange(qm.shape[1]))[:, None]
+
+
+def quotient_plane(qm: np.ndarray, qp: np.ndarray, law, row_cells: int) -> np.ndarray:
+    """[k]: law(at, qm[at], qp[at], member_box(qm[at], qp[at])), a verdict or
+    a row, on pair k of a quotient stack, for _row_blocks `at` of row_cells."""
+    return _frozen(np.concatenate([law(at, qm[at], qp[at], member_box(qm[at], qp[at]))
+                                   for at in _row_blocks(len(qm), row_cells)]))
 
 
 def member_plane(ds: SubDLocaleLattice, law) -> np.ndarray:
-    """[k]: law(at, qm, qp, box) on member k, a verdict or a row, for chunks
-    `at` of the members as axiom_planes takes pairs: qm and qp stack the
-    chunk's quotients, and box[t] holds the minus x plus cells of the
-    elements both fix."""
-    (qm, qp), Lm, Lp = ds.stacks("quotient"), ds.parent.minus, ds.parent.plus
-    parts, step = [], max(1, _SCAN_BLOCK // (16 * Lm.n * Lp.n))
-    for at in (slice(s, s + step) for s in range(0, ds.n, step)):
-        box = (qm[at] == np.arange(Lm.n))[:, :, None] & (qp[at] == np.arange(Lp.n))[:, None]
-        parts.append(law(at, qm[at], qp[at], box))
-    return _frozen(np.concatenate(parts))
+    """quotient_plane on ds's members, each counting 16 cells per cell of con."""
+    return quotient_plane(*ds.stacks("quotient"), law, 16 * ds.parent.con.size)
 
 
 def quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
@@ -406,16 +409,15 @@ def _quotient_epis(ds: SubDLocaleLattice) -> np.ndarray:
     return member_plane(ds, lambda at, qm, qp, box: (
         ((qm[:, :, None] == np.arange(ds.parent.minus.n)).any(axis=1) == vm[at]).all(axis=1)
         & ((qp[:, :, None] == np.arange(ds.parent.plus.n)).any(axis=1) == vp[at]).all(axis=1)
-        & (_image(tot, qm, qp, tot.shape) == tot & box).all(axis=(1, 2))))
+        & (_image(tot, qm, qp, tot.shape) == tot & box.transpose(0, 2, 1)).all(axis=(1, 2))))
 
 
 def _lookup_table(lookup: np.ndarray, masks: np.ndarray, op) -> np.ndarray:
     """[i, j] = lookup[op(masks[i], masks[j])], a block of rows at a time."""
     n = len(masks)
     table = np.empty((n, n), dtype=np.min_scalar_type(-n))  # signed: -1 marks a non-member
-    step = max(1, _SCAN_BLOCK // max(1, n))
-    for s in range(0, n, step):
-        table[s:s + step] = lookup[op(masks[s:s + step, None], masks)]
+    for rows in _row_blocks(n, n):
+        table[rows] = lookup[op(masks[rows, None], masks)]
     return table
 
 
@@ -424,19 +426,18 @@ def _certified(table: np.ndarray, leq: np.ndarray, covers: np.ndarray, kind: str
     covers (the glb table, for leq.T and covers.T); BrokenInvariant if not.
     It is if its cells are members and it is symmetric, above both arguments,
     u at (i, u) for i <= u, and monotone along the covers: a common upper
-    bound u of i and j then has table[i, j] <= table[u, j] = u.  A gather
-    takes about _SCAN_BLOCK / 16 cells, half a megabyte of indices, so that
-    it adds no measurable peak."""
-    at, step = np.arange(len(table)), max(1, _SCAN_BLOCK // (16 * max(1, len(table))))
-    ok = table.min(initial=0) >= 0
-    for s in range(0, len(table), step):
-        rows = table[s:s + step]
-        ok = ok and ((rows == table[:, s:s + step].T).all()  # symmetric
-                     and leq[at[s:s + step, None], rows].all()  # above both arguments
-                     and (rows == at)[leq[s:s + step]].all())  # u at (i, u) for i <= u
+    bound u of i and j then has table[i, j] <= table[u, j] = u.  Its
+    gathers take a block of rows, and of covers, at a time, each counting 16
+    cells per table row."""
+    at, ok, width = np.arange(len(table)), table.min(initial=0) >= 0, 16 * len(table)
+    for rows in _row_blocks(len(table), width):
+        block = table[rows]
+        ok = ok and ((block == table[:, rows].T).all()  # symmetric
+                     and leq[at[rows, None], block].all()  # above both arguments
+                     and (block == at)[leq[rows]].all())  # u at (i, u) for i <= u
     lower, upper = np.nonzero(covers)
-    for s in range(0, len(lower), step):  # monotone along the covers
-        ok = ok and leq[table[lower[s:s + step]], table[upper[s:s + step]]].all()
+    for arcs in _row_blocks(len(lower), width):  # monotone along the covers
+        ok = ok and leq[table[lower[arcs]], table[upper[arcs]]].all()
     if not ok:
         raise BrokenInvariant(f"sub-d-locales must have unique {kind}")
     return _frozen(table)

@@ -47,7 +47,7 @@ class Sweep:
         return [(n, d) for n, ok, d in self.verdicts if not ok]
 
 
-def sweep_dframe(df, sweep: Sweep, max_pairs: int = 400):
+def sweep_dframe(df, sweep: Sweep, max_pairs: int = subdlocale.MAX_PAIRS):
     """All per-d-frame law checks; enumeration-based ones are size-guarded.
     Returns the sub-d-locale lattice, or None when the guard refused it."""
     name = df.name
@@ -244,7 +244,7 @@ def standard_morphisms(dframes) -> tuple[list, list]:
     return morphisms, pairs
 
 
-def full_sweep(dframes, max_pairs: int = 400) -> Sweep:
+def full_sweep(dframes, max_pairs: int = subdlocale.MAX_PAIRS) -> Sweep:
     """Every check, in this order: per d-frame; per morphism, each d-frame's
     member quotients after its three; the identity functor; functoriality;
     the coreflection facts."""

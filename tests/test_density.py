@@ -679,15 +679,16 @@ def test_pseudocomplement_check_survives_optimised_python():
 # -- the per-d-frame memo ------------------------------------------------------
 
 
-BUILDERS = ("_largest_consistent", "_whole_pair", "_dense_core")
+BUILDERS = ("_largest_consistent", "_whole_pair", "_dense_core", "_corrigibility_conditions")
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """Counts, per d-frame object, every run of the memoised builders of the
     pseudocomplements, the density kernel's planes of the whole pair (the
-    consistency preorder and the saturation) and the dense core, and keeps
-    the d-frames they ran on, so that no id is reused while counting."""
+    consistency preorder and the saturation), the dense core and a side's
+    corrigibility conditions, and keeps the d-frames they ran on, so that
+    no id is reused while counting."""
     counts = Counter()
     seen = {}
 

@@ -1,9 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dframes import order
+from dframes import density, documents, order
+from dframes.density import (
+    con_preorder, dense_members, is_dually_subfit, member_cores, saturation_nucleus,
+)
+from dframes.dframe import DFrame, check_dframe
 from dframes.errors import CyclicOrder, NotALattice, UnknownElement
+from dframes.fixtures import three_three
 from dframes.order import (
     Lattice,
     _bool_matmul,
@@ -14,7 +21,8 @@ from dframes.order import (
     up_closure_pairs,
 )
 from dframes.frames import Frame
-from dframes.search import frame_pool
+from dframes.search import frame_pool, random_dframe
+from dframes.subdlocale import axiom_planes, enumerate_sub_d_locales, quotient_epis
 from oracles import (
     all_lattices,
     are_order_isomorphic,
@@ -239,6 +247,56 @@ def test_kernels_match_their_references_across_block_seams(monkeypatch, slab):
     test_implication_table_matches_the_per_cell_joins()
     lattices = KERNEL_LATTICES + N5_M3 + [top_first(lat) for lat in KERNEL_LATTICES + N5_M3]
     assert assert_representation_matches_the_scan(lattices) == 8  # N5 and M3, four times each
+
+
+def _single_cell_mutants(df):
+    """df with one cell of con or of tot flipped, for each cell in turn."""
+    for name in ("con", "tot"):
+        for cell in np.ndindex(getattr(df, name).shape):
+            rel = getattr(df, name).copy()
+            rel[cell] = not rel[cell]
+            yield DFrame(df.minus, df.plus, *((rel, df.tot) if name == "con" else (df.con, rel)))
+
+
+def _dframe_kernel_values(fixture_dir) -> list:
+    """What the blocked kernels of the d-frame layers give, on d-frames built
+    afresh so that no memo answers: on three_three(), two 5-chains and a
+    seeded random d-frame the axiom planes, the member laws, the join and
+    meet tables, the density planes of the whole pair and its separation
+    verdicts; and check_dframe's reports, whose binary-law witnesses
+    _first_bad_pair finds, on bad_contot.json (the full relations on two
+    2-chains), on its single-cell mutants and on those of three_three() and
+    of the full relations on two 5-chains."""
+    values = []
+    for df in (three_three(), documents.dframe_from_spec("min:chain:5:chain:5"),
+               random_dframe(random.Random(0), frame_pool(5))):
+        ds = enumerate_sub_d_locales(df)
+        values += [axiom_planes(df, *ds.sublocales), dense_members(ds), quotient_epis(ds),
+                   *member_cores(ds), ds.join_table, ds.meet_table, is_dually_subfit(df)]
+        for d in (df, df.swap()):
+            every = [np.ones((1, lat.n), dtype=bool) for lat in (d.minus, d.plus)]
+            values += [con_preorder(d), saturation_nucleus(d).mapping,
+                       density._separated(d, d.con.T[None], *every)]
+    bad = documents.load_path(str(fixture_dir / "bad_contot.json"), strict=True)
+    c5, full = Frame.chain(5), np.ones((5, 5), dtype=bool)
+    for df in (bad, *_single_cell_mutants(bad), *_single_cell_mutants(three_three()),
+               *_single_cell_mutants(DFrame(c5, c5, full, full))):
+        values.append(str(check_dframe(df)))
+    return values
+
+
+@pytest.mark.parametrize("slab", [1, 60, 200])
+def test_dframe_kernels_agree_across_block_seams(monkeypatch, fixture_dir, slab):
+    """order.SLAB_CELLS sizes every blocked kernel of the d-frame layers too:
+    slabs of a few cells cut the pairs, members, table rows, covers and
+    cells they take into blocks of one or of a few with a partial last
+    block, and every value stays the one at the default slab."""
+    expected = _dframe_kernel_values(fixture_dir)
+    monkeypatch.setattr(order, "SLAB_CELLS", slab)
+    values = _dframe_kernel_values(fixture_dir)
+    assert len(values) == len(expected) == 3 * 15 + 1 + 8 + 18 + 50
+    for value, want in zip(values, expected):
+        assert np.array_equal(value, want)
 
 
 @pytest.mark.parametrize("lat", frame_pool(6) + [Frame.boolean(4), Frame.chain(8),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dframes import cli, documents, subdlocale, sweeps
+from dframes import cli, documents, order, subdlocale, sweeps
 from dframes.density import (
     con_preorder,
     dense_core,
@@ -338,10 +338,10 @@ def test_axiom_planes_agree_across_chunk_sizes(monkeypatch):
     # two 7-chains: 4096 pairs of 7 * 7 * 7 cells span several chunks by default
     df = documents.dframe_from_spec("min:chain:7:chain:7")
     subs = enumerate_sublocales(df.minus), enumerate_sublocales(df.plus)
-    assert 4096 * 7 ** 3 > 2 * subdlocale._SCAN_BLOCK // 16
+    assert 4096 * 7 ** 3 > 2 * order.SLAB_CELLS // 16
     planes = axiom_planes(df, *subs)
     for block in (1, 16 * 61 * 7 ** 3, 1 << 40):  # one pair, 61 pairs, all pairs a chunk
-        monkeypatch.setattr(subdlocale, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(order, "SLAB_CELLS", block)
         assert (axiom_planes(df, *subs) == planes).all(), block
     assert planes.all(axis=0).sum() == enumerate_sub_d_locales(df, max_pairs=4096).n
 
@@ -440,12 +440,12 @@ def test_quotient_epis_reject_a_tot_image_that_is_not_the_restriction():
     # can leave its restriction; the per-member route raises there.
     verdicts = Counter()
     for base in (three_three(), documents.dframe_from_spec("sym:bool:2")):
-        pairs = enumerate_sub_d_locales(base).pairs
+        base_ds = enumerate_sub_d_locales(base)
         for cell in np.ndindex(base.tot.shape):
             tot = base.tot.copy()
             tot[cell] = not tot[cell]
             bad = DFrame(base.minus, base.plus, base.con, tot, name=f"{base.name} tot{cell}")
-            ds = SubDLocaleLattice(bad, pairs)
+            ds = SubDLocaleLattice(bad, base_ds.pairs, base_ds.sublocales)
             for m, batched in zip(ds.members, quotient_epis(ds)):
                 try:
                     expected = is_extremal_epi(m.quotient_hom())
@@ -545,7 +545,7 @@ def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
 
 def test_index_of_rejects_non_members():
     ds = enumerate_sub_d_locales(three_three())
-    partial = SubDLocaleLattice(ds.parent, ds.pairs[:-1])
+    partial = SubDLocaleLattice(ds.parent, ds.pairs[:-1], ds.sublocales)
     assert partial.index_of(ds.members[0]) == 0
     with pytest.raises(KeyError):
         partial.index_of(ds.members[-1])
@@ -562,7 +562,7 @@ DENSE_MEET_VERDICT = "3.3: meets of dense members are dense intersections"
 def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch):
     tt = three_three()
     ds = enumerate_sub_d_locales(tt)
-    partial = SubDLocaleLattice(tt, ds.pairs[:-1])  # drops the whole pair 3.3
+    partial = SubDLocaleLattice(tt, ds.pairs[:-1], ds.sublocales)  # drops the whole pair 3.3
     lbl = list(partial.labels)
     i, j = lbl.index("3.c(c)"), lbl.index("3.o(c)")  # their join is 3.3
     with pytest.raises(BrokenInvariant, match="not a member"):
@@ -570,7 +570,7 @@ def test_a_join_missing_from_a_partial_lattice_is_a_broken_invariant(monkeypatch
     with pytest.raises(BrokenInvariant, match="not a member"):
         partial.top
     with pytest.raises(BrokenInvariant, match="not a member"):
-        SubDLocaleLattice(tt, ds.pairs[1:]).bottom  # drops the one-point pair 1.1
+        SubDLocaleLattice(tt, ds.pairs[1:], ds.sublocales).bottom  # drops the one-point pair 1.1
     monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", lambda df, **guards: partial)
     sweep = Sweep()
     sweep_dframe(tt, sweep)
@@ -620,7 +620,7 @@ def test_sweep_fails_a_lattice_that_repeats_a_pair(monkeypatch):
         ds = enumerate_sub_d_locales(parent, max_pairs)
         if parent is not tt:
             return ds
-        return SubDLocaleLattice(parent, np.vstack([ds.pairs, ds.pairs[-1:]]))
+        return SubDLocaleLattice(parent, np.vstack([ds.pairs, ds.pairs[-1:]]), ds.sublocales)
 
     monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", repeats_its_last_pair)
     sweep = Sweep()
@@ -832,7 +832,7 @@ def test_witness_found_late(witness, violations):
     ds = enumerate_sub_d_locales(three_three())
     bad = sorted({a for a, _, _ in violations(ds)})
     order = [k for k in range(ds.n) if k not in bad] + bad
-    late = SubDLocaleLattice(ds.parent, ds.pairs[order])
+    late = SubDLocaleLattice(ds.parent, ds.pairs[order], ds.sublocales)
     found = getattr(late, witness)()
     assert found == loop_witness(late, violations)
     assert late.labels.index(found[0]) == ds.n - len(bad) > 0
@@ -937,7 +937,7 @@ def test_a_join_cell_missing_from_a_partial_lattice_is_a_broken_invariant():
     # 3.3 is the least upper bound left in the order
     ds = enumerate_sub_d_locales(three_three())
     keep = [ds.labels.index(label) for label in ("1.1", "c(c).c(c)", "o(c).c(c)", "3.3")]
-    partial = SubDLocaleLattice(ds.parent, ds.pairs[keep])
+    partial = SubDLocaleLattice(ds.parent, ds.pairs[keep], ds.sublocales)
     with pytest.raises(BrokenInvariant, match="must have unique joins"):
         partial.join_table
 
