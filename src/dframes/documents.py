@@ -52,14 +52,27 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _pairs(value, what: str) -> list[tuple[str, str]]:
-    """A list of two-element lists, as pairs of element ids."""
-    out = []
+def _pairs(value, what: str) -> list:
+    """A list of two-element lists or tuples, checked in document order."""
     for k, pair in enumerate(_list(value, what)):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{what}[{k}] is not a pair: {pair!r}")
-        out.append((str(pair[0]), str(pair[1])))
-    return out
+    return value
+
+
+def _relation(value, what: str, rows: Lattice, cols: Lattice) -> np.ndarray:
+    """The relation a list of (row id, column id) pairs sets, through each
+    side's id -> index map and one scatter; the first unknown id in document
+    order, the row id first, raises UnknownElement through idx."""
+    pairs = _pairs(value, what)
+    at = [np.array([lat.index.get(str(pair[side]), -1) for pair in pairs], dtype=np.intp)
+          for side, lat in enumerate((rows, cols))]
+    if (bad := np.stack(at, axis=1) < 0).any():
+        k, side = np.argwhere(bad)[0]
+        (rows, cols)[side].idx(str(pairs[k][side]))  # raises
+    rel = np.zeros((rows.n, cols.n), dtype=bool)
+    rel[tuple(at)] = True
+    return rel
 
 
 def _parse_block(block, default_name: str):
@@ -74,7 +87,7 @@ def _parse_block(block, default_name: str):
     _carrier_guard(len(elements), f"frame block {default_name!r}")
     for key in ("covers", "leq"):
         if key in block:
-            pairs = _pairs(block[key], f"{default_name} {key}")
+            pairs = [(str(lo), str(hi)) for lo, hi in _pairs(block[key], f"{default_name} {key}")]
             break
     else:
         raise ParseError(f"frame block {default_name!r} needs 'covers' or 'leq'")
@@ -106,12 +119,8 @@ def from_document(doc: dict, strict: bool = False) -> DFrame:
     builds = [_parse_block(doc[key], key) for key in ("minus", "plus")]  # both guarded first
     minus, plus = (build() for build in builds)
 
-    con = np.zeros((plus.n, minus.n), dtype=bool)
-    for p, m in _pairs(doc.get("con", []), "con"):
-        con[plus.idx(p), minus.idx(m)] = True
-    tot = np.zeros((minus.n, plus.n), dtype=bool)
-    for m, p in _pairs(doc.get("tot", []), "tot"):
-        tot[minus.idx(m), plus.idx(p)] = True
+    con = _relation(doc.get("con", []), "con", plus, minus)
+    tot = _relation(doc.get("tot", []), "tot", minus, plus)
 
     if not strict:
         con = close_con_generators(minus, plus, con)

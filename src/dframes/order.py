@@ -43,7 +43,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def cover_relation(leq: np.ndarray) -> np.ndarray:
     """covers[i, j] iff j covers i (strictly above, nothing in between)."""
     lt = leq & ~np.eye(len(leq), dtype=bool)
-    return _frozen(lt & ~_bool_matmul(lt, lt))
+    weights, covers = lt.astype(np.float32), np.empty_like(lt)  # cast once, not per block
+    for rows in _row_blocks(len(lt), len(lt)):
+        covers[rows] = lt[rows] & ~_bool_matmul(weights[rows], weights)
+    return _frozen(covers)
 
 
 def _upward(leq: np.ndarray) -> np.ndarray:
@@ -82,12 +85,13 @@ def _joins(rows: np.ndarray, leq: np.ndarray) -> np.ndarray:
 
 def _distributivity_witness(meet: np.ndarray, join: np.ndarray):
     """The first index triple (a, b, c) in row-major order violating
-    a∧(b∨c) = (a∧b)∨(a∧c) in the given tables, or None."""
+    a∧(b∨c) = (a∧b)∨(a∧c) in the given tables, or None; blocks of b rows."""
     for a in range(len(meet)):
-        bad = meet[a, join] != join[meet[a][:, None], meet[a]]
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            return (a, int(b), int(c))
+        for rows in _row_blocks(len(meet), len(meet)):
+            bad = meet[a, join[rows]] != join[meet[a, rows, None], meet[a]]
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                return (a, rows.start + int(b), int(c))
     return None
 
 

@@ -28,6 +28,7 @@ from .order import Lattice, _frozen
 from .subdlocale import admission_matrix, admitted_pairs, build_sub_d_locale  # noqa: F401
 
 MAX_CANDIDATES = 1 << 18  # the default con x tot cap, a power of two: the CLI help names its exponent
+MAX_POOL = 8  # the pool guard: frames of at most this many elements
 
 
 def frame_pool(max_size: int) -> list[Frame]:
@@ -37,8 +38,8 @@ def frame_pool(max_size: int) -> list[Frame]:
     a point at a time, each point above one down-set, while they have at most
     max_size down-sets, and isomorphic ones meet under one labelling.
     """
-    if max_size > 7:
-        raise SizeGuardExceeded(f"frames of {max_size} elements exceed the pool guard of 7")
+    if max_size > MAX_POOL:
+        raise SizeGuardExceeded(f"frames of {max_size} elements exceed the pool guard of {MAX_POOL}")
     found: dict = {}
     posets = [(0,)]  # each poset as its down-sets, bitmasks over its points
     for downsets in (d for d in posets if len(d) <= max_size):  # posets grows as it is read

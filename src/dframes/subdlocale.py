@@ -15,7 +15,7 @@ parent's index space: axiom_planes' for all pairs, member_plane's for members.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -141,7 +141,9 @@ class SubDLocaleLattice:
     holds member k's minus primes below its plus primes, and by_mask[m] is
     the member with mask pair m, or -1.  Members are closed under OR, so a
     join is the OR of two masks and a meet the largest member inside their
-    AND; leq, from the member sets, checks both.
+    AND.  up reads rows of the inclusion order from the member sets, and the
+    bound checks read only the rows of the members involved; leq, every row,
+    is built only for the tables and covers.
     """
 
     def __init__(self, parent: DFrame, pairs, sublocales):
@@ -179,11 +181,18 @@ class SubDLocaleLattice:
     def labels(self) -> tuple:
         return tuple(f"{minus}.{plus}" for minus, plus in zip(*self.stacks("label")))
 
+    def up(self, ks, down: bool = False) -> np.ndarray:
+        """[r, x]: whether member ks[r] lies below member x (above it, down),
+        as SubDLocale.leq: no element of the lower one's member sets lies
+        outside the upper one's.  One product of the member vectors, minus
+        and plus side by side, so it uses none of the masks it checks."""
+        vec = _memo(self, "_vectors", lambda ds: _frozen(np.hstack(ds.stacks("member_vector"))))
+        return ~_bool_matmul(vec, ~vec[ks].T).T if down else ~_bool_matmul(vec[ks], ~vec.T)
+
     @cached_property
     def leq(self) -> np.ndarray:
-        """Componentwise inclusion, as SubDLocale.leq: no member of i lies outside j."""
-        minus, plus = self.stacks("member_vector")
-        return _frozen(~_bool_matmul(minus, ~minus.T) & ~_bool_matmul(plus, ~plus.T))
+        """Componentwise inclusion: up on every member, a block of rows at a time."""
+        return _frozen(np.concatenate([self.up(rows) for rows in _row_blocks(self.n, self.n)]))
 
     @cached_property
     def below_mask(self) -> np.ndarray:
@@ -196,12 +205,15 @@ class SubDLocaleLattice:
             halves[:, 1] |= halves[:, 0]
         return _frozen(self.by_mask[inside])
 
-    def _member(self, lookup: np.ndarray, mask: int, what: str, *ks) -> int:
-        """lookup[mask]; BrokenInvariant naming what, filled with ks' labels, if missing."""
-        if lookup[mask] < 0:
-            what = what.format(*(self.labels[k] for k in ks))
-            raise BrokenInvariant(f"the {what} is not a member")
-        return int(lookup[mask])
+    def _member(self, lookup: np.ndarray, mask, what: str, *ks):
+        """lookup[mask], an int for one mask; BrokenInvariant naming what,
+        filled with the labels of the first missing cell's ks, if any is missing."""
+        found = lookup[mask]
+        if (found < 0).any():
+            at = np.unravel_index(np.argmax(found < 0), found.shape)
+            labels = (self.labels[np.broadcast_to(k, found.shape)[at]] for k in ks)
+            raise BrokenInvariant(f"the {what.format(*labels)} is not a member")
+        return found if found.ndim else int(found)
 
     def mask_of(self, minus: Sublocale, plus: Sublocale) -> int:
         """The mask pair of two member sets, sublocales or not."""
@@ -224,33 +236,33 @@ class SubDLocaleLattice:
     def top(self) -> int:
         return self._member(self.by_mask, len(self.by_mask) - 1, "whole pair")
 
-    def is_join(self, k: int, i: int, j: int) -> bool:
-        """Whether k is the least upper bound of i and j: above both, and
-        below every common upper bound."""
-        uppers = self.leq[i] & self.leq[j]
-        return bool(uppers[k] and self.leq[k, uppers].all())
+    def _is_bound(self, k, i, j, down: bool):
+        """[p]: whether k[p] is the least upper bound of i[p] and j[p] (index
+        arrays, or one index each; the greatest lower bound, down): the
+        members above it are exactly the common upper bounds (it is one, as
+        it lies above itself).  It reads only the rows of up at k, i and j.
+        A meet is generally NOT the componentwise intersection: the
+        intersection pair may fail the axioms, and the meet then drops
+        further down."""
+        stack = np.stack(np.broadcast_arrays(k, i, j))
+        bound, lo, hi = self.up(stack.reshape(-1), down).reshape(3, -1, self.n)
+        return (bound == lo & hi).all(axis=-1).reshape(stack.shape[1:])[()]
 
-    def is_meet(self, k: int, i: int, j: int) -> bool:
-        """Whether k is the greatest lower bound of i and j.
+    is_join = partialmethod(_is_bound, down=False)
+    is_meet = partialmethod(_is_bound, down=True)
 
-        Generally NOT the componentwise intersection: the intersection pair
-        may fail the axioms, in which case the meet drops further down.
-        """
-        lowers = self.leq[:, i] & self.leq[:, j]
-        return bool(lowers[k] and self.leq[lowers, k].all())
-
-    def join(self, i: int, j: int) -> int:
-        """The member at the OR of the masks, checked to be the lub."""
+    def join(self, i, j):
+        """The members at the ORs of the masks, checked to be the lubs."""
         idx = self._member(self.by_mask, self.masks[i] | self.masks[j], "join of {} and {}", i, j)
-        if not self.is_join(idx, i, j):
+        if not np.all(self.is_join(idx, i, j)):
             raise BrokenInvariant("constructive join must be the lub")
         return idx
 
-    def meet(self, i: int, j: int) -> int:
-        """The largest member inside the AND of the masks, checked to be the glb."""
+    def meet(self, i, j):
+        """The largest members inside the ANDs of the masks, checked to be the glbs."""
         idx = self._member(self.below_mask, self.masks[i] & self.masks[j],
                            "join of the members below {} and {}", i, j)
-        if not self.is_meet(idx, i, j):
+        if not np.all(self.is_meet(idx, i, j)):
             raise BrokenInvariant("constructive meet must be the glb")
         return idx
 
@@ -276,13 +288,14 @@ class SubDLocaleLattice:
         """The first triple (a, b, x) of labels, in row-major order, with
         a <= b violating modularity, or None."""
         meet, join = self.meet_table, self.join_table
-        above = np.arange(self.n)[:, None]  # b, down the rows
         for a in range(self.n):
-            bad = join[a, meet.T] != meet[join[a], above]
-            bad &= self.leq[a][:, None]
-            if bad.any():
-                b, x = np.argwhere(bad)[0]
-                return (self.labels[a], self.labels[b], self.labels[x])
+            above = np.flatnonzero(self.leq[a])  # the b with a <= b, in blocks
+            for rows in _row_blocks(len(above), self.n):
+                b = above[rows]
+                bad = join[a, meet[:, b].T] != meet[join[a], b[:, None]]
+                if bad.any():
+                    r, x = np.argwhere(bad)[0]
+                    return (self.labels[a], self.labels[b[r]], self.labels[x])
         return None
 
     @cached_property

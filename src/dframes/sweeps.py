@@ -117,17 +117,14 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = subdlocale.MAX_PAIRS):
     # join() and meet() check the lub/glb facts internally; run them on all
     # pairs for small lattices and a deterministic sample for larger ones.
     if ds.n <= 16:
-        sample = [(i, j) for i in range(ds.n) for j in range(i, ds.n)]
+        i, j = np.triu_indices(ds.n)
     else:
-        sample = [((k * 7919) % ds.n, (k * 104729) % ds.n) for k in range(12)]
-    ok_bounds = True
-    for i, j in sample:
-        try:
-            ds.join(i, j)
-            ds.meet(i, j)
-        except BrokenInvariant:
-            ok_bounds = False
-            break
+        i, j = np.arange(12) * 7919 % ds.n, np.arange(12) * 104729 % ds.n
+    try:
+        ds.join(i, j), ds.meet(i, j)
+        ok_bounds = True
+    except BrokenInvariant:
+        ok_bounds = False
     sweep.check(f"{name}: constructive joins and meets realise the bounds", ok_bounds)
 
     # ds holds exactly the pairs the axiom route admitted (checked above), so
@@ -135,7 +132,7 @@ def sweep_dframe(df, sweep: Sweep, max_pairs: int = subdlocale.MAX_PAIRS):
     ij = np.array(list(combinations(np.flatnonzero(dense)[:12], 2)), dtype=np.intp).reshape(-1, 2)
     meets = ds.by_mask[ds.masks[ij[:, 0]] & ds.masks[ij[:, 1]]]
     ok_dense_meet = ((meets >= 0).all() and dense[meets].all()
-                     and all(ds.is_meet(k, i, j) for k, (i, j) in zip(meets, ij)))
+                     and np.all(ds.is_meet(meets, ij[:, 0], ij[:, 1])))
     sweep.check(f"{name}: meets of dense members are dense intersections", ok_dense_meet)
 
     sweep.check(f"{name}: pairs containing the double sets are dense", ok_dense_pairs)

@@ -223,10 +223,10 @@ def test_mine_past_the_relation_cap_exits_2(run_cli, monkeypatch):
                    "exceed the cap of 262144\n")
 
 
-@pytest.mark.parametrize("args", [["mine", "--max-frame", "8"],
-                                  ["props", "corpus", "--corpus-size", "8"],
-                                  ["mine", "--max-frame", "9"],
-                                  ["props", "corpus", "--corpus-size", "9"]])
+@pytest.mark.parametrize("args", [["mine", "--max-frame", "9"],
+                                  ["props", "corpus", "--corpus-size", "9"],
+                                  ["mine", "--max-frame", "10"],
+                                  ["props", "corpus", "--corpus-size", "10"]])
 def test_a_frame_pool_past_seven_elements_exits_2(run_cli, monkeypatch, args):
     def refuse(*args, **kwargs):
         raise AssertionError("a poset or a lattice was built")
@@ -235,7 +235,7 @@ def test_a_frame_pool_past_seven_elements_exits_2(run_cli, monkeypatch, args):
     monkeypatch.setattr(Lattice, "__init__", refuse)
     code, out, err = run_cli(args)
     assert code == 2 and out == ""
-    assert err == f"error: frames of {args[-1]} elements exceed the pool guard of 7\n"
+    assert err == f"error: frames of {args[-1]} elements exceed the pool guard of 8\n"
 
 
 def test_mine_over_the_seven_element_pool_exits_2_at_the_candidate_cap(run_cli):
@@ -243,6 +243,14 @@ def test_mine_over_the_seven_element_pool_exits_2_at_the_candidate_cap(run_cli):
     code, out, err = run_cli(["mine", "--max-frame", "7"])
     assert code == 2 and out == ""
     assert err == ("error: 532 x 532 = 283024 con x tot candidates "
+                   "exceed the cap of 262144\n")
+
+
+def test_mine_over_the_eight_element_pool_exits_2_at_the_candidate_cap(run_cli):
+    # the pool of 8 is built, and its first pair past the cap is larger than window 7's
+    code, out, err = run_cli(["mine", "--max-frame", "8"])
+    assert code == 2 and out == ""
+    assert err == ("error: 540 x 540 = 291600 con x tot candidates "
                    "exceed the cap of 262144\n")
 
 

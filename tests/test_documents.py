@@ -97,6 +97,39 @@ def test_unknown_element_reference():
         from_document(doc)
 
 
+C2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+C3 = {"elements": ["0", "c", "1"], "covers": [["0", "c"], ["c", "1"]]}
+
+
+@pytest.mark.parametrize("relations, error, message", [
+    # every pair's shape is checked before any id; con before tot; in each
+    # pair the row id (plus for con, minus for tot) before the column id
+    ({"con": [["1", "c"], ["zz", "0"]]}, UnknownElement, "unknown element id 'c'"),
+    ({"con": [["1", "yy"], ["zz", "0"]]}, UnknownElement, "unknown element id 'yy'"),
+    ({"con": [["zz", "yy"]]}, UnknownElement, "unknown element id 'zz'"),
+    ({"con": [["q", "1"], 5]}, ParseError, "con[1] is not a pair: 5"),
+    ({"con": [["1", "1"]], "tot": [["c", "c"], [1, 0]]}, UnknownElement,
+     "unknown element id 'c'"),
+    ({"con": [["x", "x"]], "tot": ["no"]}, UnknownElement, "unknown element id 'x'"),
+    ({"con": [("0", "0", "0")]}, ParseError, "con[0] is not a pair: ('0', '0', '0')"),
+    ({"tot": {"a": 1}}, ParseError, "tot must be a list, got dict"),
+    # ids are compared as strings
+    ({"con": [[1.0, "0"]]}, UnknownElement, "unknown element id '1.0'"),
+    ({"con": [[["0"], "0"]]}, UnknownElement, "unknown element id \"['0']\""),
+])
+def test_the_first_bad_relation_pair_in_document_order_is_named(relations, error, message):
+    with pytest.raises(error) as err:
+        from_document({"minus": C2, "plus": C3, **relations}, strict=True)
+    assert str(err.value) == message
+
+
+def test_relation_ids_scatter_to_their_cells():
+    df = from_document({"minus": C2, "plus": C3, "con": [[0, 1], ["1", "1"], [0, "1"]],
+                        "tot": [["1", "c"], ["0", "c"]]}, strict=True)
+    assert df.con.astype(int).tolist() == [[0, 1], [0, 0], [0, 1]]
+    assert df.tot.astype(int).tolist() == [[0, 1, 0], [0, 1, 0]]
+
+
 def test_leq_pairs_accepted_in_place_of_covers():
     doc = {
         "minus": {"elements": ["0", "c", "1"],

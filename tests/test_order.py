@@ -17,6 +17,7 @@ from dframes.order import (
     _joins,
     _closure_from_pairs,
     bound_table,
+    cover_relation,
     down_closure_pairs,
     up_closure_pairs,
 )
@@ -233,6 +234,15 @@ def test_implication_table_matches_the_per_cell_joins():
         assert (lat.implication == implication_by_joins(lat)).all(), lat
 
 
+def loop_covers(leq):
+    """covers[i, j] iff i < j with nothing strictly between, by a per-pair
+    scan: the reference for cover_relation."""
+    n = len(leq)
+    lt = [[bool(leq[i, j]) and i != j for j in range(n)] for i in range(n)]
+    return np.array([[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+                      for j in range(n)] for i in range(n)])
+
+
 @pytest.mark.parametrize("slab", [1, 60, 200])
 def test_kernels_match_their_references_across_block_seams(monkeypatch, slab):
     """Slabs of a few cells cut each kernel's rows into blocks of one row, or
@@ -247,6 +257,10 @@ def test_kernels_match_their_references_across_block_seams(monkeypatch, slab):
     test_implication_table_matches_the_per_cell_joins()
     lattices = KERNEL_LATTICES + N5_M3 + [top_first(lat) for lat in KERNEL_LATTICES + N5_M3]
     assert assert_representation_matches_the_scan(lattices) == 8  # N5 and M3, four times each
+    for lat in lattices:  # rebuilt, so that no cached witness answers
+        fresh = Lattice(lat.elements, lat.leq)
+        assert fresh.distributivity_witness == loop_distributivity_witness(fresh)
+        assert (cover_relation(lat.leq) == loop_covers(lat.leq)).all()
 
 
 def _single_cell_mutants(df):
@@ -261,18 +275,20 @@ def _single_cell_mutants(df):
 def _dframe_kernel_values(fixture_dir) -> list:
     """What the blocked kernels of the d-frame layers give, on d-frames built
     afresh so that no memo answers: on three_three(), two 5-chains and a
-    seeded random d-frame the axiom planes, the member laws, the join and
-    meet tables, the density planes of the whole pair and its separation
-    verdicts; and check_dframe's reports, whose binary-law witnesses
-    _first_bad_pair finds, on bad_contot.json (the full relations on two
-    2-chains), on its single-cell mutants and on those of three_three() and
-    of the full relations on two 5-chains."""
+    seeded random d-frame the axiom planes, the member laws, the order, join,
+    meet and cover tables, the distributivity and modularity witnesses, the
+    density planes of the whole pair and its separation verdicts; and
+    check_dframe's reports, whose binary-law witnesses _first_bad_pair finds,
+    on bad_contot.json (the full relations on two 2-chains), on its
+    single-cell mutants and on those of three_three() and of the full
+    relations on two 5-chains."""
     values = []
     for df in (three_three(), documents.dframe_from_spec("min:chain:5:chain:5"),
                random_dframe(random.Random(0), frame_pool(5))):
         ds = enumerate_sub_d_locales(df)
         values += [axiom_planes(df, *ds.sublocales), dense_members(ds), quotient_epis(ds),
-                   *member_cores(ds), ds.join_table, ds.meet_table, is_dually_subfit(df)]
+                   *member_cores(ds), ds.leq, ds.join_table, ds.meet_table, ds.covers,
+                   ds.distributivity_witness(), ds.modularity_witness(), is_dually_subfit(df)]
         for d in (df, df.swap()):
             every = [np.ones((1, lat.n), dtype=bool) for lat in (d.minus, d.plus)]
             values += [con_preorder(d), saturation_nucleus(d).mapping,
@@ -294,7 +310,7 @@ def test_dframe_kernels_agree_across_block_seams(monkeypatch, fixture_dir, slab)
     expected = _dframe_kernel_values(fixture_dir)
     monkeypatch.setattr(order, "SLAB_CELLS", slab)
     values = _dframe_kernel_values(fixture_dir)
-    assert len(values) == len(expected) == 3 * 15 + 1 + 8 + 18 + 50
+    assert len(values) == len(expected) == 3 * 19 + 1 + 8 + 18 + 50
     for value, want in zip(values, expected):
         assert np.array_equal(value, want)
 

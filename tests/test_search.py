@@ -72,7 +72,14 @@ def test_frame_pool_of_seven_elements():
             assert not (a.n == b.n and are_order_isomorphic(a, b))
 
 
-@pytest.mark.parametrize("size", [8, 9])
+def test_frame_pool_of_eight_elements():
+    # the pool guard admits 8: 15 more frames (A006982), the pool of 7 first
+    pool, seven = frame_pool(8), frame_pool(7)
+    assert [f.n for f in pool].count(8) == 15 and all(f.is_distributive for f in pool)
+    assert [f.leq.tobytes() for f in pool[:len(seven)]] == [f.leq.tobytes() for f in seven]
+
+
+@pytest.mark.parametrize("size", [9, 10])
 def test_frame_pool_refuses_more_than_seven_elements_before_building(monkeypatch, size):
     def refuse(*args, **kwargs):
         raise AssertionError("a poset or a lattice was built")
@@ -81,7 +88,7 @@ def test_frame_pool_refuses_more_than_seven_elements_before_building(monkeypatch
     monkeypatch.setattr(Lattice, "__init__", refuse)
     with pytest.raises(SizeGuardExceeded) as err:
         frame_pool(size)
-    assert str(err.value) == f"frames of {size} elements exceed the pool guard of 7"
+    assert str(err.value) == f"frames of {size} elements exceed the pool guard of 8"
 
 
 def test_lattices_pairwise_nonisomorphic():

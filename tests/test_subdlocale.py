@@ -531,6 +531,60 @@ def test_is_join_and_is_meet_accept_exactly_the_per_pair_bounds():
 
 @pytest.mark.parametrize("df", [three_three(), documents.dframe_from_spec("sym:chain:5")],
                          ids=lambda d: d.name)
+def test_array_bounds_match_the_per_pair_scan(df):
+    # every pair of 3.3's ten members, 200 seeded pairs of the 226 of sym:chain:5
+    ds = enumerate_sub_d_locales(df)
+    if ds.n <= 10:
+        i, j = (k.ravel() for k in np.indices((ds.n, ds.n)))
+    else:
+        i, j = np.random.default_rng(5).integers(ds.n, size=(2, 200))
+    for lower, bound, is_bound in ((False, ds.join, ds.is_join), (True, ds.meet, ds.is_meet)):
+        expected = [brute_bound(ds.leq, a, b, lower) for a, b in zip(i, j)]
+        assert bound(i, j).tolist() == expected
+        assert [bound(a, b) for a, b in zip(i.tolist(), j.tolist())] == expected  # stacks of one
+        for a, b, k in zip(i, j, expected):  # every candidate of the pair at once
+            assert (is_bound(np.arange(ds.n), a, b) == (np.arange(ds.n) == k)).all()
+    assert type(ds.join(0, 1)) is int
+    assert ds.is_join(np.zeros((2, 3), dtype=int), 0, 0).shape == (2, 3)
+
+
+def test_full_sweep_leaves_the_order_table_unbuilt(monkeypatch):
+    # the bound checks read rows of up; only dsub's report and the tables build leq
+    lattices = []
+
+    def spy(*args, **kwargs):
+        lattices.append(enumerate_sub_d_locales(*args, **kwargs))
+        return lattices[-1]
+
+    monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", spy)
+    assert full_sweep(standard_corpus(5)).ok
+    assert len(lattices) == 58 and max(ds.n for ds in lattices) > 16  # 9 refused by the guard
+    assert not any({"leq", "covers", "join_table", "meet_table"} & set(vars(ds)) for ds in lattices)
+
+
+def test_swapped_lookups_fail_the_sampled_bounds_of_a_large_lattice(monkeypatch):
+    # the first sampled pair is (0, 0), and the bottom's join with itself
+    # then looks up member 9, the first of the second sampled pair
+    df = documents.dframe_from_spec("sym:chain:5")
+
+    def swapped(parent, **guards):
+        ds = enumerate_sub_d_locales(parent, **guards)
+        by_mask = ds.by_mask.copy()
+        by_mask[ds.masks[[0, 9]]] = [9, 0]
+        ds.by_mask = by_mask
+        return ds
+
+    verdict = f"{df.name}: constructive joins and meets realise the bounds"
+    sweep = Sweep()
+    assert sweep_dframe(df, sweep).n == 226 and sweep.ok
+    monkeypatch.setattr(sweeps, "enumerate_sub_d_locales", swapped)
+    sweep = Sweep()
+    sweep_dframe(df, sweep)
+    assert (verdict, "") in sweep.failures()
+
+
+@pytest.mark.parametrize("df", [three_three(), documents.dframe_from_spec("sym:chain:5")],
+                         ids=lambda d: d.name)
 def test_componentwise_join_of_many_members_is_the_iterated_binary_join(df):
     # the member at the OR of many mask pairs: members are closed under OR
     ds = enumerate_sub_d_locales(df)
